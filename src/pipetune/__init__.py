@@ -1,27 +1,11 @@
 """pipetune: budget-constrained, memoization-aware tuning for multi-stage
 pipelines, with classic cost-aware and cost-blind baselines.
+
+The names below are the quick-start surface; everything else is imported
+from its module (``pipetune.gp``, ``pipetune.acquisition``, ...).
 """
 
-from .acquisition import (
-    BudgetState,
-    CostEstimate,
-    cooling_eta,
-    eeipu_score,
-    eips_score,
-    carbo_score,
-    expected_improvement,
-    expected_inverse_cost,
-)
-from .cache import (
-    LookupResult,
-    PrefixEntry,
-    PrefixPool,
-    StageOutputStore,
-    empty_pool,
-    lookup,
-    update_pool,
-)
-from .candidates import Candidate, SearchSpace, generate
+from .acquisition import METHODS
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -32,97 +16,25 @@ from .errors import (
     StorageError,
     TraceParseError,
 )
-from .gp import (
-    GPModel,
-    KernelParams,
-    PosteriorGaussian,
-    build_model,
-    fit,
-    matern52,
-    posterior,
-    posterior_mean_var,
-)
-from .optimizer import (
-    METHODS,
-    ModelSet,
-    OptState,
-    RunConfig,
-    RunTrace,
-    TraceRow,
-    init_state,
-    read_trace,
-    run,
-    score_candidates,
-    step,
-    warmup,
-    write_trace,
-)
-from .pipeline import (
-    BENCHMARKS,
-    Observation,
-    PipelineSpec,
-    StageResult,
-    StageSpec,
-    load_pipeline_file,
-    synthetic_suite,
-)
-from .pipeline import run as run_pipeline
+from .optimizer import RunConfig, read_trace, run, write_trace
+from .pipeline import load_pipeline_file, synthetic_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BENCHMARKS",
-    "BudgetState",
-    "Candidate",
-    "CostEstimate",
-    "GPModel",
+    "METHODS",
     "InsufficientDataError",
     "InvalidArgumentError",
-    "KernelParams",
-    "LookupResult",
-    "METHODS",
-    "ModelSet",
     "NumericalFailureError",
-    "Observation",
-    "OptState",
-    "PipelineSpec",
     "PipetuneError",
-    "PosteriorGaussian",
-    "PrefixEntry",
-    "PrefixPool",
     "ProtocolError",
     "RunConfig",
-    "RunTrace",
-    "SearchSpace",
     "StageExecutionError",
-    "StageOutputStore",
-    "StageResult",
-    "StageSpec",
     "StorageError",
     "TraceParseError",
-    "TraceRow",
-    "build_model",
-    "carbo_score",
-    "cooling_eta",
-    "eeipu_score",
-    "eips_score",
-    "empty_pool",
-    "expected_improvement",
-    "expected_inverse_cost",
-    "fit",
-    "generate",
-    "init_state",
-    "lookup",
-    "matern52",
-    "posterior",
-    "posterior_mean_var",
+    "load_pipeline_file",
     "read_trace",
     "run",
-    "run_pipeline",
-    "score_candidates",
-    "step",
     "synthetic_suite",
-    "update_pool",
-    "warmup",
     "write_trace",
 ]

@@ -1,27 +1,93 @@
-"""Candidate scoring: expected improvement, Monte-Carlo expected inverse
-cost with memoization gating, cost-cooling, and the combined scores used
-by each tuning method.
+"""Candidate scoring: expected improvement times the cooled Monte-Carlo
+expected inverse cost E[1/C], with memoized stages costed at epsilon.
 
-All functions here are pure; the optimizer loop owns every piece of
-state (budget, cooling factor, models).
+Tuning methods differ only in data, kept in ``METHODS``: which cost
+segments they model with log-cost GPs, and whether they cool the cost
+term. A segment is a run of consecutive stages under one model; its
+draws are exponentiated Gaussians, and a total-cost draw is the sum of
+the segments' draws.
+
+Scoring is pure; the optimizer loop owns every piece of state (budget,
+cooling factor, models).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
+from . import gp
+from .candidates import SearchSpace
 from .errors import InvalidArgumentError, NumericalFailureError
-from .gp import PosteriorGaussian
 
 ETA_SCHEDULES = ("budget", "constant", "exp_decay")
 
 EXP_DECAY_FACTOR = 0.9
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Stages ``first``..``last`` (1-based, inclusive) under one log-cost
+    model. Its fit seed and Monte-Carlo generator use index ``first - 1``."""
+
+    first: int
+    last: int
+
+    @property
+    def index(self) -> int:
+        return self.first - 1
+
+    def columns(self, space: SearchSpace) -> slice:
+        return slice(space.prefix_width(self.first - 1), space.prefix_width(self.last))
+
+    def cost(self, stage_costs: Sequence[float]) -> float:
+        return sum(stage_costs[self.first - 1 : self.last])
+
+
+@dataclass(frozen=True)
+class Method:
+    """A tuning method as data. ``cost_segments`` is ``"none"`` (cost
+    blind), ``"total"`` (one model of the whole pipeline's cost) or
+    ``"stages"`` (one model per stage, which makes the method memo aware:
+    it keeps a prefix pool and costs cached stages at epsilon)."""
+
+    cost_segments: str
+    cools: bool
+
+    @property
+    def memo_aware(self) -> bool:
+        return self.cost_segments == "stages"
+
+    def segments(self, n_stages: int) -> tuple[Segment, ...]:
+        if self.cost_segments == "stages":
+            return tuple(Segment(k, k) for k in range(1, n_stages + 1))
+        if self.cost_segments == "total":
+            return (Segment(1, n_stages),)
+        return ()
+
+
+METHODS = {
+    "eeipu": Method(cost_segments="stages", cools=True),
+    "ei": Method(cost_segments="none", cools=False),
+    # EI per unit cost is CArBO's score with the exponent held at 1
+    "eips": Method(cost_segments="total", cools=False),
+    "carbo": Method(cost_segments="total", cools=True),
+}
+
+
+@dataclass(frozen=True)
+class ModelSet:
+    """Fitted surrogates for one iteration: the objective model plus one
+    log-cost model per cost segment of the method, in segment order."""
+
+    objective: gp.GPModel
+    costs: tuple[gp.GPModel, ...] = ()
 
 
 @dataclass
@@ -45,101 +111,6 @@ class BudgetState:
         return max(0.0, (self.total_budget - self.consumed) / self.total_budget)
 
 
-@dataclass(frozen=True)
-class CostEstimate:
-    """Per-stage cost draws for one candidate: a K x D matrix whose first
-    ``delta`` rows are filled with the memoization constant ``epsilon``."""
-
-    per_stage_samples: np.ndarray
-    delta: int
-    epsilon: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.per_stage_samples, dtype=float)
-        object.__setattr__(self, "per_stage_samples", samples)
-        if samples.ndim != 2:
-            raise InvalidArgumentError("per_stage_samples must be a K x D matrix")
-        if not 0 <= self.delta <= samples.shape[0]:
-            raise InvalidArgumentError(f"delta {self.delta} outside [0, K]")
-        if not self.epsilon > 0.0:
-            raise InvalidArgumentError("epsilon must be positive")
-        if not np.all(samples > 0.0):
-            raise InvalidArgumentError("cost samples must be strictly positive")
-        if self.delta and not np.all(samples[: self.delta] == self.epsilon):
-            raise InvalidArgumentError("memoized rows must equal epsilon")
-
-    @classmethod
-    def from_suffix_draws(
-        cls, suffix_draws: np.ndarray, delta: int, epsilon: float, n_stages: int
-    ) -> "CostEstimate":
-        """Assemble the full matrix from draws for the non-memoized stages
-        (shape (K - delta) x D), filling the first delta rows with epsilon."""
-        suffix_draws = np.atleast_2d(np.asarray(suffix_draws, dtype=float))
-        if suffix_draws.shape[0] != n_stages - delta:
-            raise InvalidArgumentError(
-                f"expected {n_stages - delta} suffix rows, got {suffix_draws.shape[0]}"
-            )
-        full = np.vstack(
-            [np.full((delta, suffix_draws.shape[1]), epsilon), suffix_draws]
-        )
-        return cls(per_stage_samples=full, delta=delta, epsilon=epsilon)
-
-
-@dataclass(frozen=True)
-class AcquisitionScore:
-    ei: float
-    inverse_cost: float
-    combined: float
-
-
-def expected_improvement(post: PosteriorGaussian, f_best: float) -> float:
-    """Closed-form EI of a Gaussian belief over a maximization target.
-
-    Returns ``sigma * (z * Phi(z) + phi(z))`` with ``z = (mu - f_best) / sigma``;
-    degenerates to ``max(0, mu - f_best)`` when sigma is zero.
-    """
-    sigma = math.sqrt(post.variance)
-    if sigma == 0.0:
-        return max(0.0, post.mean - f_best)
-    z = (post.mean - f_best) / sigma
-    phi = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-    big_phi = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-    return sigma * (z * big_phi + phi)
-
-
-def expected_improvement_batch(
-    mean: np.ndarray, variance: np.ndarray, f_best: float
-) -> np.ndarray:
-    """Vectorized EI over arrays of posterior means/variances."""
-    mean = np.asarray(mean, dtype=float)
-    sigma = np.sqrt(np.asarray(variance, dtype=float))
-    out = np.maximum(mean - f_best, 0.0)
-    pos = sigma > 0.0
-    if np.any(pos):
-        z = (mean[pos] - f_best) / sigma[pos]
-        phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-        out[pos] = sigma[pos] * (z * ndtr(z) + phi)
-    return out
-
-
-def expected_inverse_cost(est: CostEstimate) -> float:
-    """Monte-Carlo estimate of E[1 / C] where each sampled total cost is
-    the column sum of the per-stage draw matrix (memoized rows already
-    hold epsilon)."""
-    totals = np.sum(est.per_stage_samples, axis=0)
-    if not np.all(totals > 0.0):
-        raise NumericalFailureError("nonpositive sampled total cost")
-    return float(np.mean(1.0 / totals))
-
-
-def inverse_cost_from_totals(totals: np.ndarray) -> float:
-    """E[1 / C] from pre-summed total-cost draws (single-GP baselines)."""
-    totals = np.asarray(totals, dtype=float)
-    if not np.all(totals > 0.0):
-        raise NumericalFailureError("nonpositive sampled total cost")
-    return float(np.mean(1.0 / totals))
-
-
 def cooling_eta(budget: BudgetState, schedule: str) -> float:
     """Next cooling factor under the given schedule.
 
@@ -156,29 +127,84 @@ def cooling_eta(budget: BudgetState, schedule: str) -> float:
     raise InvalidArgumentError(f"unknown eta schedule: {schedule!r}")
 
 
-def _cooled(inv_cost: float, eta: float) -> float:
-    # IEEE pow is exact at the endpoints: pow(x, 0) == 1 and pow(x, 1) == x,
-    # so eta=0 reduces to plain EI and eta=1 to the uncooled score bit-exactly
-    return math.pow(inv_cost, eta)
+def expected_improvement_batch(
+    mean: np.ndarray, variance: np.ndarray, f_best: float
+) -> np.ndarray:
+    """Closed-form EI of Gaussian beliefs over a maximization target:
+    ``sigma * (z * Phi(z) + phi(z))`` with ``z = (mu - f_best) / sigma``,
+    and ``max(0, mu - f_best)`` where sigma is zero."""
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.sqrt(np.asarray(variance, dtype=float))
+    out = np.maximum(mean - f_best, 0.0)
+    pos = sigma > 0.0
+    if np.any(pos):
+        z = (mean[pos] - f_best) / sigma[pos]
+        phi = _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        out[pos] = sigma[pos] * (z * ndtr(z) + phi)
+    return out
 
 
-def eeipu_score(ei: float, inv_cost: float, eta: float) -> float:
-    """EI scaled by the cooled expected inverse total cost."""
-    if ei < 0.0 or inv_cost <= 0.0 or not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError("require ei >= 0, inv_cost > 0, eta in [0, 1]")
-    return ei * _cooled(inv_cost, eta)
+def expected_inverse_cost(cost_draws: Iterable[np.ndarray]) -> np.ndarray:
+    """Monte-Carlo E[1 / C] over the last axis.
+
+    ``cost_draws`` yields one array of cost draws per segment, all of one
+    shape; each total-cost draw is their sum, taken in order from 0.0.
+    """
+    totals = 0.0
+    for draws in cost_draws:
+        totals += draws
+    if not np.all(totals > 0.0):
+        raise NumericalFailureError("nonpositive sampled total cost")
+    return np.mean(1.0 / totals, axis=-1)
 
 
-def eips_score(ei: float, total_cost_inv: float) -> float:
-    """EI times E[1/C] from a single total-cost model; no cooling, no
-    memoization gating."""
-    if ei < 0.0 or total_cost_inv <= 0.0:
-        raise InvalidArgumentError("require ei >= 0, total_cost_inv > 0")
-    return ei * total_cost_inv
+def _segment_draws(
+    model: gp.GPModel,
+    xn: np.ndarray,
+    memoized: np.ndarray,
+    epsilon: float,
+    n_mc: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Candidates x n_mc cost draws from a log-cost posterior; memoized
+    candidates cost epsilon in every draw."""
+    mu, var = gp.posterior_mean_var(model, xn)
+    z = rng.standard_normal((len(mu), n_mc))
+    draws = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
+    draws[memoized] = epsilon
+    return draws
 
 
-def carbo_score(ei: float, total_cost_inv: float, eta: float) -> float:
-    """Cooled variant of the single-cost-model score."""
-    if ei < 0.0 or total_cost_inv <= 0.0 or not 0.0 <= eta <= 1.0:
-        raise InvalidArgumentError("require ei >= 0, total_cost_inv > 0, eta in [0, 1]")
-    return ei * _cooled(total_cost_inv, eta)
+def score_candidates(
+    method: str,
+    models: ModelSet,
+    space: SearchSpace,
+    xs: np.ndarray,
+    deltas: np.ndarray,
+    f_best: float,
+    eta: float,
+    epsilon: float,
+    n_mc: int,
+    mc_rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Acquisition scores ``EI * E[1/C]^eta`` for a batch of raw candidates.
+
+    ``mc_rngs`` holds one generator per cost segment. A candidate with a
+    memoized prefix of length delta costs epsilon in every segment that
+    ends at or before stage delta. A cost-blind method scores plain EI.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    xn = space.normalize(xs)
+    mean, var = gp.posterior_mean_var(models.objective, xn)
+    ei = expected_improvement_batch(mean, var, f_best)
+    segments = METHODS[method].segments(space.n_stages)
+    if not segments:
+        return ei
+    deltas = np.asarray(deltas)
+    draws = (
+        _segment_draws(
+            model, xn[:, seg.columns(space)], deltas >= seg.last, epsilon, n_mc, rng
+        )
+        for seg, model, rng in zip(segments, models.costs, mc_rngs, strict=True)
+    )
+    return ei * np.power(expected_inverse_cost(draws), eta)

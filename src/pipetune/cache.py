@@ -76,10 +76,6 @@ class PrefixPool:
             raise InvalidArgumentError("stage dims must be positive")
 
     @property
-    def includes_empty(self) -> bool:
-        return True
-
-    @property
     def n_sources(self) -> int:
         return len(self.sources)
 
@@ -254,10 +250,16 @@ class StageOutputStore:
     def store_output(
         self, stage_index: int, key_values: Sequence[float], payload: bytes
     ) -> str:
+        """Store once per key: an existing blob is kept while it verifies,
+        and a damaged one is rewritten atomically."""
         handle = self.handle_for(stage_index, key_values)
         path = self._path(handle)
         if path.exists():
-            return handle
+            try:
+                self._read(path)
+                return handle
+            except StorageError:
+                pass
         blob = _HEADER.pack(_BLOB_MAGIC, _BLOB_VERSION, len(payload)) + payload
         tmp = path.with_suffix(".tmp")
         try:
@@ -269,7 +271,10 @@ class StageOutputStore:
         return handle
 
     def resolve(self, handle: str) -> bytes:
-        path = self._path(handle)
+        return self._read(self._path(handle))
+
+    def _read(self, path: Path) -> bytes:
+        """The payload of a verified blob; StorageError otherwise."""
         try:
             blob = path.read_bytes()
         except OSError as exc:
@@ -285,37 +290,3 @@ class StageOutputStore:
         if len(payload) != length:
             raise StorageError("stage output blob length mismatch", str(path))
         return payload
-
-    def write_index(self, pool: PrefixPool) -> None:
-        """Persist the pool's entry metadata as tab-separated rows
-        (stage, hash, delta, source_objective); reread at startup."""
-        lines = []
-        for entry in pool.all_entries():
-            stage_dir, digest = entry.output_handle.split("/", 1)
-            stage = stage_dir.removeprefix("stage_")
-            lines.append(
-                f"{stage}\t{digest}\t{entry.delta}\t{entry.source_objective!r}\n"
-            )
-        path = self.root / "index.tsv"
-        tmp = path.with_suffix(".tmp")
-        try:
-            tmp.write_text("".join(lines), encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise StorageError(f"cannot write index: {exc}", str(path))
-
-    def read_index(self) -> list[tuple[int, str, int, float]]:
-        path = self.root / "index.tsv"
-        if not path.exists():
-            return []
-        rows = []
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise StorageError(f"cannot read index: {exc}", str(path))
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            stage, digest, delta, objective = line.split("\t")
-            rows.append((int(stage), digest, int(delta), float(objective)))
-        return rows

@@ -5,12 +5,11 @@ remaining coordinates uniformly within bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import PrefixEntry, PrefixPool
+from .cache import PrefixPool
 from .errors import InvalidArgumentError
 
 
@@ -81,7 +80,6 @@ class Candidate:
 
     x: np.ndarray
     delta: int = 0
-    source_prefix: Optional[PrefixEntry] = field(default=None, compare=False)
 
 
 def generate(
@@ -107,7 +105,6 @@ def generate(
         count = b_size + (remainder if group_index == 0 else 0)
         draw = space.uniform(rng, count)
         if group_index == 0:
-            entry = None
             delta = 0
         else:
             entry = entries[group_index - 1]
@@ -115,5 +112,5 @@ def generate(
             width = len(entry.values)
             draw[:, :width] = np.asarray(entry.values, dtype=float)
         for row in draw:
-            candidates.append(Candidate(x=row, delta=delta, source_prefix=entry))
+            candidates.append(Candidate(x=row, delta=delta))
     return candidates

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidArgumentError, PipetuneError, TraceParseError
-from .optimizer import METHODS, RunConfig, RunTrace, read_trace
+from .acquisition import METHODS
+from .optimizer import RunConfig, RunTrace, read_trace
 from .optimizer import run as run_optimizer
 from .pipeline import SYNTHETIC_SUITES, PipelineSpec, load_pipeline_file, synthetic_suite
 
@@ -206,7 +207,9 @@ def _build_jobs(args, out_dir: Path, overrides: dict | None = None) -> list[dict
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
-            raise InvalidArgumentError(f"unknown method {m!r}; choose from {METHODS}")
+            raise InvalidArgumentError(
+                f"unknown method {m!r}; choose from {', '.join(METHODS)}"
+            )
     budget = args.budget if args.budget == "auto" else float(args.budget)
     jobs = []
     for method in methods:

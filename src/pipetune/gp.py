@@ -80,39 +80,10 @@ class GPModel:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True)
-class PosteriorGaussian:
-    """Predictive distribution at one query point, in original target units."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if self.variance < 0.0:
-            raise InvalidArgumentError("variance must be nonnegative")
-
-
-def matern52(a: Sequence[float], b: Sequence[float], params: KernelParams) -> float:
-    """Matern-5/2 covariance between two points.
-
-    Returns ``output_scale * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r)``
-    where ``r`` is the lengthscale-weighted Euclidean distance.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidArgumentError(f"point shapes differ: {a.shape} vs {b.shape}")
-    if a.size != params.dim:
-        raise InvalidArgumentError(
-            f"point dimension {a.size} != lengthscale dimension {params.dim}"
-        )
-    r = math.sqrt(float(np.sum(((a - b) / params.lengthscales) ** 2)))
-    s5r = math.sqrt(5.0) * r
-    return params.output_scale * (1.0 + s5r + 5.0 * r * r / 3.0) * math.exp(-s5r)
-
-
 def _cross_cov(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Vectorized Matern-5/2 cross-covariance, shape (len(xa), len(xb))."""
+    """Matern-5/2 cross-covariance, shape (len(xa), len(xb)):
+    ``output_scale * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r)`` where
+    ``r`` is the lengthscale-weighted Euclidean distance."""
     sa = xa / params.lengthscales
     sb = xb / params.lengthscales
     sq = (
@@ -158,11 +129,19 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - shift) / scale, shift, scale
 
 
-def _lml_value(x: np.ndarray, z: np.ndarray, params: KernelParams) -> float:
-    """Log marginal likelihood of standardized targets z under params."""
+def _factor(
+    x: np.ndarray, z: np.ndarray, params: KernelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor of K + noise I and alpha = (K + noise I)^-1 z."""
     k = _gram(x, params) + params.noise_variance * np.eye(x.shape[0])
     chol = _chol_with_jitter(k)
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    return chol, alpha
+
+
+def _lml_value(x: np.ndarray, z: np.ndarray, params: KernelParams) -> float:
+    """Log marginal likelihood of standardized targets z under params."""
+    chol, alpha = _factor(x, z, params)
     n = x.shape[0]
     return float(
         -0.5 * z @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * _LOG_2PI
@@ -171,9 +150,7 @@ def _lml_value(x: np.ndarray, z: np.ndarray, params: KernelParams) -> float:
 
 def _build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     z, shift, scale = _standardize(y)
-    k = _gram(x, params) + params.noise_variance * np.eye(x.shape[0])
-    chol = _chol_with_jitter(k)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    chol, alpha = _factor(x, z, params)
     return GPModel(
         inputs=x,
         targets=z,
@@ -181,16 +158,6 @@ def _build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
         chol=chol,
         alpha=alpha,
         target_transform=(shift, scale),
-    )
-
-
-def log_marginal_likelihood(model: GPModel) -> float:
-    """LML of the model's own training data, in standardized units."""
-    n = model.n_train
-    return float(
-        -0.5 * model.targets @ model.alpha
-        - np.sum(np.log(np.diag(model.chol)))
-        - 0.5 * n * _LOG_2PI
     )
 
 
@@ -363,20 +330,3 @@ def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray,
     var_std = np.maximum(model.params.output_scale - np.sum(v * v, axis=0), 0.0)
     shift, scale = model.target_transform
     return shift + scale * mean_std, scale * scale * var_std
-
-
-def posterior(model: GPModel, queries: np.ndarray) -> list[PosteriorGaussian]:
-    """Predictive distributions at the query points (one per row)."""
-    mean, var = posterior_mean_var(model, queries)
-    return [PosteriorGaussian(float(m), float(v)) for m, v in zip(mean, var)]
-
-
-def sample(post: PosteriorGaussian, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` i.i.d. values from the predictive Gaussian.
-
-    For log-cost models the caller exponentiates the draws to return to
-    cost units.
-    """
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
-    return post.mean + math.sqrt(post.variance) * rng.standard_normal(count)

@@ -1,10 +1,10 @@
 """Budget-constrained tuning loop: seeded warmup, per-iteration GP fits
-(objective plus cost models), prefix-aware candidate generation, method
-specific scoring with memoization gating, and trace persistence.
+(objective plus one log-cost model per cost segment), prefix-aware
+candidate generation, scoring, and trace persistence.
 
-Methods: ``eeipu`` (per-stage cost models, memoization aware, cooled),
-``ei`` (cost-blind), ``eips`` (single total-cost model), ``carbo``
-(single total-cost model, cooled).
+Methods are rows of ``acquisition.METHODS``: ``eeipu`` (per-stage cost
+models, memoization aware, cooled), ``ei`` (cost-blind), ``eips`` (one
+total-cost model), ``carbo`` (one total-cost model, cooled).
 
 Every random draw is derived from (seed, purpose tag, iteration, ...)
 via SeedSequence, so warmup points and candidate batches are identical
@@ -19,14 +19,28 @@ import math
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import gp
-from .acquisition import BudgetState, cooling_eta, expected_improvement_batch
-from .cache import PrefixPool, StageOutputStore, empty_pool, update_pool
+from .acquisition import (
+    ETA_SCHEDULES,
+    METHODS,
+    BudgetState,
+    ModelSet,
+    cooling_eta,
+    score_candidates,
+)
+from .cache import (
+    PREFIX_POLICIES,
+    PrefixPool,
+    StageOutputStore,
+    _policy_deltas,
+    empty_pool,
+    update_pool,
+)
 from .candidates import Candidate, SearchSpace, generate
 from .errors import (
     InsufficientDataError,
@@ -39,8 +53,6 @@ from .pipeline import run as run_pipeline
 
 logger = logging.getLogger("pipetune.optimizer")
 
-METHODS = ("eeipu", "ei", "eips", "carbo")
-
 # purpose tags for seed derivation (entropy = [seed, tag, ...])
 _TAG_WARMUP = 101
 _TAG_FIT = 102
@@ -49,8 +61,8 @@ _TAG_MC = 104
 _TAG_TIE = 105
 
 # model index used in fit-seed derivation for the objective model; cost
-# models use 0-based stage indices so a 1-stage pipeline's cost model and
-# a single total-cost model derive identical seeds
+# models use their segment's index (first stage - 1), so a 1-stage
+# pipeline's stage model and a total-cost model derive identical seeds
 _OBJECTIVE_MODEL_INDEX = 10_000
 
 _FLOAT_FMT = "{:.17g}"
@@ -93,9 +105,9 @@ class RunConfig:
             raise InvalidArgumentError("q must be >= 0")
         if not self.epsilon > 0.0:
             raise InvalidArgumentError("epsilon must be positive")
-        if self.eta_schedule not in ("budget", "constant", "exp_decay"):
+        if self.eta_schedule not in ETA_SCHEDULES:
             raise InvalidArgumentError(f"unknown eta schedule: {self.eta_schedule!r}")
-        if self.prefix_policy not in ("all", "first", "mean"):
+        if self.prefix_policy not in PREFIX_POLICIES:
             raise InvalidArgumentError(f"unknown prefix policy: {self.prefix_policy!r}")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be nonnegative")
@@ -153,16 +165,6 @@ class RunTrace:
         return [r for r in self.rows if r.iteration > n0]
 
 
-@dataclass(frozen=True)
-class ModelSet:
-    """Fitted surrogates for one iteration: the objective model plus cost
-    models (one per stage for eeipu, a single total-cost model for
-    eips/carbo, none for ei)."""
-
-    objective: gp.GPModel
-    costs: tuple[gp.GPModel, ...] = ()
-
-
 @dataclass
 class OptState:
     """Mutable loop state owned by run()/step()."""
@@ -185,62 +187,11 @@ class OptState:
 
 
 # ---------------------------------------------------------------------------
-# scoring
-
-def score_candidates(
-    method: str,
-    models: ModelSet,
-    space: SearchSpace,
-    xs: np.ndarray,
-    deltas: np.ndarray,
-    f_best: float,
-    eta: float,
-    epsilon: float,
-    n_mc: int,
-    mc_rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Acquisition scores for a batch of raw candidates.
-
-    For cost-aware methods, per-candidate total-cost draws come from the
-    log-cost models (exponentiated Gaussians); candidates with a memoized
-    prefix of length delta have their first delta stage draws replaced by
-    epsilon before totals are formed.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    xn = space.normalize(xs)
-    mean, var = gp.posterior_mean_var(models.objective, xn)
-    ei = expected_improvement_batch(mean, var, f_best)
-    if method == "ei":
-        return ei
-
-    n = xs.shape[0]
-    if method == "eeipu":
-        totals = np.zeros((n, n_mc))
-        for k in range(1, space.n_stages + 1):
-            mu, v = gp.posterior_mean_var(
-                models.costs[k - 1], xn[:, space.stage_slice(k)]
-            )
-            sd = np.sqrt(v)
-            z = mc_rngs[k - 1].standard_normal((n, n_mc))
-            draws = np.exp(mu[:, None] + sd[:, None] * z)
-            memoized = np.asarray(deltas) >= k
-            if np.any(memoized):
-                draws[memoized, :] = epsilon
-            totals += draws
-        inverse = np.mean(1.0 / totals, axis=1)
-        return ei * np.power(inverse, eta)
-
-    # single total-cost model (eips, carbo)
-    mu, v = gp.posterior_mean_var(models.costs[0], xn)
-    z = mc_rngs[0].standard_normal((n, n_mc))
-    totals = np.exp(mu[:, None] + np.sqrt(v)[:, None] * z)
-    inverse = np.mean(1.0 / totals, axis=1)
-    if method == "eips":
-        return ei * inverse
-    return ei * np.power(inverse, eta)
-
+# model fitting
 
 def _fit_models(state: OptState, iteration: int) -> ModelSet:
+    """The objective GP, then one log-cost GP per cost segment, fitted on
+    the observations that executed every stage of the segment."""
     cfg = state.config
     obs = state.observations
     xn = state.space.normalize(np.stack([o.x for o in obs]))
@@ -249,31 +200,16 @@ def _fit_models(state: OptState, iteration: int) -> ModelSet:
     objective = gp.fit(
         zip(xn, y), derived_int(cfg.seed, _TAG_FIT, iteration, _OBJECTIVE_MODEL_INDEX)
     )
-    if cfg.method == "ei":
-        return ModelSet(objective=objective)
-
-    if cfg.method == "eeipu":
-        costs = []
-        for k in range(1, state.space.n_stages + 1):
-            sl = state.space.stage_slice(k)
-            rows = [i for i, o in enumerate(obs) if o.memo_delta < k]
-            pairs = [(xn[i, sl], math.log(obs[i].stage_costs[k - 1])) for i in rows]
-            costs.append(
-                gp.fit(pairs, derived_int(cfg.seed, _TAG_FIT, iteration, k - 1))
-            )
-        return ModelSet(objective=objective, costs=tuple(costs))
-
-    # total-cost model on fully executed observations only
-    rows = [i for i, o in enumerate(obs) if o.memo_delta == 0]
-    pairs = [(xn[i], math.log(obs[i].executed_cost)) for i in rows]
-    total_cost = gp.fit(pairs, derived_int(cfg.seed, _TAG_FIT, iteration, 0))
-    return ModelSet(objective=objective, costs=(total_cost,))
-
-
-def _n_cost_models(method: str, n_stages: int) -> int:
-    if method == "ei":
-        return 0
-    return n_stages if method == "eeipu" else 1
+    costs = []
+    for seg in METHODS[cfg.method].segments(state.space.n_stages):
+        cols = seg.columns(state.space)
+        pairs = [
+            (xn[i, cols], math.log(seg.cost(o.stage_costs)))
+            for i, o in enumerate(obs)
+            if o.memo_delta < seg.first
+        ]
+        costs.append(gp.fit(pairs, derived_int(cfg.seed, _TAG_FIT, iteration, seg.index)))
+    return ModelSet(objective=objective, costs=tuple(costs))
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +224,23 @@ def init_state(
 
     Warmup points come from a scrambled low-discrepancy sequence seeded
     only by (seed, warmup tag), so every method sees the same start.
+
+    Only a memo-aware method on a pipeline of two or more stages keeps a
+    prefix pool. A config whose ``m`` is below the number of candidate
+    groups a full pool gives is refused before any stage runs.
     """
     space = pipeline.search_space()
+    memo = METHODS[config.method].memo_aware and space.n_stages > 1
+    capacity = config.q if memo else 0
+    groups = 1 + capacity * len(_policy_deltas(config.prefix_policy, space.n_stages))
+    if config.m < groups:
+        raise InvalidArgumentError(
+            f"m={config.m} is below the {groups} candidate groups that a pool of "
+            f"q={capacity} sources gives under prefix policy {config.prefix_policy!r}"
+        )
     store = StageOutputStore(
         cache_root if cache_root is not None else tempfile.mkdtemp(prefix="pipetune_cache_")
     )
-    capacity = config.q if config.method == "eeipu" else 0
     pool = empty_pool(space.stage_dims, capacity)
 
     halton = qmc.Halton(
@@ -346,11 +293,6 @@ def init_state(
     )
 
 
-def warmup(config: RunConfig, pipeline: PipelineSpec) -> list[Observation]:
-    """The warmup evaluations alone (same points any method would see)."""
-    return init_state(config, pipeline).observations
-
-
 def _maybe_update_pool(
     pool: PrefixPool,
     config: RunConfig,
@@ -358,25 +300,26 @@ def _maybe_update_pool(
     store: StageOutputStore,
     obs: Observation,
 ) -> PrefixPool:
-    if pool.capacity == 0 or pipeline.n_stages < 2:
+    if pool.capacity == 0:
         return pool
     handles = output_handles(pipeline, store, obs.x)
-    pool = update_pool(pool, obs, handles, config.prefix_policy)
-    store.write_index(pool)
-    return pool
+    return update_pool(pool, obs, handles, config.prefix_policy)
 
 
 def step(state: OptState) -> tuple[Candidate, Observation]:
     """One model-guided iteration: fit, generate, score, evaluate, update."""
     cfg = state.config
+    method = METHODS[cfg.method]
     iteration = len(state.observations) + 1
 
-    state.eta = cooling_eta(
-        BudgetState(
-            total_budget=state.total_budget, consumed=state.consumed, eta=state.eta
-        ),
-        cfg.eta_schedule,
-    )
+    # the trace records the exponent applied, which stays 1 without cooling
+    if method.cools:
+        state.eta = cooling_eta(
+            BudgetState(
+                total_budget=state.total_budget, consumed=state.consumed, eta=state.eta
+            ),
+            cfg.eta_schedule,
+        )
 
     try:
         state.models = _fit_models(state, iteration)
@@ -390,7 +333,7 @@ def step(state: OptState) -> tuple[Candidate, Observation]:
         )
 
     f_best = state.f_best
-    n_cost = _n_cost_models(cfg.method, state.space.n_stages)
+    segments = method.segments(state.space.n_stages)
     all_candidates: list[Candidate] = []
     all_scores: list[np.ndarray] = []
     for restart in range(cfg.restarts):
@@ -403,8 +346,8 @@ def step(state: OptState) -> tuple[Candidate, Observation]:
         xs = np.stack([c.x for c in cands])
         deltas = np.array([c.delta for c in cands])
         mc_rngs = [
-            derived_rng(cfg.seed, _TAG_MC, iteration, idx, restart)
-            for idx in range(n_cost)
+            derived_rng(cfg.seed, _TAG_MC, iteration, seg.index, restart)
+            for seg in segments
         ]
         all_scores.append(
             score_candidates(

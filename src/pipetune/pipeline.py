@@ -225,12 +225,6 @@ class Observation:
         return float(sum(self.stage_costs))
 
 
-@dataclass(frozen=True)
-class StageResult:
-    output_handle: str
-    cost: float
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -317,8 +311,8 @@ def run(
     """Evaluate x end to end, skipping the longest cached prefix.
 
     Stages 1..delta are served from the cache (cost 0.0); stages delta+1..K
-    execute and their outputs (all but the last stage's) are stored so this
-    observation can seed future prefixes.
+    execute. When the pool has capacity, their outputs (all but the last
+    stage's) are stored so this observation can seed future prefixes.
     """
     x = np.asarray(x, dtype=float)
     space = spec.search_space()
@@ -339,6 +333,7 @@ def run(
             delta = 0
 
     k_total = spec.n_stages
+    store_outputs = pool.capacity > 0
     stage_costs = [0.0] * k_total
     synthetic = spec.stages[0].kind == "synthetic"
 
@@ -349,7 +344,7 @@ def run(
             stage_x = x[space.stage_slice(k)]
             carry += stage.objective_fn(stage_x)
             stage_costs[k - 1] = stage.cost_fn(stage_x)
-            if k < k_total:
+            if store_outputs and k < k_total:
                 cache.store_output(k, x[: space.prefix_width(k)], _PARTIAL.pack(carry))
         y = carry + _keyed_noise(x, spec.noise_std)
     else:
@@ -363,7 +358,7 @@ def run(
                     stage, k, stage_x, carry_payload, workdir
                 )
                 stage_costs[k - 1] = cost
-                if k < k_total:
+                if store_outputs and k < k_total:
                     cache.store_output(k, x[: space.prefix_width(k)], carry_payload)
             y = _parse_objective(stdout, k_total)
 
@@ -377,8 +372,9 @@ def run(
 
 
 def output_handles(spec: PipelineSpec, cache: StageOutputStore, x: np.ndarray) -> list[str]:
-    """Content-addressed handles of x's first K-1 stage outputs; all exist
-    on disk after run(x) because stores are keyed by the prefix values."""
+    """Content-addressed handles of x's first K-1 stage outputs, computed
+    without I/O. run(x) stores them when its pool has capacity, because
+    stores are keyed by the prefix values; otherwise none exists on disk."""
     space = spec.search_space()
     x = np.asarray(x, dtype=float)
     return [

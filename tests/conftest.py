@@ -1,4 +1,5 @@
-"""Session-scoped fixtures for the end-to-end acceptance criteria.
+"""Session-scoped fixtures for the end-to-end acceptance criteria, and the
+scalar kernel oracle shared by the GP tests.
 
 The five-seed benchmark comparisons are expensive (a couple of minutes in
 total), so each family of runs executes once per session and is shared by
@@ -6,6 +7,7 @@ every criterion that reads it.  All runs are fully seeded: re-executing a
 fixture always reproduces the same traces.
 """
 
+import math
 import sys
 
 import pytest
@@ -32,6 +34,14 @@ SEEDS = (0, 1, 2, 3, 4)
 PINNED = dict(n0=5, m=256, n_mc=500, restarts=10, total_budget="auto")
 
 EPSILON_LEVELS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+
+
+def matern52(a, b, params):
+    """Scalar Matern-5/2 covariance between two points, written apart from
+    pipetune's vectorized kernel; the GP tests' dense oracles use it."""
+    r = math.sqrt(sum(((ai - bi) / ls) ** 2 for ai, bi, ls in zip(a, b, params.lengthscales)))
+    s5r = math.sqrt(5.0) * r
+    return params.output_scale * (1.0 + s5r + 5.0 * r * r / 3.0) * math.exp(-s5r)
 
 
 def _benchmark_run(method, seed, cache_root, **overrides):

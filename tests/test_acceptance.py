@@ -19,10 +19,11 @@ import pytest
 
 from pipetune.acquisition import (
     BudgetState,
-    CostEstimate,
+    ModelSet,
     cooling_eta,
     expected_improvement_batch,
     expected_inverse_cost,
+    score_candidates,
 )
 from pipetune.cache import (
     StageOutputStore,
@@ -32,18 +33,11 @@ from pipetune.cache import (
 )
 from pipetune.candidates import SearchSpace
 from pipetune.cli import _improvement_flags, epsilon_insensitive
-from pipetune.gp import KernelParams, build_model, matern52, posterior_mean_var
-from pipetune.optimizer import (
-    ModelSet,
-    RunConfig,
-    derived_rng,
-    run,
-    score_candidates,
-    write_trace,
-)
+from pipetune.gp import KernelParams, build_model, posterior_mean_var
+from pipetune.optimizer import RunConfig, derived_rng, run, write_trace
 from pipetune.pipeline import Observation, synthetic_suite
 
-from conftest import SEEDS
+from conftest import SEEDS, matern52
 
 
 RESULTS: list[str] = []
@@ -153,16 +147,11 @@ def test_criterion_02_gp_exactness():
 
 
 def test_criterion_03_inverse_cost_estimator():
-    # constant-cost degeneracy: every draw totals the same, so the estimate
-    # is exactly the reciprocal of the stage-cost sum
+    # the estimator score_candidates runs, fed one row of cost draws per
+    # stage. Constant-cost degeneracy: every draw totals the same, so the
+    # estimate is exactly the reciprocal of the stage-cost sum
     d = 64
-    const = CostEstimate(
-        per_stage_samples=np.vstack(
-            [np.full(d, 2.0), np.full(d, 3.0), np.full(d, 1.0)]
-        ),
-        delta=0,
-        epsilon=0.01,
-    )
+    const = [np.full(d, 2.0), np.full(d, 3.0), np.full(d, 1.0)]
     const_err = abs(expected_inverse_cost(const) - 1.0 / 6.0)
 
     # log-normal stage costs at the working sample count vs a large oracle
@@ -172,13 +161,7 @@ def test_criterion_03_inverse_cost_estimator():
     def draw(n, rng):
         return np.exp(mus[:, None] + sds[:, None] * rng.standard_normal((3, n)))
 
-    est = expected_inverse_cost(
-        CostEstimate(
-            per_stage_samples=draw(10_000, np.random.default_rng(31)),
-            delta=0,
-            epsilon=0.01,
-        )
-    )
+    est = expected_inverse_cost(draw(10_000, np.random.default_rng(31)))
     oracle = float(
         np.mean(1.0 / np.sum(draw(1_000_000, np.random.default_rng(32)), axis=0))
     )

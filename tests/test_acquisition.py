@@ -1,9 +1,10 @@
-"""Unit tests for acquisition scores, the inverse-cost estimator, and the
-cooling schedules.
+"""Unit tests for acquisition scores, the inverse-cost estimator, the
+cooling schedules and the method table.
 
-The EI closed form is checked against brute-force Monte-Carlo draws; the
-inverse-cost estimator against hand-computable degenerate cases; the score
-combinators against their algebraic definitions.
+The EI closed form is checked against brute-force Monte-Carlo draws and a
+scalar closed form written here; the inverse-cost estimator against
+hand-computable degenerate cases; the scores against their algebraic
+definitions, through ``score_candidates``, the scorer the optimizer runs.
 """
 
 import math
@@ -12,21 +13,36 @@ import numpy as np
 import pytest
 
 from pipetune.acquisition import (
-    AcquisitionScore,
-    BudgetState,
-    CostEstimate,
     EXP_DECAY_FACTOR,
-    carbo_score,
+    METHODS,
+    BudgetState,
+    ModelSet,
+    _segment_draws,
     cooling_eta,
-    eeipu_score,
-    eips_score,
-    expected_improvement,
     expected_improvement_batch,
     expected_inverse_cost,
-    inverse_cost_from_totals,
+    score_candidates,
 )
 from pipetune.errors import InvalidArgumentError, NumericalFailureError
-from pipetune.gp import PosteriorGaussian
+from pipetune.gp import KernelParams, build_model, posterior_mean_var
+from pipetune.pipeline import synthetic_suite
+
+
+def _ei(mu, variance, f_best):
+    return float(
+        expected_improvement_batch(np.array([mu]), np.array([variance]), f_best)[0]
+    )
+
+
+def _scalar_ei(mu, variance, f_best):
+    """Textbook EI for one Gaussian belief, written apart from the module."""
+    sigma = math.sqrt(variance)
+    if sigma == 0.0:
+        return max(0.0, mu - f_best)
+    z = (mu - f_best) / sigma
+    phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    big_phi = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    return sigma * (z * big_phi + phi)
 
 
 # ---------------------------------------------------------------------------
@@ -43,30 +59,30 @@ def test_ei_matches_monte_carlo():
         f_best = rng.uniform(-5.0, 5.0)
         draws = mu + sigma * rng.standard_normal(400_000)
         mc = float(np.mean(np.maximum(draws - f_best, 0.0)))
-        closed = expected_improvement(PosteriorGaussian(mu, sigma**2), f_best)
+        closed = _ei(mu, sigma**2, f_best)
         assert closed == pytest.approx(mc, abs=6e-3 * max(sigma, 1.0))
 
 
 # Story: at zero variance the improvement is deterministic.
 def test_ei_degenerate_sigma_zero():
-    assert expected_improvement(PosteriorGaussian(3.0, 0.0), 1.0) == 2.0
-    assert expected_improvement(PosteriorGaussian(0.5, 0.0), 1.0) == 0.0
+    assert _ei(3.0, 0.0, 1.0) == 2.0
+    assert _ei(0.5, 0.0, 1.0) == 0.0
 
 
 # Story: EI is positive whenever sigma > 0, increasing in mu, and increasing
 # in sigma for a pessimistic mean.
 def test_ei_monotonicity():
-    assert expected_improvement(PosteriorGaussian(-10.0, 1.0), 0.0) > 0.0
-    lo = expected_improvement(PosteriorGaussian(0.0, 1.0), 1.0)
-    hi = expected_improvement(PosteriorGaussian(0.5, 1.0), 1.0)
+    assert _ei(-10.0, 1.0, 0.0) > 0.0
+    lo = _ei(0.0, 1.0, 1.0)
+    hi = _ei(0.5, 1.0, 1.0)
     assert hi > lo
-    small = expected_improvement(PosteriorGaussian(-1.0, 0.25), 1.0)
-    large = expected_improvement(PosteriorGaussian(-1.0, 4.0), 1.0)
+    small = _ei(-1.0, 0.25, 1.0)
+    large = _ei(-1.0, 4.0, 1.0)
     assert large > small
 
 
-# Story: the vectorized batch version must agree with the scalar form
-# element-by-element, including zero-variance entries.
+# Story: the vectorized batch version must agree with the scalar textbook
+# form element-by-element, including zero-variance entries.
 def test_ei_batch_matches_scalar():
     rng = np.random.default_rng(1)
     mean = rng.uniform(-3, 3, size=40)
@@ -74,54 +90,39 @@ def test_ei_batch_matches_scalar():
     f_best = 0.7
     batch = expected_improvement_batch(mean, var, f_best)
     scalar = np.array(
-        [expected_improvement(PosteriorGaussian(m, v), f_best) for m, v in zip(mean, var)]
+        [_scalar_ei(m, v, f_best) for m, v in zip(mean, var)]
     )
     assert np.allclose(batch, scalar, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# cost estimate and inverse-cost estimator
+# inverse-cost estimator
 
 
+# Story: an estimate over a nonpositive total cost is meaningless, so the
+# estimator refuses it instead of returning an infinite score.
 def test_cost_estimate_validation():
-    with pytest.raises(InvalidArgumentError):
-        CostEstimate(per_stage_samples=np.ones(4), delta=0, epsilon=0.01)
-    with pytest.raises(InvalidArgumentError):
-        CostEstimate(per_stage_samples=np.ones((2, 4)), delta=3, epsilon=0.01)
-    with pytest.raises(InvalidArgumentError):
-        CostEstimate(per_stage_samples=np.ones((2, 4)), delta=0, epsilon=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        CostEstimate(per_stage_samples=np.zeros((2, 4)), delta=0, epsilon=0.01)
-    # memoized rows must hold exactly epsilon
-    bad = np.ones((3, 4))
-    with pytest.raises(InvalidArgumentError):
-        CostEstimate(per_stage_samples=bad, delta=1, epsilon=0.01)
+    with pytest.raises(NumericalFailureError):
+        expected_inverse_cost([np.zeros(4)])
+    with pytest.raises(NumericalFailureError):
+        expected_inverse_cost([np.ones(4), -np.ones(4)])
+    with pytest.raises(NumericalFailureError):
+        expected_inverse_cost([])
 
-
-def test_from_suffix_draws_assembles_matrix():
-    suffix = np.array([[2.0, 3.0], [4.0, 5.0]])
-    est = CostEstimate.from_suffix_draws(suffix, delta=1, epsilon=0.25, n_stages=3)
-    assert est.per_stage_samples.shape == (3, 2)
-    assert np.all(est.per_stage_samples[0] == 0.25)
-    assert np.array_equal(est.per_stage_samples[1:], suffix)
-    with pytest.raises(InvalidArgumentError):
-        CostEstimate.from_suffix_draws(suffix, delta=2, epsilon=0.25, n_stages=3)
 
 
 # Story: with constant per-stage draws the estimator is exactly 1 / sum(c).
 def test_inverse_cost_constant_case_exact():
     samples = np.vstack([np.full(64, 2.0), np.full(64, 3.5), np.full(64, 0.5)])
-    est = CostEstimate(per_stage_samples=samples, delta=0, epsilon=0.01)
-    assert expected_inverse_cost(est) == 1.0 / 6.0
+    assert expected_inverse_cost(samples) == 1.0 / 6.0
 
 
 # Story: memoized rows contribute epsilon each, so the constant case with a
 # memoized prefix is exactly 1 / (delta * eps + suffix costs).
 def test_inverse_cost_memoized_constant_exact():
     eps = 0.01
-    suffix = np.vstack([np.full(32, 4.0)])
-    est = CostEstimate.from_suffix_draws(suffix, delta=2, epsilon=eps, n_stages=3)
-    assert expected_inverse_cost(est) == pytest.approx(1.0 / (2 * eps + 4.0), rel=1e-15)
+    draws = [np.full(32, eps), np.full(32, eps), np.full(32, 4.0)]
+    assert expected_inverse_cost(draws) == pytest.approx(1.0 / (2 * eps + 4.0), rel=1e-15)
 
 
 # Story: for random draws the estimator is the plain mean of reciprocal
@@ -129,18 +130,18 @@ def test_inverse_cost_memoized_constant_exact():
 def test_inverse_cost_matches_loop_oracle():
     rng = np.random.default_rng(5)
     samples = rng.lognormal(mean=0.5, sigma=0.4, size=(3, 500))
-    est = CostEstimate(per_stage_samples=samples, delta=0, epsilon=0.01)
     oracle = float(np.mean([1.0 / samples[:, d].sum() for d in range(500)]))
-    assert expected_inverse_cost(est) == pytest.approx(oracle, rel=1e-12)
+    assert expected_inverse_cost(samples) == pytest.approx(oracle, rel=1e-12)
 
 
+# Story: one total-cost segment and two stage segments summing to the same
+# totals give the same estimate; a zero total is refused.
 def test_inverse_cost_from_totals_agrees():
     rng = np.random.default_rng(6)
     samples = rng.lognormal(size=(2, 200))
-    est = CostEstimate(per_stage_samples=samples, delta=0, epsilon=0.01)
-    assert inverse_cost_from_totals(samples.sum(axis=0)) == expected_inverse_cost(est)
+    assert expected_inverse_cost([samples.sum(axis=0)]) == expected_inverse_cost(samples)
     with pytest.raises(NumericalFailureError):
-        inverse_cost_from_totals(np.array([1.0, 0.0]))
+        expected_inverse_cost([np.array([1.0, 0.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -181,38 +182,113 @@ def test_budget_state_validation():
 
 
 # ---------------------------------------------------------------------------
-# score combinators
+# scores through score_candidates
+
+
+def _flat_world(n=5):
+    """A synth3 batch, an objective model, and one flat log-cost model per
+    stage plus a total-cost model (costs 2, 3, 4 and 9)."""
+    space = synthetic_suite("synth3").search_space()
+    xs = space.uniform(np.random.default_rng(3), n)
+    objective = build_model(
+        [(space.normalize(x[None, :])[0], float(i)) for i, x in enumerate(xs)],
+        KernelParams(lengthscales=np.full(7, 0.5), output_scale=1.0, noise_variance=1e-4),
+    )
+
+    def flat(dim, cost):
+        params = KernelParams(
+            lengthscales=np.full(dim, 10.0), output_scale=1.0, noise_variance=1e-6
+        )
+        return build_model(
+            [(np.full(dim, 0.2), math.log(cost)), (np.full(dim, 0.8), math.log(cost))],
+            params,
+        )
+
+    stages = tuple(flat(space.stage_dims[k], (2.0, 3.0, 4.0)[k]) for k in range(3))
+    total = (flat(space.dim, 9.0),)
+    return space, xs, objective, stages, total
+
+
+def _score(method, eta, n_mc=50):
+    space, xs, objective, stages, total = _flat_world()
+    costs = {"eeipu": stages, "carbo": total, "eips": total, "ei": ()}[method]
+    rngs = [np.random.default_rng([5, k]) for k in range(len(costs))]
+    deltas = np.array([0, 1, 2, 0, 1])
+    return score_candidates(
+        method, ModelSet(objective, costs), space, xs, deltas, -1.0, eta, 0.01, n_mc, rngs
+    )
+
+
+# Story: a candidate with a memoized prefix of delta stages costs epsilon in
+# each of those stages and its own posterior draws in the rest; the scorer
+# sums the assembled stage rows into E[1/C]. The assembly is rebuilt here
+# from the posterior moments and generators seeded alike.
+def test_from_suffix_draws_assembles_matrix():
+    space, xs, objective, stages, _ = _flat_world()
+    xn = space.normalize(xs)
+    deltas = np.array([0, 1, 2, 0, 1])
+    epsilon, n_mc = 0.25, 50
+
+    def rngs():
+        return [np.random.default_rng([5, k]) for k in range(3)]
+
+    totals = 0.0
+    for seg, model, rng in zip(METHODS["eeipu"].segments(3), stages, rngs()):
+        mean, var = posterior_mean_var(model, xn[:, seg.columns(space)])
+        draws = np.exp(mean[:, None] + np.sqrt(var)[:, None] * rng.standard_normal((5, n_mc)))
+        assert draws.shape == (5, n_mc)
+        draws[deltas >= seg.last] = epsilon
+        totals = totals + draws
+    assert np.all(totals[2] < 4.0 + 3 * epsilon) and np.all(totals[0] > 8.0)
+
+    ei = score_candidates(
+        "ei", ModelSet(objective, ()), space, xs, deltas, -1.0, 1.0, epsilon, n_mc, []
+    )
+    scored = score_candidates(
+        "eeipu", ModelSet(objective, stages), space, xs, deltas, -1.0, 1.0, epsilon, n_mc, rngs()
+    )
+    assert np.array_equal(scored, ei * np.mean(1.0 / totals, axis=-1))
+
+    memoized = deltas >= 1
+    seg = METHODS["eeipu"].segments(3)[0]
+    first = _segment_draws(
+        stages[0], xn[:, seg.columns(space)], memoized, epsilon, n_mc, rngs()[0]
+    )
+    plain = _segment_draws(
+        stages[0], xn[:, seg.columns(space)], np.zeros(5, dtype=bool), epsilon, n_mc, rngs()[0]
+    )
+    assert np.all(first[memoized] == epsilon)
+    assert np.array_equal(first[~memoized], plain[~memoized])
 
 
 # Story: the cooled score is EI * inv_cost^eta with exact endpoint behavior:
 # eta=0 is plain EI bit-for-bit, eta=1 the fully cost-scaled score.
 def test_eeipu_score_algebra_and_endpoints():
-    ei, inv = 0.37, 0.125
-    assert eeipu_score(ei, inv, 0.0) == ei
-    assert eeipu_score(ei, inv, 1.0) == ei * inv
-    assert eeipu_score(ei, inv, 0.5) == pytest.approx(ei * math.sqrt(inv), rel=1e-15)
-    assert eeipu_score(0.0, inv, 0.7) == 0.0
+    ei = _score("ei", 0.3)
+    assert np.all(ei > 0.0)
+    assert np.array_equal(_score("eeipu", 0.0), ei)
+    inv = _score("eeipu", 1.0) / ei
+    assert np.allclose(_score("eeipu", 0.5), ei * np.sqrt(inv), rtol=1e-15, atol=0.0)
 
 
+# Story: eips is carbo with the exponent held at 1; at eta=0 carbo is
+# plain EI.
 def test_eips_and_carbo_scores():
-    assert eips_score(2.0, 0.25) == 0.5
-    assert carbo_score(2.0, 0.25, 1.0) == 0.5
-    assert carbo_score(2.0, 0.25, 0.0) == 2.0
+    assert np.array_equal(_score("eips", 1.0), _score("carbo", 1.0))
+    assert np.array_equal(_score("carbo", 0.0), _score("ei", 0.0))
+    assert not METHODS["eips"].cools and METHODS["carbo"].cools
 
 
-def test_score_validation():
-    with pytest.raises(InvalidArgumentError):
-        eeipu_score(-1.0, 0.5, 0.5)
-    with pytest.raises(InvalidArgumentError):
-        eeipu_score(1.0, 0.0, 0.5)
-    with pytest.raises(InvalidArgumentError):
-        eeipu_score(1.0, 0.5, 1.5)
-    with pytest.raises(InvalidArgumentError):
-        eips_score(1.0, -0.1)
-    with pytest.raises(InvalidArgumentError):
-        carbo_score(1.0, 0.5, -0.2)
-
-
-def test_acquisition_score_container():
-    s = AcquisitionScore(ei=1.0, inverse_cost=0.5, combined=0.5)
-    assert (s.ei, s.inverse_cost, s.combined) == (1.0, 0.5, 0.5)
+# Story: the table is the only place methods differ: which cost segments
+# they model and whether they cool; per-stage segments mean memo aware.
+def test_method_table():
+    assert list(METHODS) == ["eeipu", "ei", "eips", "carbo"]
+    segments = {m: METHODS[m].segments(3) for m in METHODS}
+    assert [(s.first, s.last, s.index) for s in segments["eeipu"]] == [
+        (1, 1, 0), (2, 2, 1), (3, 3, 2)
+    ]
+    assert [(s.first, s.last, s.index) for s in segments["carbo"]] == [(1, 3, 0)]
+    assert segments["eips"] == segments["carbo"]
+    assert segments["ei"] == ()
+    assert [m for m in METHODS if METHODS[m].memo_aware] == ["eeipu"]
+    assert [m for m in METHODS if METHODS[m].cools] == ["eeipu", "carbo"]

@@ -1,9 +1,9 @@
 """Unit tests for the Matern-5/2 Gaussian-process module.
 
 Posterior math is checked against a dense-inverse oracle written
-independently inside the tests (solve with np.linalg.inv rather than the
-module's Cholesky path), and the marginal likelihood against the textbook
-determinant formula.
+independently inside the tests (a scalar Matern-5/2 kernel and
+np.linalg.inv rather than the module's vectorized Cholesky path), and the
+marginal likelihood against the textbook determinant formula.
 """
 
 import math
@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from pipetune.acquisition import _segment_draws
 from pipetune.errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -22,17 +23,16 @@ from pipetune.gp import (
     LENGTHSCALE_BOUNDS,
     NOISE_BOUNDS,
     OUTPUT_SCALE_BOUNDS,
-    PosteriorGaussian,
     _chol_with_jitter,
+    _cross_cov,
+    _lml_value,
     build_model,
     fit,
-    log_marginal_likelihood,
     log_prior,
-    matern52,
-    posterior,
     posterior_mean_var,
-    sample,
 )
+
+from conftest import matern52
 
 
 def _params(ls, scale=1.0, noise=1e-6):
@@ -41,6 +41,11 @@ def _params(ls, scale=1.0, noise=1e-6):
         output_scale=scale,
         noise_variance=noise,
     )
+
+
+def _k(a, b, params):
+    """The module's kernel between two single points."""
+    return float(_cross_cov(np.array([a], dtype=float), np.array([b], dtype=float), params)[0, 0])
 
 
 def _dense_oracle(x, y, params, queries):
@@ -72,11 +77,11 @@ def _dense_oracle(x, y, params, queries):
 # the basic kernel axioms (symmetry, k(x,x) = signal variance, decay).
 def test_matern52_frozen_value_and_axioms():
     p = _params([1.0, 1.0], scale=2.0, noise=1e-2)
-    assert matern52([0, 0], [1, 1], p) == pytest.approx(0.6345667279080875, abs=1e-15)
-    assert matern52([0, 0], [0, 0], p) == pytest.approx(2.0, abs=1e-15)
-    assert matern52([0, 0], [1, 1], p) == matern52([1, 1], [0, 0], p)
-    near = matern52([0, 0], [0.1, 0.1], p)
-    far = matern52([0, 0], [3.0, 3.0], p)
+    assert _k([0, 0], [1, 1], p) == pytest.approx(0.6345667279080875, abs=1e-15)
+    assert _k([0, 0], [0, 0], p) == pytest.approx(2.0, abs=1e-15)
+    assert _k([0, 0], [1, 1], p) == _k([1, 1], [0, 0], p)
+    near = _k([0, 0], [0.1, 0.1], p)
+    far = _k([0, 0], [3.0, 3.0], p)
     assert near > far > 0.0
 
 
@@ -84,17 +89,9 @@ def test_matern52_frozen_value_and_axioms():
 # along the long-lengthscale axis decays covariance less.
 def test_matern52_anisotropy():
     p = _params([0.1, 10.0])
-    along_short = matern52([0, 0], [0.5, 0.0], p)
-    along_long = matern52([0, 0], [0.0, 0.5], p)
+    along_short = _k([0, 0], [0.5, 0.0], p)
+    along_long = _k([0, 0], [0.0, 0.5], p)
     assert along_long > along_short
-
-
-def test_matern52_shape_validation():
-    p = _params([1.0, 1.0])
-    with pytest.raises(InvalidArgumentError):
-        matern52([0.0], [0.0, 1.0], p)
-    with pytest.raises(InvalidArgumentError):
-        matern52([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], p)
 
 
 def test_kernel_params_validation():
@@ -156,27 +153,33 @@ def test_posterior_query_dim_validation():
         posterior_mean_var(model, np.zeros((2, 3)))
 
 
-def test_posterior_list_interface_matches_arrays():
-    model = build_model([([0.1], 0.0), ([0.9], 1.0)], _params([0.5]))
-    q = np.array([[0.3], [0.7]])
-    mean, var = posterior_mean_var(model, q)
-    posts = posterior(model, q)
-    assert [p.mean for p in posts] == pytest.approx(list(mean))
-    assert [p.variance for p in posts] == pytest.approx(list(var))
-
-
 # ---------------------------------------------------------------------------
 # marginal likelihood
 
 
-# Story: the LML reported by the model must equal the textbook dense formula
+# Story: Monte-Carlo cost draws from a log-cost posterior are reproducible
+# for a generator state, come as candidates x n_mc, and their logs carry the
+# posterior's mean and standard deviation. (RunConfig refuses n_mc < 1.)
+def test_sample_determinism_and_count():
+    model = build_model([([0.4], 0.0), ([0.6], 1.0)], _params([0.05], scale=2.0, noise=0.5))
+    xn = np.array([[50.0], [0.5]])
+    unmemoized = np.zeros(2, dtype=bool)
+    a = _segment_draws(model, xn, unmemoized, 0.25, 1000, np.random.default_rng(9))
+    b = _segment_draws(model, xn, unmemoized, 0.25, 1000, np.random.default_rng(9))
+    assert np.array_equal(a, b)
+    assert a.shape == (2, 1000)
+    mean, var = posterior_mean_var(model, xn)
+    assert np.mean(np.log(a), axis=1) == pytest.approx(mean, abs=0.2)
+    assert np.std(np.log(a), axis=1) == pytest.approx(np.sqrt(var), abs=0.2)
+
+
+# Story: the LML that fitting maximizes must equal the textbook dense formula
 # -1/2 z'K^-1z - 1/2 log|K| - n/2 log 2pi on the standardized targets.
 def test_lml_matches_dense_formula():
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(5, 2))
     y = rng.normal(size=5) * 3.0
     params = _params([0.7, 0.4], scale=1.3, noise=1e-3)
-    model = build_model(zip(x, y), params)
 
     z = (y - np.mean(y)) / np.std(y)
     gram = np.array([[matern52(a, b, params) for b in x] for a in x])
@@ -186,7 +189,7 @@ def test_lml_matches_dense_formula():
     oracle = -0.5 * z @ np.linalg.inv(k_noisy) @ z - 0.5 * logdet - 2.5 * math.log(
         2.0 * math.pi
     )
-    assert log_marginal_likelihood(model) == pytest.approx(oracle, abs=1e-8)
+    assert _lml_value(x, z, params) == pytest.approx(oracle, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +274,7 @@ def test_constant_targets_are_handled():
 
 
 # ---------------------------------------------------------------------------
-# numerics and sampling
+# numerics
 
 
 # Story: a duplicated input row makes the gram matrix singular at zero noise;
@@ -285,15 +288,3 @@ def test_cholesky_jitter_paths():
 
     with pytest.raises(NumericalFailureError):
         _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_sample_determinism_and_count():
-    post = PosteriorGaussian(mean=2.0, variance=4.0)
-    a = sample(post, 1000, np.random.default_rng(9))
-    b = sample(post, 1000, np.random.default_rng(9))
-    assert np.array_equal(a, b)
-    assert a.shape == (1000,)
-    assert np.mean(a) == pytest.approx(2.0, abs=0.2)
-    assert np.std(a) == pytest.approx(2.0, abs=0.2)
-    with pytest.raises(InvalidArgumentError):
-        sample(post, 0, np.random.default_rng(0))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import pipetune.optimizer as optimizer
+from pipetune.acquisition import ModelSet, score_candidates
 from pipetune.errors import InvalidArgumentError, NumericalFailureError, TraceParseError
 from pipetune.gp import KernelParams, build_model
 from pipetune.optimizer import (
-    ModelSet,
     RunConfig,
     RunTrace,
     TraceRow,
@@ -20,7 +20,6 @@ from pipetune.optimizer import (
     init_state,
     read_trace,
     run,
-    score_candidates,
     step,
     trace_header,
     write_trace,
@@ -127,6 +126,37 @@ def test_pool_capacity_by_method(tmp_path):
         assert state.pool.n_sources == 0
 
 
+# Story: an m below the candidate groups a full pool can form would fail
+# mid-run; it is refused before any stage runs. Without a pool one group
+# is enough.
+def test_m_below_reachable_groups_is_refused(tmp_path, monkeypatch):
+    pipe = synthetic_suite("synth10")
+
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "run_pipeline", no_stage)
+        with pytest.raises(InvalidArgumentError, match="46 candidate groups"):
+            init_state(_tiny_cfg("eeipu", m=20), pipe, tmp_path / "eeipu")
+    assert not (tmp_path / "eeipu").exists()
+
+    state = init_state(_tiny_cfg("ei", m=20), pipe, tmp_path / "ei")
+    step(state)
+    assert len(state.rows) == TINY["n0"] + 1
+
+
+# Story: only the memoizing method stores stage outputs, and no run writes
+# a cache index.
+def test_only_pool_methods_write_blobs(tmp_path):
+    pipe = synthetic_suite("synth3")
+    for method in ("eeipu", "ei", "eips", "carbo"):
+        root = tmp_path / method
+        run(_tiny_cfg(method, total_budget=150.0), pipe, cache_root=root)
+        assert bool(list(root.rglob("*.bin"))) == (method == "eeipu"), method
+        assert not list(root.rglob("index.tsv")), method
+
+
 def test_explicit_budget_respected(tmp_path):
     pipe = synthetic_suite("synth3")
     state = init_state(_tiny_cfg("ei", total_budget=123.0), pipe, tmp_path)
@@ -186,6 +216,21 @@ def test_single_stage_eeipu_equals_eips(tmp_path):
     for ra, rb in zip(a.rows, b.rows):
         assert ra.x == rb.x
         assert ra.y == rb.y
+
+
+# Story: eips is carbo with the exponent held at 1, so it retraces carbo
+# under the constant schedule, and its trace records eta=1 whatever the
+# schedule.
+def test_eips_is_carbo_without_cooling(tmp_path):
+    pipe = synthetic_suite("synth3")
+    kw = dict(total_budget=150.0)
+    carbo = run(_tiny_cfg("carbo", eta_schedule="constant", **kw), pipe, cache_root=tmp_path / "c")
+    assert len(carbo.post_warmup_rows()) >= 3
+    for schedule in ("budget", "exp_decay"):
+        eips = run(_tiny_cfg("eips", eta_schedule=schedule, **kw), pipe, cache_root=tmp_path / schedule)
+        assert eips.rows == carbo.rows
+    cooled = run(_tiny_cfg("carbo", **kw), pipe, cache_root=tmp_path / "b")
+    assert all(r.eta < 1.0 for r in cooled.post_warmup_rows())
 
 
 # ---------------------------------------------------------------------------

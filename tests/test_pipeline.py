@@ -7,6 +7,7 @@ evaluations; external stages are driven by tiny scripted commands.
 """
 
 import json
+import logging
 import math
 import sys
 
@@ -250,6 +251,40 @@ def test_missing_blob_falls_back_to_full_run(tmp_path):
     obs = run(pipe, src, pool, store)
     assert obs.memo_delta == 0
     assert obs.y == full.y
+
+
+# Story: a truncated blob costs one full rerun, which also rewrites it, so
+# the next hit on the same prefix is served from the cache again.
+def test_truncated_blob_is_repaired_by_the_fallback_run(tmp_path, caplog):
+    pipe = synthetic_suite("synth3")
+    store = StageOutputStore(tmp_path)
+    pool = empty_pool(pipe.stage_dims, capacity=5)
+    src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+    full = run(pipe, src, pool, store)
+    pool = update_pool(pool, full, output_handles(pipe, store, src), "all")
+    blob = tmp_path / f"{output_handles(pipe, store, src)[1]}.bin"
+    blob.write_bytes(blob.read_bytes()[:5])
+
+    with caplog.at_level(logging.WARNING, logger="pipetune.pipeline"):
+        fallback = run(pipe, src, pool, store)
+    assert fallback.memo_delta == 0
+    assert "cache resolution failed" in caplog.text
+    assert blob.stat().st_size > 5
+
+    repaired = run(pipe, src, pool, store)
+    assert repaired.memo_delta == 2
+    assert repaired.y == full.y
+
+
+# Story: a pool without capacity can never serve a prefix, so nothing is
+# stored for it.
+def test_no_blobs_without_pool_capacity(tmp_path):
+    pipe = synthetic_suite("synth3")
+    store = StageOutputStore(tmp_path)
+    x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+    obs = run(pipe, x, empty_pool(pipe.stage_dims, capacity=0), store)
+    assert obs.memo_delta == 0
+    assert not list(tmp_path.rglob("*.bin"))
 
 
 def test_output_handles_are_content_addressed(tmp_path):
