@@ -155,7 +155,7 @@ def expected_inverse_cost(cost_draws: Iterable[np.ndarray]) -> np.ndarray:
         totals += draws
     if not np.all(totals > 0.0):
         raise NumericalFailureError("nonpositive sampled total cost")
-    return np.mean(1.0 / totals, axis=-1)
+    return np.mean(np.divide(1.0, totals, out=totals), axis=-1)
 
 
 def _segment_draws(
@@ -167,10 +167,16 @@ def _segment_draws(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Candidates x n_mc cost draws from a log-cost posterior; memoized
-    candidates cost epsilon in every draw."""
+    candidates cost epsilon in every draw.
+
+    The standard normals are drawn for every candidate, so the generator
+    advances by the same amount whatever is memoized. They are turned into
+    log costs in place, and only the rows that are read are exponentiated."""
     mu, var = gp.posterior_mean_var(model, xn)
-    z = rng.standard_normal((len(mu), n_mc))
-    draws = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
+    draws = rng.standard_normal((len(mu), n_mc))
+    draws *= np.sqrt(var)[:, None]
+    draws += mu[:, None]
+    np.exp(draws, out=draws, where=~memoized[:, None])
     draws[memoized] = epsilon
     return draws
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, InvalidArgumentError, NumericalFailureError
 
@@ -80,26 +81,43 @@ class GPModel:
         return self.inputs.shape[1]
 
 
-def _cross_cov(xa: np.ndarray, xb: np.ndarray, params: KernelParams) -> np.ndarray:
+def _cross_cov(
+    xa: np.ndarray,
+    xb: np.ndarray,
+    lengthscales: np.ndarray,
+    output_scale: float | np.ndarray,
+) -> np.ndarray:
     """Matern-5/2 cross-covariance, shape (len(xa), len(xb)):
     ``output_scale * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r)`` where
-    ``r`` is the lengthscale-weighted Euclidean distance."""
-    sa = xa / params.lengthscales
-    sb = xb / params.lengthscales
+    ``r`` is the lengthscale-weighted Euclidean distance.
+
+    With a leading batch axis, lengthscales (B, dim) and output_scale (B,),
+    the result is the B stacked matrices, shape (B, len(xa), len(xb))."""
+    ls = lengthscales[..., None, :]
+    sa = xa / ls
+    sb = xb / ls
     sq = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
+        np.sum(sa**2, axis=-1)[..., :, None]
+        + np.sum(sb**2, axis=-1)[..., None, :]
+        - 2.0 * sa @ np.swapaxes(sb, -1, -2)
     )
-    r = np.sqrt(np.maximum(sq, 0.0))
+    r = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     s5r = math.sqrt(5.0) * r
-    return params.output_scale * (1.0 + s5r + (5.0 / 3.0) * r * r) * np.exp(-s5r)
+    # in place, in the order of output_scale * (1 + s5r + 5/3 r r) * exp(-s5r)
+    k = (5.0 / 3.0) * r
+    k *= r
+    k += 1.0 + s5r
+    k *= np.asarray(output_scale)[..., None, None]
+    k *= np.exp(np.negative(s5r, out=s5r), out=s5r)
+    return k
 
 
-def _gram(x: np.ndarray, params: KernelParams) -> np.ndarray:
-    k = _cross_cov(x, x, params)
+def _gram(
+    x: np.ndarray, lengthscales: np.ndarray, output_scale: float | np.ndarray
+) -> np.ndarray:
+    k = _cross_cov(x, x, lengthscales, output_scale)
     # exact symmetry keeps the Cholesky stable
-    return 0.5 * (k + k.T)
+    return 0.5 * (k + np.swapaxes(k, -1, -2))
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> np.ndarray:
@@ -133,19 +151,45 @@ def _factor(
     x: np.ndarray, z: np.ndarray, params: KernelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factor of K + noise I and alpha = (K + noise I)^-1 z."""
-    k = _gram(x, params) + params.noise_variance * np.eye(x.shape[0])
+    k = _gram(x, params.lengthscales, params.output_scale)
+    k += params.noise_variance * np.eye(x.shape[0])
     chol = _chol_with_jitter(k)
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
     return chol, alpha
 
 
-def _lml_value(x: np.ndarray, z: np.ndarray, params: KernelParams) -> float:
-    """Log marginal likelihood of standardized targets z under params."""
-    chol, alpha = _factor(x, z, params)
+def _lml_values(
+    x: np.ndarray, z: np.ndarray, params: Sequence[KernelParams]
+) -> np.ndarray:
+    """Log marginal likelihood of standardized targets z under each of
+    ``params``, evaluated as one stacked batch; -inf where the covariance
+    stays singular through jitter escalation."""
     n = x.shape[0]
-    return float(
-        -0.5 * z @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * n * _LOG_2PI
+    k = _gram(
+        x,
+        np.stack([p.lengthscales for p in params]),
+        np.array([p.output_scale for p in params]),
     )
+    noise = np.array([p.noise_variance for p in params])
+    k.reshape(len(params), -1)[:, :: n + 1] += noise[:, None]  # the diagonals, as a view
+    try:
+        chols = np.linalg.cholesky(k)
+        factored = list(range(len(params)))
+    except np.linalg.LinAlgError:
+        chols, factored = k, []
+        for i, k_noisy in enumerate(k):
+            try:
+                chols[i] = _chol_with_jitter(k_noisy)
+                factored.append(i)
+            except NumericalFailureError:
+                pass
+    log_dets = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)[factored]), axis=1)
+    values = np.full(len(params), -np.inf)
+    for i, log_det in zip(factored, log_dets):
+        # z' (L L')^-1 z = |w|^2 with L w = z
+        w, _ = lapack.dtrtrs(chols[i], z, lower=1)
+        values[i] = -0.5 * w @ w - log_det - 0.5 * n * _LOG_2PI
+    return values
 
 
 def _build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
@@ -250,7 +294,19 @@ def fit(
     likelihood (MAP under the weak Gamma hyperpriors above).
 
     The optimizer is a multi-start coordinate-wise ascent in log parameter
-    space: gradient-free, bounded, and deterministic for a given seed.
+    space: gradient-free, bounded, and deterministic for a given seed. Each
+    restart steps every coordinate up and down by its step size, keeps a
+    trial that beats its own current value by more than 1e-12, and halves
+    the step after a round without improvement, stopping below 0.05.
+
+    The restarts are independent ascents advanced in lockstep: at each
+    (round, coordinate, direction) the trial points of every restart still
+    running are scored as one stacked batch (one stacked Cholesky, one
+    triangular solve each). Each restart caches its values by the bytes of
+    the log-parameter vector, because the ascent often returns to a point
+    it has scored; ``log_prior`` runs once per distinct vector. The result
+    is the one the restarts would reach one after another: the best final
+    value wins, ties going to the earlier start.
 
     Parameters
     ----------
@@ -280,40 +336,44 @@ def fit(
         jiggle = rng.uniform(-1.5, 1.5, size=dim + 2)
         starts.append(_clip_log_theta(base + jiggle, dim))
 
-    def objective(log_theta: np.ndarray) -> float:
-        params = _theta_to_params(log_theta, dim)
-        try:
-            return _lml_value(x, z, params) + log_prior(params)
-        except NumericalFailureError:
-            return -np.inf
+    seen: list[dict[bytes, float]] = [{} for _ in starts]
 
-    best_theta = None
-    best_val = -np.inf
-    for start in starts:
-        theta = start.copy()
-        val = objective(theta)
-        step = 1.0
-        for _ in range(max_rounds):
-            improved = False
-            for coord in range(dim + 2):
-                for direction in (1.0, -1.0):
-                    trial = theta.copy()
-                    trial[coord] += direction * step
-                    trial = _clip_log_theta(trial, dim)
-                    trial_val = objective(trial)
-                    if trial_val > val + 1e-12:
-                        theta, val = trial, trial_val
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if step < 0.05:
-                    break
-        if val > best_val:
-            best_val, best_theta = val, theta
+    def objective(rows: np.ndarray, log_thetas: np.ndarray) -> np.ndarray:
+        """Penalized LML of restart ``rows[i]`` at ``log_thetas[i]``."""
+        keys = [t.tobytes() for t in log_thetas]
+        fresh = [i for i, (r, key) in enumerate(zip(rows, keys)) if key not in seen[r]]
+        if fresh:
+            params = [_theta_to_params(log_thetas[i], dim) for i in fresh]
+            for i, p, lml in zip(fresh, params, _lml_values(x, z, params)):
+                seen[rows[i]][keys[i]] = lml + log_prior(p)
+        return np.array([seen[r][key] for r, key in zip(rows, keys)])
 
-    if best_theta is None or not np.isfinite(best_val):
+    thetas = np.array(starts)
+    active = np.arange(len(starts))
+    vals = objective(active, thetas)
+    steps = np.ones(len(starts))
+    for _ in range(max_rounds):
+        improved = np.zeros(len(starts), dtype=bool)
+        for coord in range(dim + 2):
+            for direction in (1.0, -1.0):
+                trials = thetas[active]
+                trials[:, coord] += direction * steps[active]
+                trials = _clip_log_theta(trials, dim)
+                trial_vals = objective(active, trials)
+                better = trial_vals > vals[active] + 1e-12
+                moved = active[better]
+                thetas[moved] = trials[better]
+                vals[moved] = trial_vals[better]
+                improved[moved] = True
+        steps[active[~improved[active]]] *= 0.5
+        active = active[steps[active] >= 0.05]
+        if not active.size:
+            break
+
+    best = int(np.argmax(vals))  # the first of equal values: the earlier start
+    if not np.isfinite(vals[best]):
         raise NumericalFailureError("likelihood not finite at any candidate")
-    return _build_model(x, y, _theta_to_params(best_theta, dim))
+    return _build_model(x, y, _theta_to_params(thetas[best], dim))
 
 
 def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +384,9 @@ def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray,
         raise InvalidArgumentError(
             f"query dimension {queries.shape[1]} != model dimension {model.dim}"
         )
-    k_star = _cross_cov(queries, model.inputs, model.params)
+    k_star = _cross_cov(
+        queries, model.inputs, model.params.lengthscales, model.params.output_scale
+    )
     mean_std = k_star @ model.alpha
     v = np.linalg.solve(model.chol, k_star.T)
     var_std = np.maximum(model.params.output_scale - np.sum(v * v, axis=0), 0.0)

@@ -192,6 +192,13 @@ class PipelineSpec:
     def __post_init__(self):
         if not self.stages:
             raise InvalidArgumentError("pipeline needs at least one stage")
+        kinds = sorted({s.kind for s in self.stages})
+        if len(kinds) > 1:
+            # run() executes a pipeline as all-synthetic or all-external
+            raise InvalidArgumentError(
+                f"pipeline {self.name!r} mixes stage kinds {kinds}; "
+                "a pipeline's stages must all be synthetic or all external"
+            )
         if self.cost_currency not in COST_CURRENCIES:
             raise InvalidArgumentError(f"unknown cost currency: {self.cost_currency!r}")
 
@@ -469,5 +476,5 @@ def load_pipeline_file(path: str | Path) -> PipelineSpec:
         cost_currency=doc.get("cost_currency", "seconds"),
         noise_std=float(doc.get("noise_std", 0.0))
         if "noise_std" in doc
-        else (NOISE_STD if all(s.kind == "synthetic" for s in stages) else 0.0),
+        else (NOISE_STD if stages[0].kind == "synthetic" else 0.0),
     )

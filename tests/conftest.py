@@ -49,15 +49,18 @@ def _benchmark_run(method, seed, cache_root, **overrides):
     return run(config, synthetic_suite("synth3"), cache_root=cache_root)
 
 
-@pytest.fixture(scope="session")
-def paired_traces(tmp_path_factory):
+def paired_runs(root):
     """{(method, seed): trace} for the memoizing-vs-plain-EI comparison."""
-    root = tmp_path_factory.mktemp("acc_paired")
     return {
         (method, seed): _benchmark_run(method, seed, root / f"{method}_{seed}")
         for method in ("eeipu", "ei")
         for seed in SEEDS
     }
+
+
+@pytest.fixture(scope="session")
+def paired_traces(tmp_path_factory):
+    return paired_runs(tmp_path_factory.mktemp("acc_paired"))
 
 
 @pytest.fixture(scope="session")

@@ -144,6 +144,46 @@ def test_inverse_cost_from_totals_agrees():
         expected_inverse_cost([np.array([1.0, 0.0])])
 
 
+# Story: the estimator sums the segments from 0.0 in order and inverts in
+# its own buffer: bit for bit the textbook mean of 1 / total, with the
+# caller's draws left untouched.
+def test_inverse_cost_leaves_draws_untouched():
+    rng = np.random.default_rng(8)
+    draws = [rng.lognormal(size=(4, 100)) for _ in range(3)]
+    copies = [d.copy() for d in draws]
+    want = np.mean(1.0 / (0.0 + draws[0] + draws[1] + draws[2]), axis=-1)
+    assert np.array_equal(expected_inverse_cost(draws), want)
+    assert all(np.array_equal(d, c) for d, c in zip(draws, copies))
+
+
+# Story: cost draws consume len(xs) x n_mc normals whatever is memoized, so
+# the generator stream does not depend on the pool; live rows are
+# exp(mu + sd z) bit for bit and memoized rows are epsilon.
+@pytest.mark.parametrize(
+    "memoized",
+    [[False, True, True, False, True], [True] * 5, [False] * 5],
+    ids=["some", "all", "none"],
+)
+def test_segment_draws_exponentiate_only_live_rows(memoized):
+    model = build_model(
+        [([0.1], 0.0), ([0.5], 1.0), ([0.9], -0.5)], KernelParams(np.array([0.3]), 1.0, 1e-2)
+    )
+    xn = np.linspace(0.0, 1.0, 5)[:, None]
+    memoized = np.array(memoized)
+    n_mc, epsilon = 64, 0.01
+    rng = np.random.default_rng(21)
+    draws = _segment_draws(model, xn, memoized, epsilon, n_mc, rng)
+
+    twin = np.random.default_rng(21)
+    z = twin.standard_normal((5, n_mc))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    mu, var = posterior_mean_var(model, xn)
+    want = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
+    assert draws.shape == (5, n_mc)
+    assert np.array_equal(draws[~memoized], want[~memoized])
+    assert np.all(draws[memoized] == epsilon)
+
+
 # ---------------------------------------------------------------------------
 # cooling schedules
 

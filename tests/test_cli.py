@@ -1,6 +1,7 @@
 """Unit and end-to-end tests for the command-line harness: aggregation
 math, CSV outputs, ablation sweeps, and exit codes."""
 
+import json
 import math
 
 import pytest
@@ -223,6 +224,35 @@ def test_unknown_pipeline_is_usage_error(tmp_path, capsys):
     code = main(["run", "--pipeline", "synth99", "--out", str(tmp_path), *_TINY_FLAGS])
     assert code == 2
     assert "unknown pipeline" in capsys.readouterr().err
+
+
+# Story: a pipeline file mixing synthetic and external stages is refused
+# with the usage exit code before any stage runs or any output is written.
+def test_mixed_pipeline_file_exits_2(tmp_path, capsys):
+    marker = tmp_path / "ran"
+    pipe = tmp_path / "mixed.json"
+    pipe.write_text(
+        json.dumps(
+            {
+                "name": "mixed",
+                "stages": [
+                    {"kind": "synthetic", "function": "branin2"},
+                    {
+                        "kind": "external",
+                        "dim": 1,
+                        "bounds": [[0.0, 1.0]],
+                        "command": f"touch {marker} && echo objective=1.0",
+                    },
+                ],
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["run", "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS])
+    assert code == 2
+    assert "mixes stage kinds" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not list(out.glob("**/*.csv"))
 
 
 def test_missing_pipeline_flag_exits_2(capsys):

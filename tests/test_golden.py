@@ -1,5 +1,6 @@
 """Pinned golden traces: one short seeded run per method, compared byte for
-byte against the files in tests/golden/.
+byte against the files in tests/golden/, plus the sha256 of every trace
+of the acceptance gate's paired eeipu-vs-ei runs (criteria 8-13).
 
 Each golden is a trace CSV plus its JSON sidecar. Byte-level floats can
 move between numpy, scipy or BLAS builds, so the environment that wrote
@@ -13,6 +14,7 @@ A change that alters traces on purpose regenerates the files with
 and says why in CHANGES.md.
 """
 
+import hashlib
 import json
 import platform
 from pathlib import Path
@@ -24,7 +26,12 @@ import scipy
 from pipetune.optimizer import RunConfig, run, write_trace
 from pipetune.pipeline import synthetic_suite
 
+from conftest import paired_runs
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# sha256 of each paired acceptance trace's CSV, keyed "<method>_<seed>"
+PAIRED_HASHES = GOLDEN_DIR / "paired_traces.json"
 
 # criterion 7's seed-9 config with a budget that lets eeipu reuse prefixes
 CONFIG = dict(seed=9, n0=3, m=16, n_mc=30, restarts=2, total_budget=150.0)
@@ -60,6 +67,15 @@ def write_golden(name: str, out_dir: Path, cache_root: Path) -> Path:
     return path
 
 
+def paired_trace_hashes(traces: dict, out_dir: Path) -> dict[str, str]:
+    hashes = {}
+    for (method, seed), trace in sorted(traces.items()):
+        path = out_dir / f"{method}_{seed}.csv"
+        write_trace(trace, path)
+        hashes[f"{method}_{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_golden_trace_is_byte_identical(name, tmp_path):
     path = write_golden(name, tmp_path, tmp_path / "cache")
@@ -73,6 +89,20 @@ def test_golden_trace_is_byte_identical(name, tmp_path):
         )
 
 
+# Story: the acceptance config's traces (m=256, n_mc=500, restarts=10) are
+# pinned byte for byte, so a change that only claims speed cannot move
+# criteria 8-13 unnoticed. Reuses the session fixture: no extra runs.
+def test_paired_acceptance_traces_are_byte_identical(paired_traces, tmp_path):
+    got = paired_trace_hashes(paired_traces, tmp_path)
+    want = json.loads(PAIRED_HASHES.read_text(encoding="utf-8"))
+    recorded = json.loads((GOLDEN_DIR / "ENV.json").read_text(encoding="utf-8"))
+    differing = sorted(k for k in want if got.get(k) != want[k])
+    assert got == want, (
+        f"paired acceptance traces {differing} differ from {PAIRED_HASHES.name}; "
+        f"recorded environment {recorded}, current environment {environment()}"
+    )
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -80,6 +110,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name in GOLDENS:
             write_golden(name, GOLDEN_DIR, Path(tmp) / name)
+        paired = paired_runs(Path(tmp) / "runs")
+        hashes = paired_trace_hashes(paired, Path(tmp) / "paired")
+    PAIRED_HASHES.write_text(
+        json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     (GOLDEN_DIR / "ENV.json").write_text(
         json.dumps(environment(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from pipetune import gp
 from pipetune.acquisition import _segment_draws
 from pipetune.errors import (
     InsufficientDataError,
@@ -25,7 +26,7 @@ from pipetune.gp import (
     OUTPUT_SCALE_BOUNDS,
     _chol_with_jitter,
     _cross_cov,
-    _lml_value,
+    _lml_values,
     build_model,
     fit,
     log_prior,
@@ -45,7 +46,13 @@ def _params(ls, scale=1.0, noise=1e-6):
 
 def _k(a, b, params):
     """The module's kernel between two single points."""
-    return float(_cross_cov(np.array([a], dtype=float), np.array([b], dtype=float), params)[0, 0])
+    k = _cross_cov(
+        np.array([a], dtype=float),
+        np.array([b], dtype=float),
+        params.lengthscales,
+        params.output_scale,
+    )
+    return float(k[0, 0])
 
 
 def _dense_oracle(x, y, params, queries):
@@ -189,7 +196,7 @@ def test_lml_matches_dense_formula():
     oracle = -0.5 * z @ np.linalg.inv(k_noisy) @ z - 0.5 * logdet - 2.5 * math.log(
         2.0 * math.pi
     )
-    assert _lml_value(x, z, params) == pytest.approx(oracle, abs=1e-8)
+    assert _lml_values(x, z, [params])[0] == pytest.approx(oracle, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +256,136 @@ def test_fit_predicts_smooth_function():
     q = np.linspace(0.05, 0.95, 9)[:, None]
     mean, _ = posterior_mean_var(model, q)
     assert np.max(np.abs(mean - np.sin(2.0 * np.pi * q[:, 0]))) < 0.2
+
+
+def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
+    """Oracle: the coordinate ascent with its restarts run one after
+    another, one uncached evaluation per trial, and the LML from two LU
+    solves against the Cholesky factor. Returns the winning KernelParams
+    (None when no value is finite), the set of vectors each restart
+    evaluated, and how many evaluations needed jitter or scored -inf."""
+    dim = x.shape[1]
+    z = (y - np.mean(y)) / np.std(y)
+    rng = np.random.default_rng(seed)
+    base = np.log(np.concatenate([np.full(dim, 0.3), [1.0, 1e-2]]))
+    starts = [base]
+    for _ in range(max(0, restarts - 1)):
+        starts.append(gp._clip_log_theta(base + rng.uniform(-1.5, 1.5, size=dim + 2), dim))
+    stats = {"evals": 0, "jitter": 0, "inf": 0}
+
+    def objective(log_theta):
+        stats["evals"] += 1
+        params = gp._theta_to_params(log_theta, dim)
+        k = gp._gram(x, params.lengthscales, params.output_scale)
+        try:
+            np.linalg.cholesky(k + params.noise_variance * np.eye(len(x)))
+        except np.linalg.LinAlgError:
+            stats["jitter"] += 1
+        try:
+            chol, alpha = gp._factor(x, z, params)
+        except NumericalFailureError:
+            stats["inf"] += 1
+            return -np.inf
+        lml = -0.5 * z @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * len(x) * math.log(
+            2.0 * math.pi
+        )
+        return float(lml) + log_prior(params)
+
+    best_theta, best_val, visited = None, -np.inf, []
+    for start in starts:
+        seen = set()
+        theta = start.copy()
+        seen.add(theta.tobytes())
+        val = objective(theta)
+        step = 1.0
+        for _ in range(max_rounds):
+            improved = False
+            for coord in range(dim + 2):
+                for direction in (1.0, -1.0):
+                    trial = theta.copy()
+                    trial[coord] += direction * step
+                    trial = gp._clip_log_theta(trial, dim)
+                    seen.add(trial.tobytes())
+                    trial_val = objective(trial)
+                    if trial_val > val + 1e-12:
+                        theta, val = trial, trial_val
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if step < 0.05:
+                    break
+        visited.append(seen)
+        if val > best_val:
+            best_val, best_theta = val, theta
+    if best_theta is None or not np.isfinite(best_val):
+        return None, visited, stats
+    return gp._theta_to_params(best_theta, dim), visited, stats
+
+
+def _fit_data(seed, n, dim, offset=0.0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, dim))
+    y = np.sin(3.0 * x).sum(axis=1) + 0.1 * rng.normal(size=n)
+    return offset + x, y
+
+
+# Story: the lockstep fit, with its stacked batches and per-restart cache,
+# returns bit for bit the hyperparameters of the sequential ascent, also
+# when trial covariances need jitter or stay singular (-inf). Inputs far
+# from the unit cube (offset 2e6) make the squared distances cancel, so
+# some trial matrices are indefinite.
+@pytest.mark.parametrize(
+    "seed, n, dim, restarts, offset",
+    [
+        (0, 5, 1, 3, 0.0),
+        (1, 12, 3, 3, 0.0),
+        (2, 30, 7, 10, 0.0),
+        (3, 60, 2, 3, 0.0),
+        (4, 20, 5, 1, 0.0),
+        (1, 8, 2, 3, 2e6),
+        (2, 8, 2, 10, 2e6),
+        (4, 8, 2, 3, 2e6),
+    ],
+)
+def test_fit_matches_sequential_oracle(seed, n, dim, restarts, offset):
+    x, y = _fit_data(seed, n, dim, offset)
+    want, _, stats = _sequential_fit(x, y, seed, restarts)
+    if offset:
+        assert stats["jitter"] > stats["inf"] > 0
+    got = fit(zip(x, y), seed=seed, restarts=restarts).params
+    assert got.lengthscales.tobytes() == want.lengthscales.tobytes()
+    assert got.output_scale == want.output_scale
+    assert got.noise_variance == want.noise_variance
+
+
+# Story: when every trial scores -inf, the lockstep fit fails as the
+# sequential ascent does.
+def test_fit_fails_where_sequential_oracle_finds_nothing_finite():
+    x, y = _fit_data(0, 15, 2, offset=3e7)
+    want, _, stats = _sequential_fit(x, y, 0)
+    assert want is None and stats["inf"] == stats["evals"]
+    with pytest.raises(NumericalFailureError):
+        fit(zip(x, y), seed=0)
+
+
+# Story: the cache scores each restart's distinct vectors once, and every
+# score still calls gp.log_prior, which counts likelihood evaluations.
+def test_fit_calls_log_prior_once_per_distinct_vector(monkeypatch):
+    calls = []
+
+    def counting_prior(params):
+        calls.append(params)
+        return log_prior(params)
+
+    for seed, n, dim, restarts, offset in [(2, 30, 7, 10, 0.0), (1, 8, 2, 3, 2e6)]:
+        x, y = _fit_data(seed, n, dim, offset)
+        _, visited, stats = _sequential_fit(x, y, seed, restarts)
+        calls.clear()
+        monkeypatch.setattr(gp, "log_prior", counting_prior)
+        fit(zip(x, y), seed=seed, restarts=restarts)
+        monkeypatch.undo()
+        assert len(calls) == sum(len(seen) for seen in visited)
+        assert len(calls) < stats["evals"]
 
 
 def test_fit_input_validation():

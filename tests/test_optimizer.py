@@ -171,7 +171,9 @@ def test_explicit_budget_respected(tmp_path):
 # completes, so the final consumed may overshoot but every row is whole.
 def test_run_crosses_budget_and_completes(tmp_path):
     pipe = synthetic_suite("synth3")
-    trace = run(_tiny_cfg("eeipu", seed=3), pipe, cache_root=tmp_path)
+    # 150 clears synth3's warmup cost, so the model-guided loop runs
+    trace = run(_tiny_cfg("eeipu", seed=3, total_budget=150.0), pipe, cache_root=tmp_path)
+    assert trace.post_warmup_rows()
     assert trace.consumed >= trace.total_budget
     below = [r for r in trace.rows if r.consumed < trace.total_budget]
     assert len(below) == len(trace.rows) - 1
@@ -334,7 +336,8 @@ def test_trace_header_layout():
 # significant digit float round trip.
 def test_trace_roundtrip_bytes(tmp_path):
     pipe = synthetic_suite("synth3")
-    trace = run(_tiny_cfg(seed=2), pipe, cache_root=tmp_path / "cache")
+    trace = run(_tiny_cfg(seed=2, total_budget=150.0), pipe, cache_root=tmp_path / "cache")
+    assert trace.post_warmup_rows()
     p1 = tmp_path / "a.csv"
     write_trace(trace, p1)
     reread = read_trace(p1)

@@ -423,29 +423,29 @@ def test_substitute_placeholders():
 # pipeline definition files
 
 
+# Story: a pipeline runs as all-synthetic or all-external, so a file that
+# mixes the two kinds is refused at load time, in either order, before any
+# stage can run.
 def test_load_pipeline_file_mixed(tmp_path):
-    doc = {
-        "name": "mixed",
-        "cost_currency": "seconds",
-        "stages": [
-            {"kind": "synthetic", "function": "branin2"},
-            {
-                "kind": "external",
-                "dim": 1,
-                "bounds": [[0.0, 1.0]],
-                "command": "echo objective=1.0",
-                "timeout": 5.0,
-            },
-        ],
-    }
-    path = tmp_path / "pipe.json"
-    path.write_text(json.dumps(doc))
+    stages = [
+        {"kind": "synthetic", "function": "branin2"},
+        {
+            "kind": "external",
+            "dim": 1,
+            "bounds": [[0.0, 1.0]],
+            "command": "echo objective=1.0",
+            "timeout": 5.0,
+        },
+    ]
+    for order in (stages, stages[::-1]):
+        path = tmp_path / "pipe.json"
+        path.write_text(json.dumps({"name": "mixed", "stages": order}))
+        with pytest.raises(InvalidArgumentError, match="mixes stage kinds"):
+            load_pipeline_file(path)
+    path.write_text(json.dumps({"name": "ext", "stages": stages[1:]}))
     pipe = load_pipeline_file(path)
-    assert pipe.name == "mixed"
-    assert pipe.n_stages == 2
-    assert pipe.stages[0].kind == "synthetic"
-    assert pipe.stages[1].kind == "external"
-    assert pipe.stages[1].timeout == 5.0
+    assert pipe.stages[0].kind == "external"
+    assert pipe.stages[0].timeout == 5.0
     assert pipe.noise_std == 0.0  # external pipelines default to no synthetic noise
 
 
