@@ -169,14 +169,23 @@ def _segment_draws(
     """Candidates x n_mc cost draws from a log-cost posterior; memoized
     candidates cost epsilon in every draw.
 
-    The standard normals are drawn for every candidate, so the generator
-    advances by the same amount whatever is memoized. They are turned into
-    log costs in place, and only the rows that are read are exponentiated."""
+    ``rng`` is consumed by this call alone, so normals are drawn only for
+    the rows up to the last one not memoized (n_read rows): they are the
+    leading values of the full (candidates, n_mc) block, and the generator
+    advances by n_read x n_mc normals, none when every row is memoized.
+    Those rows become log costs in place, and only the live ones are
+    exponentiated. The posterior still covers the whole batch: on a subset
+    of rows the mean's matrix product rounds differently in its last bits,
+    which would move scores and traces."""
     mu, var = gp.posterior_mean_var(model, xn)
-    draws = rng.standard_normal((len(mu), n_mc))
-    draws *= np.sqrt(var)[:, None]
-    draws += mu[:, None]
-    np.exp(draws, out=draws, where=~memoized[:, None])
+    live = ~memoized
+    n_read = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
+    draws = np.empty((len(mu), n_mc))
+    read = draws[:n_read]
+    rng.standard_normal(out=read)
+    read *= np.sqrt(var[:n_read])[:, None]
+    read += mu[:n_read, None]
+    np.exp(read, out=read, where=live[:n_read, None])
     draws[memoized] = epsilon
     return draws
 
@@ -195,9 +204,13 @@ def score_candidates(
 ) -> np.ndarray:
     """Acquisition scores ``EI * E[1/C]^eta`` for a batch of raw candidates.
 
-    ``mc_rngs`` holds one generator per cost segment. A candidate with a
-    memoized prefix of length delta costs epsilon in every segment that
-    ends at or before stage delta. A cost-blind method scores plain EI.
+    ``mc_rngs`` holds one generator per cost segment, each consumed by
+    this call alone: a segment draws normals only up to its last candidate
+    that is not memoized. A candidate with a memoized prefix of length
+    delta costs epsilon in every segment that ends at or before stage
+    delta. Every posterior, of the objective and of the costs, is computed
+    on the whole batch, so a candidate's score does not depend on which
+    other candidates are memoized. A cost-blind method scores plain EI.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     xn = space.normalize(xs)

@@ -95,12 +95,15 @@ def _cross_cov(
     the result is the B stacked matrices, shape (B, len(xa), len(xb))."""
     ls = lengthscales[..., None, :]
     sa = xa / ls
-    sb = xb / ls
-    sq = (
-        np.sum(sa**2, axis=-1)[..., :, None]
-        + np.sum(sb**2, axis=-1)[..., None, :]
-        - 2.0 * sa @ np.swapaxes(sb, -1, -2)
-    )
+    na = np.sum(sa**2, axis=-1)
+    if xb is xa:
+        sb, nb = sa, na
+    else:
+        sb = xb / ls
+        nb = np.sum(sb**2, axis=-1)
+    # 2.0 * sa is a fresh buffer, so the product stays a gemm even when sb is sa
+    # (numpy would run syrk for sa @ sa', which rounds differently)
+    sq = na[..., :, None] + nb[..., None, :] - 2.0 * sa @ np.swapaxes(sb, -1, -2)
     r = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     s5r = math.sqrt(5.0) * r
     # in place, in the order of output_scale * (1 + s5r + 5/3 r r) * exp(-s5r)
@@ -159,22 +162,22 @@ def _factor(
 
 
 def _lml_values(
-    x: np.ndarray, z: np.ndarray, params: Sequence[KernelParams]
+    x: np.ndarray,
+    z: np.ndarray,
+    lengthscales: np.ndarray,
+    output_scale: np.ndarray,
+    noise_variance: np.ndarray,
 ) -> np.ndarray:
-    """Log marginal likelihood of standardized targets z under each of
-    ``params``, evaluated as one stacked batch; -inf where the covariance
-    stays singular through jitter escalation."""
-    n = x.shape[0]
-    k = _gram(
-        x,
-        np.stack([p.lengthscales for p in params]),
-        np.array([p.output_scale for p in params]),
-    )
-    noise = np.array([p.noise_variance for p in params])
-    k.reshape(len(params), -1)[:, :: n + 1] += noise[:, None]  # the diagonals, as a view
+    """Log marginal likelihood of standardized targets z under each of B
+    hyperparameter sets, evaluated as one stacked batch: lengthscales
+    (B, dim), output_scale (B,) and noise_variance (B,), all positive.
+    -inf where the covariance stays singular through jitter escalation."""
+    n, batch = x.shape[0], len(output_scale)
+    k = _gram(x, lengthscales, output_scale)
+    k.reshape(batch, -1)[:, :: n + 1] += noise_variance[:, None]  # the diagonals, as a view
     try:
         chols = np.linalg.cholesky(k)
-        factored = list(range(len(params)))
+        factored = list(range(batch))
     except np.linalg.LinAlgError:
         chols, factored = k, []
         for i, k_noisy in enumerate(k):
@@ -184,7 +187,7 @@ def _lml_values(
             except NumericalFailureError:
                 pass
     log_dets = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)[factored]), axis=1)
-    values = np.full(len(params), -np.inf)
+    values = np.full(batch, -np.inf)
     for i, log_det in zip(factored, log_dets):
         # z' (L L')^-1 z = |w|^2 with L w = z
         w, _ = lapack.dtrtrs(chols[i], z, lower=1)
@@ -234,14 +237,16 @@ def build_model(
     return _build_model(x, y, params)
 
 
-def _clip_log_theta(log_theta: np.ndarray, dim: int) -> np.ndarray:
+def _log_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the log-parameter vector
+    (log lengthscales, log output scale, log noise variance)."""
     lo = np.log(
         np.array([LENGTHSCALE_BOUNDS[0]] * dim + [OUTPUT_SCALE_BOUNDS[0], NOISE_BOUNDS[0]])
     )
     hi = np.log(
         np.array([LENGTHSCALE_BOUNDS[1]] * dim + [OUTPUT_SCALE_BOUNDS[1], NOISE_BOUNDS[1]])
     )
-    return np.clip(log_theta, lo, hi)
+    return lo, hi
 
 
 def _theta_to_params(log_theta: np.ndarray, dim: int) -> KernelParams:
@@ -269,17 +274,21 @@ OUTPUT_SCALE_PRIOR = (2.0, 0.15)  # Gamma(shape, rate)
 NOISE_PRIOR = (math.log(1e-4), 2.0)  # LogNormal(mean, sd) on the variance
 
 
-def log_prior(params: KernelParams) -> float:
-    """Unnormalized log hyperprior density at ``params`` (natural scale)."""
+def _gamma_term(value: float, prior: tuple[float, float]) -> float:
+    shape, rate = prior
+    return (shape - 1.0) * math.log(value) - rate * value
 
-    def gamma_term(value: float, prior: tuple[float, float]) -> float:
-        shape, rate = prior
-        return (shape - 1.0) * math.log(value) - rate * value
 
-    total = sum(gamma_term(float(ls), LENGTHSCALE_PRIOR) for ls in params.lengthscales)
-    total += gamma_term(params.output_scale, OUTPUT_SCALE_PRIOR)
+def log_prior(
+    lengthscales: Sequence[float], output_scale: float, noise_variance: float
+) -> float:
+    """Unnormalized log hyperprior density at positive natural-scale
+    hyperparameters, given as plain floats; the lengthscale terms are
+    summed first, in order."""
+    total = sum(_gamma_term(ls, LENGTHSCALE_PRIOR) for ls in lengthscales)
+    total += _gamma_term(output_scale, OUTPUT_SCALE_PRIOR)
     mean, sd = NOISE_PRIOR
-    log_noise = math.log(params.noise_variance)
+    log_noise = math.log(noise_variance)
     total += -log_noise - (log_noise - mean) ** 2 / (2.0 * sd * sd)
     return total
 
@@ -304,7 +313,9 @@ def fit(
     running are scored as one stacked batch (one stacked Cholesky, one
     triangular solve each). Each restart caches its values by the bytes of
     the log-parameter vector, because the ascent often returns to a point
-    it has scored; ``log_prior`` runs once per distinct vector. The result
+    it has scored; ``log_prior`` runs once per distinct vector. Trial
+    vectors are clipped to the bounds and exponentiated as one block, so
+    no ``KernelParams`` is built until the winner's. The result
     is the one the restarts would reach one after another: the best final
     value wins, ties going to the earlier start.
 
@@ -327,6 +338,7 @@ def fit(
 
     z, _, _ = _standardize(y)
     rng = np.random.default_rng(seed)
+    lo, hi = _log_bounds(dim)
 
     # Default start: mid-range lengthscales for unit-cube inputs, unit
     # signal variance, small but nonzero noise.
@@ -334,7 +346,7 @@ def fit(
     starts = [base]
     for _ in range(max(0, restarts - 1)):
         jiggle = rng.uniform(-1.5, 1.5, size=dim + 2)
-        starts.append(_clip_log_theta(base + jiggle, dim))
+        starts.append(np.clip(base + jiggle, lo, hi))
 
     seen: list[dict[bytes, float]] = [{} for _ in starts]
 
@@ -343,9 +355,11 @@ def fit(
         keys = [t.tobytes() for t in log_thetas]
         fresh = [i for i, (r, key) in enumerate(zip(rows, keys)) if key not in seen[r]]
         if fresh:
-            params = [_theta_to_params(log_thetas[i], dim) for i in fresh]
-            for i, p, lml in zip(fresh, params, _lml_values(x, z, params)):
-                seen[rows[i]][keys[i]] = lml + log_prior(p)
+            theta = np.exp(log_thetas[fresh])
+            lmls = _lml_values(x, z, theta[:, :dim], theta[:, dim], theta[:, dim + 1])
+            for i, (*ls, scale, noise), lml in zip(fresh, theta.tolist(), lmls.tolist()):
+                # a module global, so that a wrapper installed on it sees every call
+                seen[rows[i]][keys[i]] = lml + log_prior(ls, scale, noise)
         return np.array([seen[r][key] for r, key in zip(rows, keys)])
 
     thetas = np.array(starts)
@@ -358,7 +372,7 @@ def fit(
             for direction in (1.0, -1.0):
                 trials = thetas[active]
                 trials[:, coord] += direction * steps[active]
-                trials = _clip_log_theta(trials, dim)
+                np.clip(trials, lo, hi, out=trials)
                 trial_vals = objective(active, trials)
                 better = trial_vals > vals[active] + 1e-12
                 moved = active[better]

@@ -495,30 +495,37 @@ def test_criterion_13_epsilon_insensitivity(epsilon_traces):
 
 
 def test_criterion_14_cache_overhead(tmp_path):
-    store = StageOutputStore(tmp_path / "store")
-    pool = empty_pool((2, 1, 2), capacity=5)
+    # The fastest of five repetitions, each with a fresh store and pool: a
+    # wall-clock mean of one pass read 595 us on a 2-core machine while a
+    # second test process ran (227-246 us alone), so load alone could fail it.
     rng = np.random.default_rng(141)
     payload = bytes(256)
-    start = time.perf_counter()
-    for _ in range(100):
-        x = rng.uniform(0.0, 1.0, size=5)
-        lookup(pool, x)
-        handles = [
-            store.store_output(1, x[:2], payload),
-            store.store_output(2, x[:3], payload),
-        ]
-        obs = Observation(
-            x=x,
-            y=float(rng.standard_normal()),
-            stage_costs=(1.0, 1.0, 1.0),
-            memo_delta=0,
-            wall_time=0.0,
-        )
-        pool = update_pool(pool, obs, handles, policy="all")
-    per_iter = (time.perf_counter() - start) / 100
+    timings = []
+    for rep in range(5):
+        store = StageOutputStore(tmp_path / f"store{rep}")
+        pool = empty_pool((2, 1, 2), capacity=5)
+        start = time.perf_counter()
+        for _ in range(100):
+            x = rng.uniform(0.0, 1.0, size=5)
+            lookup(pool, x)
+            handles = [
+                store.store_output(1, x[:2], payload),
+                store.store_output(2, x[:3], payload),
+            ]
+            obs = Observation(
+                x=x,
+                y=float(rng.standard_normal()),
+                stage_costs=(1.0, 1.0, 1.0),
+                memo_delta=0,
+                wall_time=0.0,
+            )
+            pool = update_pool(pool, obs, handles, policy="all")
+        timings.append((time.perf_counter() - start) / 100)
+    per_iter = min(timings)
     _check(
         14,
         "cache overhead",
         per_iter < 1e-3,
-        f"store+lookup {per_iter * 1e6:.0f} us per iteration (limit 1 ms)",
+        f"store+lookup {per_iter * 1e6:.0f} us per iteration, fastest of 5 "
+        f"(slowest {max(timings) * 1e6:.0f} us; limit 1 ms)",
     )

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipetune.acquisition import (
     EXP_DECAY_FACTOR,
@@ -156,32 +158,73 @@ def test_inverse_cost_leaves_draws_untouched():
     assert all(np.array_equal(d, c) for d, c in zip(draws, copies))
 
 
-# Story: cost draws consume len(xs) x n_mc normals whatever is memoized, so
-# the generator stream does not depend on the pool; live rows are
-# exp(mu + sd z) bit for bit and memoized rows are epsilon.
+def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
+    """_segment_draws against a fresh twin generator: the generator advanced
+    by exactly n_read x n_mc normals (n_read = last live row + 1, 0 when all
+    rows are memoized), live rows are exp(mu + sd z) bit for bit with z from
+    the twin's full (rows, n_mc) block and mu, var from the full-batch
+    posterior, and memoized rows are epsilon."""
+    rng = np.random.default_rng(seed)
+    draws = _segment_draws(model, xn, memoized, epsilon, n_mc, rng)
+
+    live = ~memoized
+    n_read = max((i + 1 for i, m in enumerate(memoized) if not m), default=0)
+    advanced = np.random.default_rng(seed)
+    advanced.standard_normal((n_read, n_mc))
+    assert rng.bit_generator.state == advanced.bit_generator.state
+    z = np.random.default_rng(seed).standard_normal((len(xn), n_mc))
+    mu, var = posterior_mean_var(model, xn)
+    want = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
+    assert draws.shape == (len(xn), n_mc)
+    assert np.array_equal(draws[live], want[live])
+    assert np.all(draws[memoized] == epsilon)
+
+
+# Story: each Monte-Carlo generator serves one call, so cost draws stop at
+# the last row that is read: the generator advances by n_read x n_mc
+# normals, and not at all when every row is memoized. The rows that are
+# read are still exp(mu + sd z) with the z of the full block.
 @pytest.mark.parametrize(
     "memoized",
-    [[False, True, True, False, True], [True] * 5, [False] * 5],
-    ids=["some", "all", "none"],
+    [
+        [False, True, True, False, True],
+        [False, True, False, True, True],
+        [True] * 5,
+        [False] * 5,
+        [True, True, True, True, False],
+    ],
+    ids=["some", "trailing", "all", "none", "last-live"],
 )
 def test_segment_draws_exponentiate_only_live_rows(memoized):
     model = build_model(
         [([0.1], 0.0), ([0.5], 1.0), ([0.9], -0.5)], KernelParams(np.array([0.3]), 1.0, 1e-2)
     )
     xn = np.linspace(0.0, 1.0, 5)[:, None]
-    memoized = np.array(memoized)
-    n_mc, epsilon = 64, 0.01
-    rng = np.random.default_rng(21)
-    draws = _segment_draws(model, xn, memoized, epsilon, n_mc, rng)
+    _check_segment_draws(model, xn, np.array(memoized), n_mc=64, seed=21)
 
-    twin = np.random.default_rng(21)
-    z = twin.standard_normal((5, n_mc))
-    assert rng.bit_generator.state == twin.bit_generator.state
-    mu, var = posterior_mean_var(model, xn)
-    want = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
-    assert draws.shape == (5, n_mc)
-    assert np.array_equal(draws[~memoized], want[~memoized])
-    assert np.all(draws[memoized] == epsilon)
+
+_DRAWS_MODEL_DATA = np.random.default_rng(5).uniform(size=(40, 3))
+_DRAWS_MODEL = build_model(
+    zip(_DRAWS_MODEL_DATA, np.sin(5.0 * _DRAWS_MODEL_DATA).sum(axis=1)),
+    KernelParams(np.array([0.4, 0.2, 0.7]), 1.3, 1e-3),
+)
+
+
+# Story: the property above over random memo masks, batch sizes and n_mc.
+# A posterior taken on only the live or the leading rows rounds its mean
+# differently in the last bits for most such batches, so this fails if
+# the cost posterior is ever scored on a subset.
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 300),
+    n_mc=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segment_draws_match_full_block_property(data, rows, n_mc, seed):
+    memoized = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    xn = np.random.default_rng(seed).uniform(size=(rows, 3))
+    _check_segment_draws(_DRAWS_MODEL, xn, memoized, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------

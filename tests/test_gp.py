@@ -196,11 +196,49 @@ def test_lml_matches_dense_formula():
     oracle = -0.5 * z @ np.linalg.inv(k_noisy) @ z - 0.5 * logdet - 2.5 * math.log(
         2.0 * math.pi
     )
-    assert _lml_values(x, z, [params])[0] == pytest.approx(oracle, abs=1e-8)
+    got = _lml_values(
+        x,
+        z,
+        params.lengthscales[None],
+        np.array([params.output_scale]),
+        np.array([params.noise_variance]),
+    )
+    assert got[0] == pytest.approx(oracle, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # fitting
+
+
+def _params_log_prior(params):
+    """Oracle: the hyperprior written on KernelParams, as the module had it
+    before fitting passed plain floats."""
+
+    def gamma_term(value, prior):
+        shape, rate = prior
+        return (shape - 1.0) * math.log(value) - rate * value
+
+    total = sum(gamma_term(float(ls), gp.LENGTHSCALE_PRIOR) for ls in params.lengthscales)
+    total += gamma_term(params.output_scale, gp.OUTPUT_SCALE_PRIOR)
+    mean, sd = gp.NOISE_PRIOR
+    log_noise = math.log(params.noise_variance)
+    total += -log_noise - (log_noise - mean) ** 2 / (2.0 * sd * sd)
+    return total
+
+
+# Story: the fit hands log_prior plain floats from one exponentiated block;
+# the prior must equal the KernelParams formula bit for bit anywhere within
+# the fit's bounds, or fitted hyperparameters (and traces) would move.
+def test_log_prior_matches_kernel_params_formula():
+    rng = np.random.default_rng(17)
+    for dim in range(1, 9):
+        lo, hi = gp._log_bounds(dim)
+        log_thetas = rng.uniform(lo, hi, size=(100, dim + 2))
+        log_thetas[:10] = lo  # the bounds themselves
+        log_thetas[10:20] = hi
+        for log_theta, (*ls, scale, noise) in zip(log_thetas, np.exp(log_thetas).tolist()):
+            want = _params_log_prior(gp._theta_to_params(log_theta, dim))
+            assert log_prior(ls, scale, noise) == want
 
 
 # Story: fitting is deterministic in the seed and lands inside the declared
@@ -240,7 +278,7 @@ def test_fit_improves_penalized_objective_over_default_start():
             - 0.5 * logdet
             - 0.5 * len(x) * math.log(2.0 * math.pi)
         )
-        return lml + log_prior(params)
+        return lml + _params_log_prior(params)
 
     start = _params([0.3], scale=1.0, noise=1e-2)
     assert penalized(model.params) >= penalized(start) - 1e-9
@@ -267,10 +305,11 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
     dim = x.shape[1]
     z = (y - np.mean(y)) / np.std(y)
     rng = np.random.default_rng(seed)
+    lo, hi = gp._log_bounds(dim)
     base = np.log(np.concatenate([np.full(dim, 0.3), [1.0, 1e-2]]))
     starts = [base]
     for _ in range(max(0, restarts - 1)):
-        starts.append(gp._clip_log_theta(base + rng.uniform(-1.5, 1.5, size=dim + 2), dim))
+        starts.append(np.clip(base + rng.uniform(-1.5, 1.5, size=dim + 2), lo, hi))
     stats = {"evals": 0, "jitter": 0, "inf": 0}
 
     def objective(log_theta):
@@ -289,7 +328,7 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
         lml = -0.5 * z @ alpha - np.sum(np.log(np.diag(chol))) - 0.5 * len(x) * math.log(
             2.0 * math.pi
         )
-        return float(lml) + log_prior(params)
+        return float(lml) + _params_log_prior(params)
 
     best_theta, best_val, visited = None, -np.inf, []
     for start in starts:
@@ -304,7 +343,7 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
                 for direction in (1.0, -1.0):
                     trial = theta.copy()
                     trial[coord] += direction * step
-                    trial = gp._clip_log_theta(trial, dim)
+                    trial = np.clip(trial, lo, hi)
                     seen.add(trial.tobytes())
                     trial_val = objective(trial)
                     if trial_val > val + 1e-12:
@@ -373,9 +412,9 @@ def test_fit_fails_where_sequential_oracle_finds_nothing_finite():
 def test_fit_calls_log_prior_once_per_distinct_vector(monkeypatch):
     calls = []
 
-    def counting_prior(params):
-        calls.append(params)
-        return log_prior(params)
+    def counting_prior(*args):
+        calls.append(args)
+        return log_prior(*args)
 
     for seed, n, dim, restarts, offset in [(2, 30, 7, 10, 0.0), (1, 8, 2, 3, 2e6)]:
         x, y = _fit_data(seed, n, dim, offset)
