@@ -1,6 +1,7 @@
 """Prefix memo-cache: keeps every non-complete prefix of the top-Q
-observations by objective, with their stage outputs persisted to a
-content-addressed on-disk store, and answers exact prefix lookups.
+observations by objective, with their stage outputs persisted to an
+on-disk store addressed by (stage, prefix values), and answers exact
+prefix lookups.  Only this module turns a prefix into a storage address.
 
 Lookups use exact float equality on purpose: candidates reuse prefixes
 by copying stored values verbatim, so anything short of an exact match
@@ -25,8 +26,6 @@ if TYPE_CHECKING:
 
 PREFIX_POLICIES = ("all", "first", "mean")
 
-DEFAULT_CAPACITY = 5
-
 _BLOB_MAGIC = b"PTSO"
 _BLOB_VERSION = 1
 _HEADER = struct.Struct(">4sBQ")
@@ -35,13 +34,10 @@ _HEADER = struct.Struct(">4sBQ")
 @dataclass(frozen=True)
 class PrefixEntry:
     """One cached prefix: the first ``delta`` stages' hyperparameters of a
-    source observation, the handle of stage delta's stored output, and the
-    source's objective (used for ranking)."""
+    source observation."""
 
     values: tuple[float, ...]
     delta: int
-    output_handle: str
-    source_objective: float
 
     def __post_init__(self):
         if self.delta < 1:
@@ -52,38 +48,40 @@ class PrefixEntry:
 
 @dataclass(frozen=True)
 class _Source:
-    """All prefixes contributed by one observation; evicted as a unit."""
+    """All prefixes contributed by one observation, in ascending delta;
+    evicted as a unit."""
 
     objective: float
-    order: int
     entries: tuple[PrefixEntry, ...]
 
 
 @dataclass(frozen=True)
 class PrefixPool:
     """At most ``capacity`` source observations' prefixes plus the empty
-    prefix, which is always implicitly present."""
+    prefix, which is always implicitly present.  ``sources`` is in
+    insertion order: appends, in-place replacements and removals keep it."""
 
     stage_dims: tuple[int, ...]
-    capacity: int = DEFAULT_CAPACITY
+    capacity: int
+    policy: str
     sources: tuple[_Source, ...] = ()
-    next_order: int = 0
 
     def __post_init__(self):
         if self.capacity < 0:
             raise InvalidArgumentError("capacity must be nonnegative")
         if any(d < 1 for d in self.stage_dims):
             raise InvalidArgumentError("stage dims must be positive")
+        _policy_deltas(self.policy, len(self.stage_dims))  # refuses unknown policies
 
     @property
-    def n_sources(self) -> int:
-        return len(self.sources)
+    def deltas(self) -> tuple[int, ...]:
+        """The prefix depths every source contributes, ascending."""
+        return _policy_deltas(self.policy, len(self.stage_dims))
 
     def all_entries(self) -> tuple[PrefixEntry, ...]:
         """Every cached prefix in deterministic order (insertion, then
         ascending delta). The empty prefix is not an entry."""
-        ordered = sorted(self.sources, key=lambda s: s.order)
-        return tuple(e for src in ordered for e in sorted(src.entries, key=lambda e: e.delta))
+        return tuple(e for src in self.sources for e in src.entries)
 
     def distinct_entries(self) -> tuple[PrefixEntry, ...]:
         """``all_entries`` with duplicate (delta, values) pairs collapsed to
@@ -99,27 +97,19 @@ class PrefixPool:
                 out.append(entry)
         return tuple(out)
 
-    def min_source_objective(self) -> float:
-        if not self.sources:
-            return float("-inf")
-        return min(src.objective for src in self.sources)
-
 
 @dataclass(frozen=True)
 class LookupResult:
     """Longest exact prefix match; ``delta == 0`` means only the empty
-    prefix matched (no handle, run everything)."""
+    prefix matched (run everything)."""
 
-    output_handle: str | None
     delta: int
 
-    @property
-    def hit(self) -> bool:
-        return self.delta > 0
 
-
-def empty_pool(stage_dims: Sequence[int], capacity: int = DEFAULT_CAPACITY) -> PrefixPool:
-    return PrefixPool(stage_dims=tuple(int(d) for d in stage_dims), capacity=capacity)
+def empty_pool(stage_dims: Sequence[int], capacity: int, policy: str) -> PrefixPool:
+    return PrefixPool(
+        stage_dims=tuple(int(d) for d in stage_dims), capacity=capacity, policy=policy
+    )
 
 
 def _policy_deltas(policy: str, n_stages: int) -> tuple[int, ...]:
@@ -133,12 +123,7 @@ def _policy_deltas(policy: str, n_stages: int) -> tuple[int, ...]:
     raise InvalidArgumentError(f"unknown prefix policy: {policy!r}")
 
 
-def update_pool(
-    pool: PrefixPool,
-    obs: "Observation",
-    outputs: Sequence[str],
-    policy: str = "all",
-) -> PrefixPool:
+def update_pool(pool: PrefixPool, obs: "Observation") -> PrefixPool:
     """Insert the observation's prefixes if it ranks in the top-Q sources by
     objective, evicting the lowest-ranked source when over capacity.
 
@@ -150,78 +135,49 @@ def update_pool(
     Eviction is whole-source and requires a strictly better objective: on a
     tie the incumbent (earlier insertion) stays.
     """
-    n_stages = len(pool.stage_dims)
-    if pool.capacity == 0 or n_stages < 2:
+    if pool.capacity == 0 or len(pool.stage_dims) < 2:
         return pool
-    if len(outputs) != n_stages - 1:
-        raise InvalidArgumentError(
-            f"expected {n_stages - 1} output handles, got {len(outputs)}"
-        )
-
     x = np.asarray(obs.x, dtype=float)
-    deltas = _policy_deltas(policy, n_stages)
-
-    def make_entries(objective: float) -> tuple[PrefixEntry, ...]:
-        entries = []
-        for delta in deltas:
-            width = int(sum(pool.stage_dims[:delta]))
-            entries.append(
-                PrefixEntry(
-                    values=tuple(float(v) for v in x[:width]),
-                    delta=delta,
-                    output_handle=outputs[delta - 1],
-                    source_objective=objective,
-                )
-            )
-        return tuple(entries)
-
-    key_width = int(sum(pool.stage_dims[: max(deltas)]))
-    key = tuple(float(v) for v in x[:key_width])
+    y = float(obs.y)
+    # sources are keyed by their widest prefix, the last entry
+    key = tuple(float(v) for v in x[: sum(pool.stage_dims[: pool.deltas[-1]])])
     sources = list(pool.sources)
     for i, src in enumerate(sources):
-        if max(e.delta for e in src.entries) == max(deltas) and key == max(
-            src.entries, key=lambda e: e.delta
-        ).values:
+        if src.entries[-1].values == key:
             if not obs.y > src.objective:
                 return pool
-            sources[i] = _Source(
-                objective=float(obs.y), order=src.order, entries=make_entries(float(obs.y))
-            )
+            sources[i] = _Source(objective=y, entries=src.entries)
             return replace(pool, sources=tuple(sources))
 
     if len(sources) >= pool.capacity:
         # lowest rank = minimum objective; among ties the latest insertion
-        worst = min(sources, key=lambda s: (s.objective, -s.order))
+        worst = min(reversed(sources), key=lambda s: s.objective)
         if not obs.y > worst.objective:
             return pool
         sources.remove(worst)
-
-    sources.append(
-        _Source(
-            objective=float(obs.y),
-            order=pool.next_order,
-            entries=make_entries(float(obs.y)),
-        )
+    entries = tuple(
+        PrefixEntry(values=key[: sum(pool.stage_dims[:delta])], delta=delta)
+        for delta in pool.deltas
     )
-    return replace(pool, sources=tuple(sources), next_order=pool.next_order + 1)
+    sources.append(_Source(objective=y, entries=entries))
+    return replace(pool, sources=tuple(sources))
 
 
 def lookup(pool: PrefixPool, stage_values: Sequence[float]) -> LookupResult:
     """Longest entry whose values equal the leading components of
     ``stage_values`` exactly; the empty prefix always matches with delta 0."""
     vals = tuple(float(v) for v in stage_values)
-    best = LookupResult(output_handle=None, delta=0)
+    delta = 0
     for entry in pool.all_entries():
-        if entry.delta <= best.delta:
-            continue
-        width = len(entry.values)
-        if width <= len(vals) and vals[:width] == entry.values:
-            best = LookupResult(output_handle=entry.output_handle, delta=entry.delta)
-    return best
+        if entry.delta > delta and vals[: len(entry.values)] == entry.values:
+            delta = entry.delta
+    return LookupResult(delta=delta)
 
 
 class StageOutputStore:
-    """Content-addressed, disk-backed store for intermediate stage outputs.
+    """Disk-backed store for intermediate stage outputs, addressed by the
+    stage index and the key values (the configuration's leading values
+    through that stage); callers read back with the same pair.
 
     Layout: ``<root>/stage_<k>/<hex sha256 of key values>.bin``; each blob is
     a 4-byte magic, a version byte, an 8-byte big-endian payload length, then
@@ -251,7 +207,7 @@ class StageOutputStore:
         self, stage_index: int, key_values: Sequence[float], payload: bytes
     ) -> str:
         """Store once per key: an existing blob is kept while it verifies,
-        and a damaged one is rewritten atomically."""
+        and a damaged one is rewritten atomically.  Returns the handle."""
         handle = self.handle_for(stage_index, key_values)
         path = self._path(handle)
         if path.exists():
@@ -270,8 +226,10 @@ class StageOutputStore:
             raise StorageError(f"cannot write stage output: {exc}", str(path))
         return handle
 
-    def resolve(self, handle: str) -> bytes:
-        return self._read(self._path(handle))
+    def resolve(self, stage_index: int, key_values: Sequence[float]) -> bytes:
+        """The payload stored under these key values; StorageError when it
+        is missing or damaged."""
+        return self._read(self._path(self.handle_for(stage_index, key_values)))
 
     def _read(self, path: Path) -> bytes:
         """The payload of a verified blob; StorageError otherwise."""

@@ -17,19 +17,21 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidArgumentError, PipetuneError, TraceParseError
-from .acquisition import METHODS
+from .acquisition import ETA_SCHEDULES, METHODS
+from .cache import PREFIX_POLICIES
+from .errors import InvalidArgumentError, PipetuneError
 from .optimizer import RunConfig, RunTrace, read_trace
 from .optimizer import run as run_optimizer
 from .pipeline import SYNTHETIC_SUITES, PipelineSpec, load_pipeline_file, synthetic_suite
 
 CACHE_ROOT_ENV = "PIPETUNE_CACHE_ROOT"
 
+# each kind sweeps one RunConfig field over standard levels
 ABLATION_LEVELS = {
-    "cache_size": (0, 5, 10, 20, 30, 50),
-    "prefix_policy": ("first", "mean", "all"),
-    "eta": ("budget", "constant", "exp_decay"),
-    "epsilon": (0.001, 0.01, 0.1, 1.0, 10.0, 100.0),
+    "cache_size": ("q", (0, 5, 10, 20, 30, 50)),
+    "prefix_policy": ("prefix_policy", ("first", "mean", "all")),
+    "eta": ("eta_schedule", ETA_SCHEDULES),
+    "epsilon": ("epsilon", (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)),
 }
 
 _SPECIAL_CSVS = ("summary.csv", "curves.csv", "ablation.csv")
@@ -271,21 +273,13 @@ def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _load_pipeline(args.pipeline, args.pipeline_file)
-    levels = ABLATION_LEVELS[args.kind]
+    field_name, levels = ABLATION_LEVELS[args.kind]
 
     level_rows: list[tuple[str, list[SummaryRow]]] = []
     for level in levels:
-        if args.kind == "cache_size":
-            overrides = {"q": int(level)}
-        elif args.kind == "prefix_policy":
-            overrides = {"prefix_policy": str(level)}
-        elif args.kind == "eta":
-            overrides = {"eta_schedule": str(level)}
-        else:
-            overrides = {"epsilon": float(level)}
         level_dir = out_dir / f"{args.kind}_{level}"
         level_dir.mkdir(parents=True, exist_ok=True)
-        jobs = _build_jobs(args, level_dir, overrides)
+        jobs = _build_jobs(args, level_dir, {field_name: level})
         paths = _run_jobs(jobs, args.jobs)
         traces = _collect_traces(paths)
         rows = summarize(traces)
@@ -347,20 +341,23 @@ def cmd_report(args) -> int:
 # argument parsing
 
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
+    d = RunConfig()  # the one source of run defaults
     p.add_argument("--pipeline", help=f"synthetic suite name: {', '.join(SYNTHETIC_SUITES)}")
     p.add_argument("--pipeline-file", help="JSON pipeline definition path")
-    p.add_argument("--methods", default="eeipu", help="comma-separated methods")
+    p.add_argument("--methods", default=d.method, help="comma-separated methods")
     p.add_argument("--repeats", type=int, default=1, help="repeats per method")
-    p.add_argument("--seed", type=int, default=0, help="base seed (repeat i uses seed+i)")
-    p.add_argument("--budget", default="auto", help="total budget, or 'auto' (5x warmup)")
-    p.add_argument("--warmup", type=int, default=10, help="warmup evaluations N0")
-    p.add_argument("--cache-size", type=int, default=5, help="prefix sources kept (Q)")
-    p.add_argument("--prefix-policy", default="all", choices=("all", "first", "mean"))
-    p.add_argument("--eta-schedule", default="budget", choices=("budget", "constant", "exp_decay"))
-    p.add_argument("--epsilon", type=float, default=0.01, help="memoized-stage modeled cost")
-    p.add_argument("--raw-samples", type=int, default=512, help="candidates per batch (M)")
-    p.add_argument("--mc-samples", type=int, default=1000, help="cost draws per candidate (D)")
-    p.add_argument("--acq-restarts", type=int, default=10, help="candidate re-draws kept (r)")
+    p.add_argument("--seed", type=int, default=d.seed, help="base seed (repeat i uses seed+i)")
+    p.add_argument("--budget", default=d.total_budget, help="total budget, or 'auto' (5x warmup)")
+    p.add_argument("--warmup", type=int, default=d.n0, help="warmup evaluations N0")
+    p.add_argument("--cache-size", type=int, default=d.q, help="prefix sources kept (Q)")
+    p.add_argument("--prefix-policy", default=d.prefix_policy, choices=PREFIX_POLICIES)
+    p.add_argument("--eta-schedule", default=d.eta_schedule, choices=ETA_SCHEDULES)
+    p.add_argument("--epsilon", type=float, default=d.epsilon, help="memoized-stage modeled cost")
+    p.add_argument("--raw-samples", type=int, default=d.m, help="candidates per batch (M)")
+    p.add_argument("--mc-samples", type=int, default=d.n_mc, help="cost draws per candidate (D)")
+    p.add_argument(
+        "--acq-restarts", type=int, default=d.restarts, help="candidate re-draws kept (r)"
+    )
     p.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
     p.add_argument("--out", default="results", help="output directory")
 
@@ -395,13 +392,10 @@ def main(argv=None) -> int:
         parser.error("one of --pipeline or --pipeline-file is required")
     try:
         return args.func(args)
-    except (InvalidArgumentError,) as exc:
+    except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except TraceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PipetuneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,14 +33,7 @@ from .acquisition import (
     cooling_eta,
     score_candidates,
 )
-from .cache import (
-    PREFIX_POLICIES,
-    PrefixPool,
-    StageOutputStore,
-    _policy_deltas,
-    empty_pool,
-    update_pool,
-)
+from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, empty_pool, update_pool
 from .candidates import Candidate, SearchSpace, generate
 from .errors import (
     InsufficientDataError,
@@ -48,7 +41,7 @@ from .errors import (
     NumericalFailureError,
     TraceParseError,
 )
-from .pipeline import Observation, PipelineSpec, output_handles
+from .pipeline import Observation, PipelineSpec
 from .pipeline import run as run_pipeline
 
 logger = logging.getLogger("pipetune.optimizer")
@@ -232,7 +225,8 @@ def init_state(
     space = pipeline.search_space()
     memo = METHODS[config.method].memo_aware and space.n_stages > 1
     capacity = config.q if memo else 0
-    groups = 1 + capacity * len(_policy_deltas(config.prefix_policy, space.n_stages))
+    pool = empty_pool(space.stage_dims, capacity, config.prefix_policy)
+    groups = 1 + capacity * len(pool.deltas)
     if config.m < groups:
         raise InvalidArgumentError(
             f"m={config.m} is below the {groups} candidate groups that a pool of "
@@ -241,69 +235,56 @@ def init_state(
     store = StageOutputStore(
         cache_root if cache_root is not None else tempfile.mkdtemp(prefix="pipetune_cache_")
     )
-    pool = empty_pool(space.stage_dims, capacity)
-
-    halton = qmc.Halton(
-        d=space.dim, scramble=True, seed=derived_int(config.seed, _TAG_WARMUP)
-    )
-    points = space.lower + halton.random(config.n0) * (space.upper - space.lower)
-
-    observations: list[Observation] = []
-    rows: list[TraceRow] = []
-    consumed = 0.0
-    best = float("-inf")
-    for i, x in enumerate(points, start=1):
-        obs = run_pipeline(pipeline, x, pool, store)
-        observations.append(obs)
-        consumed += obs.executed_cost
-        best = max(best, obs.y)
-        pool = _maybe_update_pool(pool, config, pipeline, store, obs)
-        rows.append(
-            TraceRow(
-                iteration=i,
-                delta=obs.memo_delta,
-                eta=1.0,
-                consumed=consumed,
-                y=obs.y,
-                best_y=best,
-                score=0.0,
-                stage_costs=obs.stage_costs,
-                x=tuple(float(v) for v in obs.x),
-            )
-        )
-
-    if config.total_budget == "auto":
-        total_budget = 5.0 * consumed
-    else:
-        total_budget = float(config.total_budget)
-    if not total_budget > 0.0:
-        raise InvalidArgumentError("resolved total_budget must be positive")
-
-    return OptState(
+    state = OptState(
         config=config,
         pipeline=pipeline,
         space=space,
         store=store,
         pool=pool,
-        observations=observations,
-        consumed=consumed,
-        total_budget=total_budget,
+        observations=[],
+        consumed=0.0,
+        total_budget=0.0,  # resolved after warmup
         eta=1.0,
-        rows=rows,
+        rows=[],
     )
 
+    halton = qmc.Halton(
+        d=space.dim, scramble=True, seed=derived_int(config.seed, _TAG_WARMUP)
+    )
+    for x in space.lower + halton.random(config.n0) * (space.upper - space.lower):
+        _evaluate(state, x, 0.0)
 
-def _maybe_update_pool(
-    pool: PrefixPool,
-    config: RunConfig,
-    pipeline: PipelineSpec,
-    store: StageOutputStore,
-    obs: Observation,
-) -> PrefixPool:
-    if pool.capacity == 0:
-        return pool
-    handles = output_handles(pipeline, store, obs.x)
-    return update_pool(pool, obs, handles, config.prefix_policy)
+    if config.total_budget == "auto":
+        state.total_budget = 5.0 * state.consumed
+    else:
+        state.total_budget = float(config.total_budget)
+    if not state.total_budget > 0.0:
+        raise InvalidArgumentError("resolved total_budget must be positive")
+    return state
+
+
+def _evaluate(state: OptState, x: np.ndarray, score: float) -> Observation:
+    """Run x, then record it: the observation, the budget consumed, the
+    pool update and a trace row at the current eta."""
+    obs = run_pipeline(state.pipeline, x, state.pool, state.store)
+    state.observations.append(obs)
+    state.consumed += obs.executed_cost
+    state.pool = update_pool(state.pool, obs)
+    best = state.rows[-1].best_y if state.rows else float("-inf")
+    state.rows.append(
+        TraceRow(
+            iteration=len(state.observations),
+            delta=obs.memo_delta,
+            eta=state.eta,
+            consumed=state.consumed,
+            y=obs.y,
+            best_y=max(best, obs.y),
+            score=score,
+            stage_costs=obs.stage_costs,
+            x=tuple(float(v) for v in obs.x),
+        )
+    )
+    return obs
 
 
 def step(state: OptState) -> tuple[Candidate, Observation]:
@@ -375,24 +356,7 @@ def step(state: OptState) -> tuple[Candidate, Observation]:
         chosen_idx = int(np.argmax(scores))
     chosen = all_candidates[chosen_idx]
 
-    obs = run_pipeline(state.pipeline, chosen.x, state.pool, state.store)
-    state.observations.append(obs)
-    state.consumed += obs.executed_cost
-    state.pool = _maybe_update_pool(state.pool, cfg, state.pipeline, state.store, obs)
-    state.rows.append(
-        TraceRow(
-            iteration=iteration,
-            delta=obs.memo_delta,
-            eta=state.eta,
-            consumed=state.consumed,
-            y=obs.y,
-            best_y=max(state.rows[-1].best_y, obs.y),
-            score=float(scores[chosen_idx]),
-            stage_costs=obs.stage_costs,
-            x=tuple(float(v) for v in obs.x),
-        )
-    )
-    return chosen, obs
+    return chosen, _evaluate(state, chosen.x, float(scores[chosen_idx]))
 
 
 def run(

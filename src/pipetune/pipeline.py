@@ -34,8 +34,6 @@ from .errors import (
 
 logger = logging.getLogger("pipetune.pipeline")
 
-COST_CURRENCIES = ("simulated", "seconds")
-
 SYNTHETIC_SUITES = ("synth3", "synth5", "synth10")
 
 # objective noise: y = f(x) + N(0, 1e-6), keyed by x for reproducibility
@@ -186,7 +184,6 @@ class StageSpec:
 class PipelineSpec:
     name: str
     stages: tuple[StageSpec, ...]
-    cost_currency: str = "simulated"
     noise_std: float = NOISE_STD
 
     def __post_init__(self):
@@ -199,8 +196,6 @@ class PipelineSpec:
                 f"pipeline {self.name!r} mixes stage kinds {kinds}; "
                 "a pipeline's stages must all be synthetic or all external"
             )
-        if self.cost_currency not in COST_CURRENCIES:
-            raise InvalidArgumentError(f"unknown cost currency: {self.cost_currency!r}")
 
     @property
     def n_stages(self) -> int:
@@ -318,8 +313,10 @@ def run(
     """Evaluate x end to end, skipping the longest cached prefix.
 
     Stages 1..delta are served from the cache (cost 0.0); stages delta+1..K
-    execute. When the pool has capacity, their outputs (all but the last
-    stage's) are stored so this observation can seed future prefixes.
+    execute. A stored output that no longer resolves is skipped for the
+    next shallower pool depth. When the pool has capacity, the executed
+    stages' outputs (all but the last stage's) are stored, which also
+    rewrites a damaged one, so this observation can seed future prefixes.
     """
     x = np.asarray(x, dtype=float)
     space = spec.search_space()
@@ -330,14 +327,17 @@ def run(
 
     started = time.perf_counter()
     hit = lookup(pool, x)
-    delta = hit.delta
-    carry_payload = b""
-    if delta > 0:
+    # every pool depth up to the hit's is a cached prefix of x too: a
+    # damaged blob falls back to the deepest one that still resolves
+    delta, carry_payload = 0, b""
+    for depth in (d for d in reversed(pool.deltas) if d <= hit.delta):
         try:
-            carry_payload = cache.resolve(hit.output_handle)
+            carry_payload = cache.resolve(depth, x[: space.prefix_width(depth)])
         except StorageError as exc:
-            logger.warning("cache resolution failed (%s); running full pipeline", exc)
-            delta = 0
+            logger.warning("cache resolution failed (%s); trying a shorter prefix", exc)
+        else:
+            delta = depth
+            break
 
     k_total = spec.n_stages
     store_outputs = pool.capacity > 0
@@ -378,18 +378,6 @@ def run(
     )
 
 
-def output_handles(spec: PipelineSpec, cache: StageOutputStore, x: np.ndarray) -> list[str]:
-    """Content-addressed handles of x's first K-1 stage outputs, computed
-    without I/O. run(x) stores them when its pool has capacity, because
-    stores are keyed by the prefix values; otherwise none exists on disk."""
-    space = spec.search_space()
-    x = np.asarray(x, dtype=float)
-    return [
-        cache.handle_for(k, x[: space.prefix_width(k)])
-        for k in range(1, spec.n_stages)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # synthetic suites and pipeline definition files
 
@@ -420,16 +408,15 @@ def synthetic_suite(name: str) -> PipelineSpec:
                 cost_fn=default_stage_cost,
             )
         )
-    return PipelineSpec(name=name, stages=tuple(stages), cost_currency="simulated")
+    return PipelineSpec(name=name, stages=tuple(stages))
 
 
 def load_pipeline_file(path: str | Path) -> PipelineSpec:
     """Build a PipelineSpec from a JSON definition.
 
-    Schema: {"name": str, "cost_currency": "simulated"|"seconds",
-    "stages": [{"kind": "external", "dim": int, "bounds": [[lo, hi]..],
-    "command": str, "timeout": float} | {"kind": "synthetic",
-    "function": benchmark name}]}.
+    Schema: {"name": str, "stages": [{"kind": "external", "dim": int,
+    "bounds": [[lo, hi]..], "command": str, "timeout": float} |
+    {"kind": "synthetic", "function": benchmark name}]}.
     """
     path = Path(path)
     try:
@@ -473,7 +460,6 @@ def load_pipeline_file(path: str | Path) -> PipelineSpec:
     return PipelineSpec(
         name=doc.get("name", path.stem),
         stages=tuple(stages),
-        cost_currency=doc.get("cost_currency", "seconds"),
         noise_std=float(doc.get("noise_std", 0.0))
         if "noise_std" in doc
         else (NOISE_STD if stages[0].kind == "synthetic" else 0.0),

@@ -9,7 +9,6 @@ hook in conftest.py so the lines always appear at the end of the run log)
 and then asserts, so a red criterion is also a red test.
 """
 
-import hashlib
 import math
 import statistics
 import time
@@ -26,6 +25,7 @@ from pipetune.acquisition import (
     score_candidates,
 )
 from pipetune.cache import (
+    PrefixEntry,
     StageOutputStore,
     empty_pool,
     lookup,
@@ -309,14 +309,10 @@ def test_criterion_06_cache_randomized_invariants():
     stage_dims = (2, 1, 2)
     capacity = 5
     n_stages = len(stage_dims)
-    pool = empty_pool(stage_dims, capacity=capacity)
+    pool = empty_pool(stage_dims, capacity, "all")
     ref = _ReferencePool(capacity)
     rng = np.random.default_rng(61)
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def handle_of(delta, values):
-        digest = hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
-        return f"stage_{delta}/{digest}"
 
     checked_ops = 0
     for _ in range(10_000):
@@ -326,8 +322,7 @@ def test_criterion_06_cache_randomized_invariants():
             obs = Observation(
                 x=x, y=y, stage_costs=(1.0, 1.0, 1.0), memo_delta=0, wall_time=0.0
             )
-            handles = [handle_of(d, x[: (2, 3)[d - 1]]) for d in (1, 2)]
-            pool = update_pool(pool, obs, handles, policy="all")
+            pool = update_pool(pool, obs)
             ref.offer(tuple(float(v) for v in x[:3]), y)
 
             # mirror image: retained sources == reference's top-Q map
@@ -349,10 +344,9 @@ def test_criterion_06_cache_randomized_invariants():
             res = lookup(pool, vals)
             assert res.delta == ref.expected_delta(vals)
             if res.delta:
+                # the match is the candidate's own leading values
                 width = (2, 3)[res.delta - 1]
-                assert res.output_handle == handle_of(res.delta, vals[:width])
-            else:
-                assert res.output_handle is None
+                assert PrefixEntry(vals[:width], res.delta) in pool.all_entries()
         checked_ops += 1
     _check(
         6,
@@ -503,15 +497,13 @@ def test_criterion_14_cache_overhead(tmp_path):
     timings = []
     for rep in range(5):
         store = StageOutputStore(tmp_path / f"store{rep}")
-        pool = empty_pool((2, 1, 2), capacity=5)
+        pool = empty_pool((2, 1, 2), 5, "all")
         start = time.perf_counter()
         for _ in range(100):
             x = rng.uniform(0.0, 1.0, size=5)
             lookup(pool, x)
-            handles = [
-                store.store_output(1, x[:2], payload),
-                store.store_output(2, x[:3], payload),
-            ]
+            store.store_output(1, x[:2], payload)
+            store.store_output(2, x[:3], payload)
             obs = Observation(
                 x=x,
                 y=float(rng.standard_normal()),
@@ -519,7 +511,7 @@ def test_criterion_14_cache_overhead(tmp_path):
                 memo_delta=0,
                 wall_time=0.0,
             )
-            pool = update_pool(pool, obs, handles, policy="all")
+            pool = update_pool(pool, obs)
         timings.append((time.perf_counter() - start) / 100)
     per_iter = min(timings)
     _check(

@@ -1,20 +1,21 @@
 """Unit tests for the prefix memo-cache: pool ranking/eviction semantics,
 prefix policies, exact-match lookup, and the content-addressed disk store.
 
-The randomized-operations test drives the pool against a brute-force
-reference model (a plain dict of best-objective-per-prefix) to check the
-top-Q semantics hold under arbitrary interleavings.
+The randomized-operations tests drive the pool against a brute-force
+reference model (a plain dict of best-objective-per-prefix with explicit
+insertion counters) to check the top-Q semantics hold under arbitrary
+interleavings, for every prefix policy and 2-6 stages.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipetune.cache import (
-    DEFAULT_CAPACITY,
     LookupResult,
     PREFIX_POLICIES,
     PrefixEntry,
-    PrefixPool,
     StageOutputStore,
     _policy_deltas,
     empty_pool,
@@ -32,11 +33,11 @@ def _obs(x, y):
     )
 
 
-def _handles(tag):
-    return [f"stage_1/{tag}", f"stage_2/{tag}"]
-
-
 STAGE_DIMS = (2, 1, 2)  # 3 stages, 5 dims total
+
+
+def _pool(capacity, policy="all"):
+    return empty_pool(STAGE_DIMS, capacity, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -44,22 +45,24 @@ STAGE_DIMS = (2, 1, 2)  # 3 stages, 5 dims total
 
 
 def test_empty_pool_defaults():
-    pool = empty_pool(STAGE_DIMS)
-    assert pool.capacity == DEFAULT_CAPACITY
-    assert pool.n_sources == 0
+    pool = _pool(5)
+    assert pool.sources == ()
     assert pool.all_entries() == ()
-    assert pool.min_source_objective() == float("-inf")
+    assert pool.deltas == (1, 2)
+    assert lookup(pool, [1.0, 2.0, 3.0, 4.0, 5.0]).delta == 0
 
 
 def test_pool_validation():
     with pytest.raises(InvalidArgumentError):
-        empty_pool(STAGE_DIMS, capacity=-1)
+        _pool(-1)
     with pytest.raises(InvalidArgumentError):
-        empty_pool((2, 0, 1))
+        empty_pool((2, 0, 1), 5, "all")
     with pytest.raises(InvalidArgumentError):
-        PrefixEntry(values=(1.0,), delta=0, output_handle="h", source_objective=0.0)
+        _pool(5, "last")
     with pytest.raises(InvalidArgumentError):
-        PrefixEntry(values=(), delta=1, output_handle="h", source_objective=0.0)
+        PrefixEntry(values=(1.0,), delta=0)
+    with pytest.raises(InvalidArgumentError):
+        PrefixEntry(values=(), delta=1)
 
 
 def test_policy_deltas():
@@ -81,74 +84,71 @@ def test_policy_deltas():
 # Story: under the "all" policy each source contributes one entry per
 # non-complete prefix length, with values sliced at stage boundaries.
 def test_update_inserts_all_prefixes():
-    pool = empty_pool(STAGE_DIMS, capacity=2)
-    pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 10.0), _handles("a"), "all")
+    pool = update_pool(_pool(2), _obs([1, 2, 3, 4, 5], 10.0))
     entries = pool.all_entries()
-    assert [e.delta for e in entries] == [1, 2]
-    assert entries[0].values == (1.0, 2.0)
-    assert entries[1].values == (1.0, 2.0, 3.0)
-    assert entries[0].output_handle == "stage_1/a"
-    assert entries[1].output_handle == "stage_2/a"
-    assert all(e.source_objective == 10.0 for e in entries)
+    assert entries == (
+        PrefixEntry(values=(1.0, 2.0), delta=1),
+        PrefixEntry(values=(1.0, 2.0, 3.0), delta=2),
+    )
+    assert pool.sources[0].objective == 10.0
 
 
+# Story: the pool applies the policy it was created with.
 def test_update_respects_policy():
-    first = update_pool(empty_pool(STAGE_DIMS), _obs([1, 2, 3, 4, 5], 1.0), _handles("a"), "first")
+    first = update_pool(_pool(5, "first"), _obs([1, 2, 3, 4, 5], 1.0))
     assert [e.delta for e in first.all_entries()] == [1]
-    mean = update_pool(empty_pool(STAGE_DIMS), _obs([1, 2, 3, 4, 5], 1.0), _handles("a"), "mean")
+    mean = update_pool(_pool(5, "mean"), _obs([1, 2, 3, 4, 5], 1.0))
     assert [e.delta for e in mean.all_entries()] == [2]
 
 
 # Story: at capacity, a strictly better observation evicts the worst source
 # whole; an equal one loses the tie to the incumbent.
 def test_eviction_requires_strictly_better():
-    pool = empty_pool(STAGE_DIMS, capacity=2)
-    pool = update_pool(pool, _obs([1, 1, 1, 1, 1], 1.0), _handles("a"), "all")
-    pool = update_pool(pool, _obs([2, 2, 2, 2, 2], 2.0), _handles("b"), "all")
+    pool = _pool(2)
+    pool = update_pool(pool, _obs([1, 1, 1, 1, 1], 1.0))
+    pool = update_pool(pool, _obs([2, 2, 2, 2, 2], 2.0))
 
     # tie with the worst: no change
-    tied = update_pool(pool, _obs([3, 3, 3, 3, 3], 1.0), _handles("c"), "all")
-    assert {s.objective for s in tied.sources} == {1.0, 2.0}
+    tied = update_pool(pool, _obs([3, 3, 3, 3, 3], 1.0))
+    assert tied is pool
 
     # strictly better: worst source (y=1) evicted with all its entries
-    better = update_pool(pool, _obs([3, 3, 3, 3, 3], 1.5), _handles("c"), "all")
-    assert {s.objective for s in better.sources} == {1.5, 2.0}
-    assert all(e.values != (1.0, 1.0) for e in better.sources[0].entries)
+    better = update_pool(pool, _obs([3, 3, 3, 3, 3], 1.5))
+    assert [s.objective for s in better.sources] == [2.0, 1.5]
+    assert all(e.values[:2] != (1.0, 1.0) for e in better.all_entries())
 
 
 # Story: among equal-objective sources the later insertion is evicted first,
-# keeping the earliest incumbent stable.
+# keeping the earliest incumbent stable; the survivors keep their order.
 def test_eviction_tie_breaks_by_insertion_order():
-    pool = empty_pool(STAGE_DIMS, capacity=2)
-    pool = update_pool(pool, _obs([1, 1, 1, 1, 1], 5.0), _handles("a"), "all")
-    pool = update_pool(pool, _obs([2, 2, 2, 2, 2], 5.0), _handles("b"), "all")
-    pool = update_pool(pool, _obs([3, 3, 3, 3, 3], 6.0), _handles("c"), "all")
-    kept = {tuple(s.entries[0].values) for s in pool.sources}
-    assert kept == {(1.0, 1.0), (3.0, 3.0)}
+    pool = _pool(2)
+    pool = update_pool(pool, _obs([1, 1, 1, 1, 1], 5.0))
+    pool = update_pool(pool, _obs([2, 2, 2, 2, 2], 5.0))
+    pool = update_pool(pool, _obs([3, 3, 3, 3, 3], 6.0))
+    assert [s.entries[0].values for s in pool.sources] == [(1.0, 1.0), (3.0, 3.0)]
 
 
 # Story: re-observing an already-cached prefix (a memoized candidate that
 # shares its source's leading stages) must update that source's rank in
 # place, never occupy a second slot.
 def test_same_prefix_updates_in_place():
-    pool = empty_pool(STAGE_DIMS, capacity=3)
-    pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0), _handles("a"), "all")
-    pool = update_pool(pool, _obs([1, 2, 3, 9, 9], 4.0), _handles("a"), "all")
-    assert pool.n_sources == 1
-    assert pool.sources[0].objective == 4.0
+    pool = _pool(3)
+    pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0))
+    pool = update_pool(pool, _obs([7, 7, 7, 7, 7], 2.0))
+    pool = update_pool(pool, _obs([1, 2, 3, 9, 9], 4.0))
+    assert len(pool.sources) == 2
+    assert [s.objective for s in pool.sources] == [4.0, 2.0]
     # a worse re-observation of the same prefix is a no-op
-    pool = update_pool(pool, _obs([1, 2, 3, 0, 0], 2.0), _handles("a"), "all")
-    assert pool.sources[0].objective == 4.0
-    assert pool.next_order == 1
+    assert update_pool(pool, _obs([1, 2, 3, 0, 0], 2.0)) is pool
 
 
 # Story: distinct full prefixes sharing a shorter prefix are separate
 # sources, but candidate enumeration collapses the duplicated short entry.
 def test_distinct_entries_collapses_shared_short_prefix():
-    pool = empty_pool(STAGE_DIMS, capacity=3)
-    pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0), _handles("a"), "all")
-    pool = update_pool(pool, _obs([1, 2, 7, 4, 5], 2.0), _handles("b"), "all")
-    assert pool.n_sources == 2
+    pool = _pool(3)
+    pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0))
+    pool = update_pool(pool, _obs([1, 2, 7, 4, 5], 2.0))
+    assert len(pool.sources) == 2
     assert len(pool.all_entries()) == 4
     distinct = pool.distinct_entries()
     assert len(distinct) == 3  # shared delta-1 (1,2) appears once
@@ -156,15 +156,12 @@ def test_distinct_entries_collapses_shared_short_prefix():
 
 
 def test_update_validation_and_noops():
-    pool = empty_pool(STAGE_DIMS, capacity=2)
-    with pytest.raises(InvalidArgumentError):
-        update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0), ["only_one"], "all")
     # capacity zero: never stores
-    zero = empty_pool(STAGE_DIMS, capacity=0)
-    assert update_pool(zero, _obs([1, 2, 3, 4, 5], 1.0), _handles("a"), "all") is zero
+    zero = _pool(0)
+    assert update_pool(zero, _obs([1, 2, 3, 4, 5], 1.0)) is zero
     # single-stage pipeline: nothing to prefix
-    one = empty_pool((3,), capacity=5)
-    assert update_pool(one, _obs([1, 2, 3], 1.0), [], "all") is one
+    one = empty_pool((3,), 5, "all")
+    assert update_pool(one, _obs([1, 2, 3], 1.0)) is one
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +171,11 @@ def test_update_validation_and_noops():
 # Story: lookup returns the longest exact prefix match; near-misses at any
 # float digit do not count.
 def test_lookup_longest_exact_match():
-    pool = empty_pool(STAGE_DIMS, capacity=3)
-    pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0), _handles("a"), "all")
+    pool = update_pool(_pool(3), _obs([1, 2, 3, 4, 5], 1.0))
 
-    hit = lookup(pool, [1.0, 2.0, 3.0, 99.0, 98.0])
-    assert hit == LookupResult(output_handle="stage_2/a", delta=2)
-    assert hit.hit
-
-    short = lookup(pool, [1.0, 2.0, 30.0, 99.0, 98.0])
-    assert short == LookupResult(output_handle="stage_1/a", delta=1)
-
-    miss = lookup(pool, [1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0])
-    assert miss.delta == 0 and miss.output_handle is None and not miss.hit
+    assert lookup(pool, [1.0, 2.0, 3.0, 99.0, 98.0]) == LookupResult(delta=2)
+    assert lookup(pool, [1.0, 2.0, 30.0, 99.0, 98.0]) == LookupResult(delta=1)
+    assert lookup(pool, [1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0]).delta == 0
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +206,10 @@ class _Reference:
             self.items[key] = (y, self.counter)
             self.counter += 1
 
+    def in_order(self):
+        """Keys by insertion counter."""
+        return sorted(self.items, key=lambda k: self.items[k][1])
+
 
 # Story: a thousand random offers must keep the pool identical to the
 # reference model and within its entry bound. (The acceptance suite repeats
@@ -223,14 +217,14 @@ class _Reference:
 def test_randomized_updates_match_reference():
     rng = np.random.default_rng(42)
     capacity = 4
-    pool = empty_pool(STAGE_DIMS, capacity=capacity)
+    pool = _pool(capacity)
     ref = _Reference(capacity)
     grid = [float(v) for v in range(3)]
 
     for _ in range(1000):
         x = np.array([rng.choice(grid) for _ in range(5)])
         y = float(np.round(rng.normal(), 3))
-        pool = update_pool(pool, _obs(x, y), _handles(f"{x[:3]}"), "all")
+        pool = update_pool(pool, _obs(x, y))
         ref.offer(tuple(x[:3]), y)
 
         got = {
@@ -251,6 +245,56 @@ def test_randomized_updates_match_reference():
         assert hit.delta == (max(match_deltas) if match_deltas else 0)
 
 
+# Story: for every policy and 2-6 stages, with objectives coarse enough to
+# tie, the pool keeps the reference's sources in the reference's insertion
+# order, and lookup finds the deepest policy depth any kept source shares.
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    data=st.data(),
+    stage_dims=st.lists(st.integers(1, 2), min_size=2, max_size=6),
+    policy=st.sampled_from(PREFIX_POLICIES),
+    capacity=st.integers(1, 4),
+)
+def test_pool_matches_reference_for_every_policy(data, stage_dims, policy, capacity):
+    dim = sum(stage_dims)
+    deltas = _policy_deltas(policy, len(stage_dims))
+    widths = {d: sum(stage_dims[:d]) for d in deltas}
+    key_width = widths[max(deltas)]
+    pool = empty_pool(stage_dims, capacity, policy)
+    ref = _Reference(capacity)
+    point = st.lists(st.sampled_from((0.0, 1.0)), min_size=dim, max_size=dim)
+    seen = []
+
+    for _ in range(data.draw(st.integers(1, 40), label="ops")):
+        x = data.draw(point, label="x")
+        if seen and data.draw(st.booleans(), label="reuse"):
+            # a candidate copying an evaluated point's leading values
+            cut = data.draw(st.integers(0, dim), label="cut")
+            x = data.draw(st.sampled_from(seen), label="source")[:cut] + x[cut:]
+        if data.draw(st.booleans(), label="update"):
+            y = data.draw(st.integers(-2, 2), label="y") / 2
+            pool = update_pool(pool, _obs(x, y))
+            ref.offer(tuple(x[:key_width]), y)
+            seen.append(x)
+            assert [s.entries[-1].values for s in pool.sources] == ref.in_order()
+            assert [s.objective for s in pool.sources] == [
+                ref.items[k][0] for k in ref.in_order()
+            ]
+            assert all(
+                [e.delta for e in s.entries] == list(deltas) for s in pool.sources
+            )
+        else:
+            want = max(
+                (
+                    d
+                    for d in deltas
+                    if any(k[: widths[d]] == tuple(x[: widths[d]]) for k in ref.items)
+                ),
+                default=0,
+            )
+            assert lookup(pool, x).delta == want
+
+
 # ---------------------------------------------------------------------------
 # disk store
 
@@ -261,7 +305,7 @@ def test_store_roundtrip_and_idempotence(tmp_path):
     h1 = store.store_output(1, [0.5, 0.25], payload)
     h2 = store.store_output(1, [0.5, 0.25], b"ignored: same key already stored")
     assert h1 == h2 == store.handle_for(1, [0.5, 0.25])
-    assert store.resolve(h1) == payload
+    assert store.resolve(1, [0.5, 0.25]) == payload
     files = list(tmp_path.glob("stage_1/*.bin"))
     assert len(files) == 1
 
@@ -272,32 +316,32 @@ def test_store_distinct_keys_distinct_handles(tmp_path):
     b = store.store_output(1, [0.5000001], b"b")
     c = store.store_output(2, [0.5], b"c")
     assert len({a, b, c}) == 3
-    assert store.resolve(a) == b"a"
-    assert store.resolve(b) == b"b"
-    assert store.resolve(c) == b"c"
+    assert store.resolve(1, [0.5]) == b"a"
+    assert store.resolve(1, [0.5000001]) == b"b"
+    assert store.resolve(2, [0.5]) == b"c"
 
 
 def test_store_resolve_errors(tmp_path):
     store = StageOutputStore(tmp_path)
     with pytest.raises(StorageError):
-        store.resolve("stage_1/" + "0" * 64)
+        store.resolve(1, [2.0])  # never stored
 
     handle = store.store_output(1, [1.0], b"payload")
     path = tmp_path / f"{handle}.bin"
 
     path.write_bytes(b"XXXX" + path.read_bytes()[4:])
     with pytest.raises(StorageError):
-        store.resolve(handle)
+        store.resolve(1, [1.0])
 
     blob = b"PTSO" + bytes([9]) + (7).to_bytes(8, "big") + b"payload"
     path.write_bytes(blob)
     with pytest.raises(StorageError):
-        store.resolve(handle)
+        store.resolve(1, [1.0])
 
     blob = b"PTSO" + bytes([1]) + (99).to_bytes(8, "big") + b"payload"
     path.write_bytes(blob)
     with pytest.raises(StorageError):
-        store.resolve(handle)
+        store.resolve(1, [1.0])
 
 
 # Story: a damaged blob is not kept: storing the same key again rewrites it,
@@ -313,10 +357,10 @@ def test_store_rewrites_damaged_blob(tmp_path, damage):
     path = tmp_path / f"{handle}.bin"
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(StorageError):
-        store.resolve(handle)
+        store.resolve(1, [1.0])
 
     assert store.store_output(1, [1.0], b"payload") == handle
-    assert store.resolve(handle) == b"payload"
+    assert store.resolve(1, [1.0]) == b"payload"
     assert not list(tmp_path.rglob("*.tmp"))
 
 

@@ -88,7 +88,7 @@ def test_uniform_draws_in_bounds_and_deterministic():
 # Story: with an empty pool every candidate is a fresh full-space draw.
 def test_generate_empty_pool():
     s = _space()
-    pool = empty_pool(s.stage_dims, capacity=5)
+    pool = empty_pool(s.stage_dims, 5, "all")
     cands = generate(pool, s, 16, np.random.default_rng(0))
     assert len(cands) == 16
     assert all(c.delta == 0 for c in cands)
@@ -99,8 +99,8 @@ def test_generate_empty_pool():
 # evenly as integer division allows, remainder to the fresh group.
 def test_generate_group_allocation():
     s = _space()
-    pool = empty_pool(s.stage_dims, capacity=5)
-    pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0), ["stage_1/a", "stage_2/a"], "all")
+    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0))
     # N = 1 empty + 2 entries = 3 groups; m=10 -> 3 each, remainder 1 to empty
     cands = generate(pool, s, 10, np.random.default_rng(1))
     deltas = [c.delta for c in cands]
@@ -114,9 +114,9 @@ def test_generate_group_allocation():
 # drawn inside the box.
 def test_generate_prefix_copied_verbatim():
     s = _space()
-    pool = empty_pool(s.stage_dims, capacity=5)
+    pool = empty_pool(s.stage_dims, 5, "all")
     src = [0.123456789012345, 3.9999999, 0.777, 2.5, 2.5]
-    pool = update_pool(pool, _obs(src, 1.0), ["stage_1/a", "stage_2/a"], "all")
+    pool = update_pool(pool, _obs(src, 1.0))
     cands = generate(pool, s, 30, np.random.default_rng(2))
     for c in cands:
         if c.delta == 1:
@@ -130,9 +130,9 @@ def test_generate_prefix_copied_verbatim():
 # single group instead of wasting batch slots.
 def test_generate_uses_distinct_prefixes():
     s = _space()
-    pool = empty_pool(s.stage_dims, capacity=5)
-    pool = update_pool(pool, _obs([0.5, 1.0, 0.2, 2.5, 2.5], 1.0), ["stage_1/a", "stage_2/a"], "all")
-    pool = update_pool(pool, _obs([0.5, 1.0, 0.8, 2.5, 2.5], 2.0), ["stage_1/a", "stage_2/b"], "all")
+    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = update_pool(pool, _obs([0.5, 1.0, 0.2, 2.5, 2.5], 1.0))
+    pool = update_pool(pool, _obs([0.5, 1.0, 0.8, 2.5, 2.5], 2.0))
     # 4 sources-entries but only 3 distinct: delta-1 shared, two delta-2
     cands = generate(pool, s, 8, np.random.default_rng(3))
     assert len(cands) == 8
@@ -145,15 +145,15 @@ def test_generate_uses_distinct_prefixes():
 
 def test_generate_requires_enough_candidates():
     s = _space()
-    pool = empty_pool(s.stage_dims, capacity=5)
-    pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0), ["stage_1/a", "stage_2/a"], "all")
+    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0))
     with pytest.raises(InvalidArgumentError):
         generate(pool, s, 2, np.random.default_rng(0))  # 3 groups, m=2
 
 
 def test_generate_deterministic_by_rng():
     s = _space()
-    pool = empty_pool(s.stage_dims, capacity=5)
+    pool = empty_pool(s.stage_dims, 5, "all")
     a = generate(pool, s, 12, np.random.default_rng(7))
     b = generate(pool, s, 12, np.random.default_rng(7))
     assert all(np.array_equal(x.x, y.x) and x.delta == y.delta for x, y in zip(a, b))

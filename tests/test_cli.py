@@ -7,14 +7,16 @@ import math
 import pytest
 
 from pipetune.cli import (
+    _build_jobs,
     _improvement_flags,
+    build_parser,
     epsilon_insensitive,
     main,
     summarize,
     write_curves_csv,
     write_summary_csv,
 )
-from pipetune.optimizer import RunTrace, TraceRow, read_trace
+from pipetune.optimizer import RunConfig, RunTrace, TraceRow, read_trace
 
 
 def _row(iteration, delta, consumed, y, best_y):
@@ -205,6 +207,14 @@ def test_ablate_eta_writes_level_dirs(tmp_path, capsys):
     assert lines[0].startswith("level,pipeline,method")
     assert [l.split(",")[0] for l in lines[1:]] == ["budget", "constant", "exp_decay"]
     assert "---" in capsys.readouterr().out
+
+
+# Story: the CLI keeps no defaults of its own: a bare run builds the config
+# RunConfig() would, field for field.
+def test_bare_run_flags_build_the_default_config(tmp_path):
+    args = build_parser().parse_args(["run", "--pipeline", "synth3"])
+    (job,) = _build_jobs(args, tmp_path)
+    assert job["config"] == RunConfig().to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def _one_stage_pipeline():
         objective_fn=b.stage_objective,
         cost_fn=default_stage_cost,
     )
-    return PipelineSpec(name="mono", stages=(stage,), cost_currency="simulated")
+    return PipelineSpec(name="mono", stages=(stage,))
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +119,11 @@ def test_pool_capacity_by_method(tmp_path):
     pipe = synthetic_suite("synth3")
     eeipu = init_state(_tiny_cfg("eeipu", q=4), pipe, tmp_path / "a")
     assert eeipu.pool.capacity == 4
-    assert 0 < eeipu.pool.n_sources <= 4
+    assert 0 < len(eeipu.pool.sources) <= 4
     for method in ("ei", "eips", "carbo"):
         state = init_state(_tiny_cfg(method, q=4), pipe, tmp_path / method)
         assert state.pool.capacity == 0
-        assert state.pool.n_sources == 0
+        assert len(state.pool.sources) == 0
 
 
 # Story: an m below the candidate groups a full pool can form would fail

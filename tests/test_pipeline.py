@@ -9,13 +9,19 @@ evaluations; external stages are driven by tiny scripted commands.
 import json
 import logging
 import math
+import struct
 import sys
 
 import numpy as np
 import pytest
 
 from pipetune.cache import StageOutputStore, empty_pool, update_pool
-from pipetune.errors import InvalidArgumentError, ProtocolError, StageExecutionError
+from pipetune.errors import (
+    InvalidArgumentError,
+    ProtocolError,
+    StageExecutionError,
+    StorageError,
+)
 from pipetune.pipeline import (
     BENCHMARKS,
     NOISE_STD,
@@ -27,7 +33,6 @@ from pipetune.pipeline import (
     _substitute,
     default_stage_cost,
     load_pipeline_file,
-    output_handles,
     run,
     synthetic_suite,
 )
@@ -169,7 +174,7 @@ def test_keyed_noise_determinism():
 
 def test_run_validates_input(tmp_path):
     pipe = synthetic_suite("synth3")
-    pool = empty_pool(pipe.stage_dims)
+    pool = empty_pool(pipe.stage_dims, 5, "all")
     store = StageOutputStore(tmp_path)
     with pytest.raises(InvalidArgumentError):
         run(pipe, np.zeros(3), pool, store)
@@ -182,7 +187,7 @@ def test_run_validates_input(tmp_path):
 # stage costs are the cost function on each stage's raw values.
 def test_run_composes_stage_objectives_and_costs(tmp_path):
     pipe = synthetic_suite("synth3")
-    pool = empty_pool(pipe.stage_dims)
+    pool = empty_pool(pipe.stage_dims, 5, "all")
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     obs = run(pipe, x, pool, store)
@@ -210,11 +215,11 @@ def test_run_composes_stage_objectives_and_costs(tmp_path):
 def test_memoized_resume_is_bitwise_identical(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    pool = empty_pool(pipe.stage_dims, capacity=5)
+    pool = empty_pool(pipe.stage_dims, 5, "all")
 
     src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     full = run(pipe, src, pool, store)
-    pool = update_pool(pool, full, output_handles(pipe, store, src), "all")
+    pool = update_pool(pool, full)
 
     # same prefix, different final stage: resumes after stage 2
     probe = src.copy()
@@ -225,7 +230,7 @@ def test_memoized_resume_is_bitwise_identical(tmp_path):
     assert memo.stage_costs[2] == default_stage_cost(probe[5:7])
 
     fresh_store = StageOutputStore(tmp_path / "fresh")
-    fresh = run(pipe, probe, empty_pool(pipe.stage_dims), fresh_store)
+    fresh = run(pipe, probe, empty_pool(pipe.stage_dims, 5, "all"), fresh_store)
     assert fresh.memo_delta == 0
     assert memo.y == fresh.y  # bitwise, not approx
 
@@ -235,15 +240,15 @@ def test_memoized_resume_is_bitwise_identical(tmp_path):
     assert again.y == full.y
 
 
-# Story: if a cached blob disappears, the run logs and falls back to a full
-# evaluation rather than failing.
+# Story: if every cached blob of a prefix disappears, the run logs and
+# falls back to a full evaluation rather than failing, and restores them.
 def test_missing_blob_falls_back_to_full_run(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    pool = empty_pool(pipe.stage_dims, capacity=5)
+    pool = empty_pool(pipe.stage_dims, 5, "all")
     src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     full = run(pipe, src, pool, store)
-    pool = update_pool(pool, full, output_handles(pipe, store, src), "all")
+    pool = update_pool(pool, full)
 
     for blob in tmp_path.rglob("*.bin"):
         blob.unlink()
@@ -251,29 +256,77 @@ def test_missing_blob_falls_back_to_full_run(tmp_path):
     obs = run(pipe, src, pool, store)
     assert obs.memo_delta == 0
     assert obs.y == full.y
+    assert len(list(tmp_path.rglob("*.bin"))) == 2
 
 
-# Story: a truncated blob costs one full rerun, which also rewrites it, so
-# the next hit on the same prefix is served from the cache again.
-def test_truncated_blob_is_repaired_by_the_fallback_run(tmp_path, caplog):
+_SRC = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+
+
+def _cached_synth3(tmp_path):
+    """synth3 with _SRC evaluated, stored and pooled; returns the pipeline,
+    store, pool and the path of _SRC's stage-2 blob."""
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    pool = empty_pool(pipe.stage_dims, capacity=5)
-    src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    full = run(pipe, src, pool, store)
-    pool = update_pool(pool, full, output_handles(pipe, store, src), "all")
-    blob = tmp_path / f"{output_handles(pipe, store, src)[1]}.bin"
+    pool = empty_pool(pipe.stage_dims, 5, "all")
+    pool = update_pool(pool, run(pipe, _SRC, pool, store))
+    return pipe, store, pool, tmp_path / f"{store.handle_for(2, _SRC[:5])}.bin"
+
+
+def _fresh_y(pipe, x, tmp_path):
+    """y of x evaluated from scratch, with no cache to serve any stage."""
+    store = StageOutputStore(tmp_path / "fresh")
+    return run(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), store).y
+
+
+# Story: a damaged stage-2 blob is served from the longest prefix that still
+# resolves (stage 1), with the objective bit-equal to a fresh run, and the
+# run's own store rewrites the damaged blob.
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda p: p.write_bytes(p.read_bytes()[:5]),
+        lambda p: p.write_bytes(b"XXXX" + p.read_bytes()[4:]),
+        lambda p: p.unlink(),
+    ],
+    ids=["truncated", "bad_magic", "missing"],
+)
+def test_damaged_deeper_blob_falls_back_to_intact_prefix(tmp_path, caplog, damage):
+    pipe, store, pool, blob = _cached_synth3(tmp_path)
+    payload = store.resolve(2, _SRC[:5])
+    damage(blob)
+    probe = _SRC.copy()
+    probe[5:] = [0.3, 2.7]
+
+    with caplog.at_level(logging.WARNING, logger="pipetune.pipeline"):
+        obs = run(pipe, probe, pool, store)
+    assert "cache resolution failed" in caplog.text
+    assert obs.memo_delta == 1
+    assert obs.stage_costs[0] == 0.0
+    assert obs.stage_costs[1:] == (
+        default_stage_cost(probe[2:5]),
+        default_stage_cost(probe[5:7]),
+    )
+    assert obs.y == _fresh_y(pipe, probe, tmp_path)  # bitwise, not approx
+    assert store.resolve(2, _SRC[:5]) == payload
+    assert run(pipe, probe, pool, store).memo_delta == 2
+
+
+# Story: a truncated blob costs a rerun from the longest intact prefix,
+# which also rewrites it, so the next hit on the same prefix is served from
+# the cache again.
+def test_truncated_blob_is_repaired_by_the_fallback_run(tmp_path, caplog):
+    pipe, store, pool, blob = _cached_synth3(tmp_path)
     blob.write_bytes(blob.read_bytes()[:5])
 
     with caplog.at_level(logging.WARNING, logger="pipetune.pipeline"):
-        fallback = run(pipe, src, pool, store)
-    assert fallback.memo_delta == 0
+        fallback = run(pipe, _SRC, pool, store)
+    assert fallback.memo_delta == 1
     assert "cache resolution failed" in caplog.text
     assert blob.stat().st_size > 5
 
-    repaired = run(pipe, src, pool, store)
+    repaired = run(pipe, _SRC, pool, store)
     assert repaired.memo_delta == 2
-    assert repaired.y == full.y
+    assert repaired.y == _fresh_y(pipe, _SRC, tmp_path)
 
 
 # Story: a pool without capacity can never serve a prefix, so nothing is
@@ -282,21 +335,27 @@ def test_no_blobs_without_pool_capacity(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    obs = run(pipe, x, empty_pool(pipe.stage_dims, capacity=0), store)
+    obs = run(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), store)
     assert obs.memo_delta == 0
     assert not list(tmp_path.rglob("*.bin"))
 
 
 def test_output_handles_are_content_addressed(tmp_path):
     pipe = synthetic_suite("synth3")
+    space = pipe.search_space()
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    handles = output_handles(pipe, store, x)
-    assert len(handles) == 2
-    assert handles[0] == store.handle_for(1, x[:2])
-    assert handles[1] == store.handle_for(2, x[:5])
-    run(pipe, x, empty_pool(pipe.stage_dims), store)
-    assert all(store.resolve(h) for h in handles)
+    run(pipe, x, empty_pool(pipe.stage_dims, 5, "all"), store)
+    # stage k's output, the partial objective sum, is addressed by x's first
+    # k stages' values alone
+    partial = 0.0
+    for k, bench in ((1, "branin2"), (2, "hartmann3")):
+        partial += BENCHMARKS[bench].stage_objective(x[space.stage_slice(k)])
+        got = store.resolve(k, x[: space.prefix_width(k)])
+        assert struct.unpack(">d", got) == (partial,)
+    assert len(list(tmp_path.rglob("*.bin"))) == 2
+    with pytest.raises(StorageError):
+        store.resolve(2, x[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +396,7 @@ def _external_pipeline(tmp_path, final_cmd=None):
             command=final_cmd or f"{PY} {s2} {{x1}} {{input}}",
         ),
     )
-    return PipelineSpec(name="ext2", stages=stages, cost_currency="seconds", noise_std=0.0)
+    return PipelineSpec(name="ext2", stages=stages, noise_std=0.0)
 
 
 # Story: placeholders are substituted, intermediate payloads flow through
@@ -345,7 +404,7 @@ def _external_pipeline(tmp_path, final_cmd=None):
 def test_external_pipeline_end_to_end(tmp_path):
     pipe = _external_pipeline(tmp_path)
     store = StageOutputStore(tmp_path / "cache")
-    obs = run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims), store)
+    obs = run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims, 5, "all"), store)
     assert obs.y == pytest.approx(10.0)  # 2*3 + 4
     assert obs.memo_delta == 0
     assert all(c > 0.0 for c in obs.stage_costs)
@@ -356,10 +415,10 @@ def test_external_pipeline_end_to_end(tmp_path):
 def test_external_memoized_resume(tmp_path):
     pipe = _external_pipeline(tmp_path)
     store = StageOutputStore(tmp_path / "cache")
-    pool = empty_pool(pipe.stage_dims, capacity=3)
+    pool = empty_pool(pipe.stage_dims, 3, "all")
     x = np.array([3.0, 4.0])
     obs = run(pipe, x, pool, store)
-    pool = update_pool(pool, obs, output_handles(pipe, store, x), "all")
+    pool = update_pool(pool, obs)
 
     probe = np.array([3.0, 5.0])
     memo = run(pipe, probe, pool, store)
@@ -373,7 +432,7 @@ def test_external_failure_raises_with_stage_index(tmp_path):
     pipe = _external_pipeline(tmp_path, final_cmd=fail)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(StageExecutionError) as err:
-        run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims), store)
+        run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims, 5, "all"), store)
     assert err.value.stage_index == 2
 
 
@@ -389,10 +448,10 @@ def test_external_timeout(tmp_path):
             timeout=0.3,
         ),
     )
-    pipe = PipelineSpec(name="slow1", stages=stages, cost_currency="seconds", noise_std=0.0)
+    pipe = PipelineSpec(name="slow1", stages=stages, noise_std=0.0)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(StageExecutionError):
-        run(pipe, np.array([0.5]), empty_pool(pipe.stage_dims), store)
+        run(pipe, np.array([0.5]), empty_pool(pipe.stage_dims, 5, "all"), store)
 
 
 def test_protocol_error_without_objective_line(tmp_path):
@@ -400,7 +459,7 @@ def test_protocol_error_without_objective_line(tmp_path):
     pipe = _external_pipeline(tmp_path, final_cmd=quiet)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(ProtocolError):
-        run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims), store)
+        run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims, 5, "all"), store)
 
 
 def test_parse_objective_contract():
