@@ -1,10 +1,12 @@
 """Raw candidate generation: one batch per cached prefix plus one for the
 empty prefix, each batch copying its prefix verbatim and filling the
-remaining coordinates uniformly within bounds.
+remaining coordinates uniformly within bounds. Also the scrambled Halton
+design that seeds warmup.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +75,48 @@ class SearchSpace:
         return self.lower + u * (self.upper - self.lower)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A raw candidate point with the prefix it can reuse (delta = 0 means
-    nothing memoized; x[:prefix width] matches the source prefix exactly)."""
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
-    x: np.ndarray
-    delta: int = 0
+
+def scrambled_halton(d: int, n: int, seed: int) -> np.ndarray:
+    """n x d Halton points in [0, 1)^d, each dimension's van der Corput
+    digits scrambled by random permutations (Owen 2017, Algorithm 1).
+
+    Equal bit for bit to ``scipy.stats.qmc.Halton(d, scramble=True,
+    seed=seed).random(n)``: one Generator seeded by ``seed`` shuffles, in
+    dimension order, one row of ``arange(base)`` per digit while
+    ``base**-k > 2**-54``, and the digits are summed in the same order with
+    the same running scale.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.zeros((n, d))
+    for j, base in enumerate(_first_primes(d)):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q = np.arange(n)
+        scale = 1.0 / base
+        for k in range(count):
+            q, r = np.divmod(q, base)
+            out[:, j] += perms[k, r] * scale
+            scale /= base
+    return out
 
 
 def generate(
     pool: PrefixPool, space: SearchSpace, m: int, rng: np.random.Generator
-) -> list[Candidate]:
-    """M raw candidates split evenly across prefix groups.
+) -> tuple[np.ndarray, np.ndarray]:
+    """M raw candidates split evenly across prefix groups, as an (M, d)
+    matrix of points and the M prefix depths they can reuse (0 means
+    nothing memoized; x[:prefix width] matches the source prefix exactly).
 
     Groups are the empty prefix plus every cached prefix entry; each gets
     b_size = floor(M / N) candidates and the remainder goes to the empty
@@ -100,7 +131,8 @@ def generate(
     b_size = m // n_groups
     remainder = m - b_size * n_groups
 
-    candidates: list[Candidate] = []
+    draws: list[np.ndarray] = []
+    deltas: list[np.ndarray] = []
     for group_index in range(n_groups):
         count = b_size + (remainder if group_index == 0 else 0)
         draw = space.uniform(rng, count)
@@ -111,6 +143,6 @@ def generate(
             delta = entry.delta
             width = len(entry.values)
             draw[:, :width] = np.asarray(entry.values, dtype=float)
-        for row in draw:
-            candidates.append(Candidate(x=row, delta=delta))
-    return candidates
+        draws.append(draw)
+        deltas.append(np.full(count, delta))
+    return np.concatenate(draws), np.concatenate(deltas)

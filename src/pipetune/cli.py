@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 runtime failure (partial outputs retained),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys

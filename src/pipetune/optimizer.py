@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import gp
 from .acquisition import (
@@ -34,7 +33,7 @@ from .acquisition import (
     score_candidates,
 )
 from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, empty_pool, update_pool
-from .candidates import Candidate, SearchSpace, generate
+from .candidates import SearchSpace, generate, scrambled_halton
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -248,10 +247,8 @@ def init_state(
         rows=[],
     )
 
-    halton = qmc.Halton(
-        d=space.dim, scramble=True, seed=derived_int(config.seed, _TAG_WARMUP)
-    )
-    for x in space.lower + halton.random(config.n0) * (space.upper - space.lower):
+    design = scrambled_halton(space.dim, config.n0, derived_int(config.seed, _TAG_WARMUP))
+    for x in space.lower + design * (space.upper - space.lower):
         _evaluate(state, x, 0.0)
 
     if config.total_budget == "auto":
@@ -287,7 +284,7 @@ def _evaluate(state: OptState, x: np.ndarray, score: float) -> Observation:
     return obs
 
 
-def step(state: OptState) -> tuple[Candidate, Observation]:
+def step(state: OptState) -> Observation:
     """One model-guided iteration: fit, generate, score, evaluate, update."""
     cfg = state.config
     method = METHODS[cfg.method]
@@ -315,17 +312,15 @@ def step(state: OptState) -> tuple[Candidate, Observation]:
 
     f_best = state.f_best
     segments = method.segments(state.space.n_stages)
-    all_candidates: list[Candidate] = []
+    all_xs: list[np.ndarray] = []
     all_scores: list[np.ndarray] = []
     for restart in range(cfg.restarts):
-        cands = generate(
+        xs, deltas = generate(
             state.pool,
             state.space,
             cfg.m,
             derived_rng(cfg.seed, _TAG_CAND, iteration, restart),
         )
-        xs = np.stack([c.x for c in cands])
-        deltas = np.array([c.delta for c in cands])
         mc_rngs = [
             derived_rng(cfg.seed, _TAG_MC, iteration, seg.index, restart)
             for seg in segments
@@ -344,19 +339,17 @@ def step(state: OptState) -> tuple[Candidate, Observation]:
                 mc_rngs,
             )
         )
-        all_candidates.extend(cands)
+        all_xs.append(xs)
 
+    xs = np.concatenate(all_xs)
     scores = np.concatenate(all_scores)
     if np.all(scores == 0.0):
         # nothing promising anywhere; explore uniformly at random
-        chosen_idx = int(
-            derived_rng(cfg.seed, _TAG_TIE, iteration).integers(len(all_candidates))
-        )
+        chosen = int(derived_rng(cfg.seed, _TAG_TIE, iteration).integers(len(xs)))
     else:
-        chosen_idx = int(np.argmax(scores))
-    chosen = all_candidates[chosen_idx]
-
-    return chosen, _evaluate(state, chosen.x, float(scores[chosen_idx]))
+        chosen = int(np.argmax(scores))
+    # a copy, so the observation does not keep the whole batch alive
+    return _evaluate(state, xs[chosen].copy(), float(scores[chosen]))
 
 
 def run(

@@ -12,14 +12,16 @@ import hashlib
 import json
 import logging
 import math
+import os
 import shlex
+import signal
 import struct
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -263,30 +265,40 @@ def _run_external_stage(
     argv = shlex.split(command)
     start = time.perf_counter()
     try:
-        proc = subprocess.run(
+        # its own session, so that a timeout can kill all the stage started
+        proc = subprocess.Popen(
             argv,
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-            timeout=stage.timeout,
             cwd=workdir,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise StageExecutionError(
-            f"stage command timed out after {stage.timeout}s",
-            stage_index,
-            output=str(exc.stdout or ""),
+            start_new_session=True,
         )
     except OSError as exc:
         raise StageExecutionError(f"stage command failed to start: {exc}", stage_index)
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=stage.timeout)
+        except BaseException as exc:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
+            raise StageExecutionError(
+                f"stage command timed out after {stage.timeout}s",
+                stage_index,
+                # the output read so far, as bytes even in text mode
+                output=(exc.stdout or b"").decode(errors="replace"),
+            )
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         raise StageExecutionError(
             f"stage command exited with status {proc.returncode}",
             stage_index,
-            output=(proc.stdout or "") + (proc.stderr or ""),
+            output=stdout + stderr,
         )
-    payload = output_path.read_bytes() if output_path.exists() else proc.stdout.encode()
-    return payload, max(elapsed, MIN_WALL_COST), proc.stdout or ""
+    payload = output_path.read_bytes() if output_path.exists() else stdout.encode()
+    return payload, max(elapsed, MIN_WALL_COST), stdout
 
 
 def _parse_objective(stdout: str, stage_index: int) -> float:

@@ -14,7 +14,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
 from pipetune.acquisition import (
     BudgetState,
@@ -31,7 +30,6 @@ from pipetune.cache import (
     lookup,
     update_pool,
 )
-from pipetune.candidates import SearchSpace
 from pipetune.cli import _improvement_flags, epsilon_insensitive
 from pipetune.gp import KernelParams, build_model, posterior_mean_var
 from pipetune.optimizer import RunConfig, derived_rng, run, write_trace

@@ -1,10 +1,18 @@
-"""Unit tests for the search space and prefix-grouped candidate generation."""
+"""Unit tests for the search space, the warmup design and prefix-grouped
+candidate generation."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+import pipetune
 from pipetune.cache import empty_pool, update_pool
-from pipetune.candidates import SearchSpace, generate
+from pipetune.candidates import SearchSpace, generate, scrambled_halton
 from pipetune.errors import InvalidArgumentError
 from pipetune.pipeline import Observation
 
@@ -82,6 +90,39 @@ def test_uniform_draws_in_bounds_and_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# warmup design
+
+
+# Story: the warmup design is scipy's scrambled Halton computed in-house, so
+# every trace is what it was when warmup called qmc.Halton. Equal means
+# equal bytes, for dimension counts up to 40, seeds across the 32-bit range
+# that warmup derives, and several batch sizes.
+@pytest.mark.parametrize("d", (1, 2, 3, 7, 10, 25, 26, 40))
+def test_scrambled_halton_matches_scipy_bit_for_bit(d):
+    for seed in (0, 1, 12345, 2**31 - 1, 4_000_000_000):
+        for n in (1, 2, 5, 10, 64):
+            ours = scrambled_halton(d, n, seed)
+            theirs = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            assert ours.shape == theirs.shape == (n, d)
+            assert ours.tobytes() == theirs.tobytes(), (d, seed, n)
+
+
+# Story: importing the library, CLI included, does not load scipy.stats,
+# whose import alone costs more than the rest of set-up.
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(pipetune.__file__).resolve().parents[1])
+    probe = "import sys, pipetune, pipetune.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
 # candidate generation
 
 
@@ -89,10 +130,10 @@ def test_uniform_draws_in_bounds_and_deterministic():
 def test_generate_empty_pool():
     s = _space()
     pool = empty_pool(s.stage_dims, 5, "all")
-    cands = generate(pool, s, 16, np.random.default_rng(0))
-    assert len(cands) == 16
-    assert all(c.delta == 0 for c in cands)
-    assert all(s.contains(c.x) for c in cands)
+    xs, deltas = generate(pool, s, 16, np.random.default_rng(0))
+    assert len(xs) == len(deltas) == 16
+    assert np.all(deltas == 0)
+    assert all(s.contains(x) for x in xs)
 
 
 # Story: each cached prefix owns one group of the batch; the batch splits as
@@ -102,12 +143,11 @@ def test_generate_group_allocation():
     pool = empty_pool(s.stage_dims, 5, "all")
     pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0))
     # N = 1 empty + 2 entries = 3 groups; m=10 -> 3 each, remainder 1 to empty
-    cands = generate(pool, s, 10, np.random.default_rng(1))
-    deltas = [c.delta for c in cands]
-    assert len(cands) == 10
-    assert deltas.count(0) == 4
-    assert deltas.count(1) == 3
-    assert deltas.count(2) == 3
+    xs, deltas = generate(pool, s, 10, np.random.default_rng(1))
+    assert len(xs) == len(deltas) == 10
+    assert np.count_nonzero(deltas == 0) == 4
+    assert np.count_nonzero(deltas == 1) == 3
+    assert np.count_nonzero(deltas == 2) == 3
 
 
 # Story: prefix dimensions are copied verbatim (bit-equal), suffix dimensions
@@ -117,13 +157,13 @@ def test_generate_prefix_copied_verbatim():
     pool = empty_pool(s.stage_dims, 5, "all")
     src = [0.123456789012345, 3.9999999, 0.777, 2.5, 2.5]
     pool = update_pool(pool, _obs(src, 1.0))
-    cands = generate(pool, s, 30, np.random.default_rng(2))
-    for c in cands:
-        if c.delta == 1:
-            assert tuple(c.x[:2]) == tuple(src[:2])
-        elif c.delta == 2:
-            assert tuple(c.x[:3]) == tuple(src[:3])
-        assert s.contains(c.x)
+    xs, deltas = generate(pool, s, 30, np.random.default_rng(2))
+    for x, delta in zip(xs, deltas):
+        if delta == 1:
+            assert tuple(x[:2]) == tuple(src[:2])
+        elif delta == 2:
+            assert tuple(x[:3]) == tuple(src[:3])
+        assert s.contains(x)
 
 
 # Story: duplicated short prefixes from different sources collapse to a
@@ -134,13 +174,12 @@ def test_generate_uses_distinct_prefixes():
     pool = update_pool(pool, _obs([0.5, 1.0, 0.2, 2.5, 2.5], 1.0))
     pool = update_pool(pool, _obs([0.5, 1.0, 0.8, 2.5, 2.5], 2.0))
     # 4 sources-entries but only 3 distinct: delta-1 shared, two delta-2
-    cands = generate(pool, s, 8, np.random.default_rng(3))
-    assert len(cands) == 8
-    deltas = [c.delta for c in cands]
+    xs, deltas = generate(pool, s, 8, np.random.default_rng(3))
+    assert len(xs) == len(deltas) == 8
     # N = 1 + 3 distinct = 4 groups of 2
-    assert deltas.count(0) == 2
-    assert deltas.count(1) == 2
-    assert deltas.count(2) == 4
+    assert np.count_nonzero(deltas == 0) == 2
+    assert np.count_nonzero(deltas == 1) == 2
+    assert np.count_nonzero(deltas == 2) == 4
 
 
 def test_generate_requires_enough_candidates():
@@ -154,6 +193,6 @@ def test_generate_requires_enough_candidates():
 def test_generate_deterministic_by_rng():
     s = _space()
     pool = empty_pool(s.stage_dims, 5, "all")
-    a = generate(pool, s, 12, np.random.default_rng(7))
-    b = generate(pool, s, 12, np.random.default_rng(7))
-    assert all(np.array_equal(x.x, y.x) and x.delta == y.delta for x, y in zip(a, b))
+    xs_a, deltas_a = generate(pool, s, 12, np.random.default_rng(7))
+    xs_b, deltas_b = generate(pool, s, 12, np.random.default_rng(7))
+    assert np.array_equal(xs_a, xs_b) and np.array_equal(deltas_a, deltas_b)

@@ -9,8 +9,10 @@ evaluations; external stages are driven by tiny scripted commands.
 import json
 import logging
 import math
+import os
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -436,8 +438,10 @@ def test_external_failure_raises_with_stage_index(tmp_path):
     assert err.value.stage_index == 2
 
 
+# Story: a timed-out stage's error carries what it printed before the kill,
+# as text.
 def test_external_timeout(tmp_path):
-    slow = f'{PY} -c "import time; time.sleep(30)"'
+    slow = f'{PY} -u -c "print(\'epoch 1\'); import time; time.sleep(30)"'
     stages = (
         StageSpec(
             name="slow",
@@ -445,13 +449,53 @@ def test_external_timeout(tmp_path):
             bounds=((0.0, 1.0),),
             kind="external",
             command=slow,
-            timeout=0.3,
+            timeout=1.0,
         ),
     )
     pipe = PipelineSpec(name="slow1", stages=stages, noise_std=0.0)
     store = StageOutputStore(tmp_path / "cache")
+    with pytest.raises(StageExecutionError) as err:
+        run(pipe, np.array([0.5]), empty_pool(pipe.stage_dims, 5, "all"), store)
+    assert err.value.output == "epoch 1\n"
+
+
+# Story: a stage that started a child of its own (a training job holding a
+# GPU, say) loses that child too when it times out, not only itself.
+def test_external_timeout_kills_the_stage_process_group(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
+    script = tmp_path / "spawn.py"
+    script.write_text(
+        "import subprocess, sys, time\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(5)'])\n"
+        f"open({str(pid_file)!r}, 'w').write(str(child.pid))\n"
+        "time.sleep(30)\n"
+    )
+    stages = (
+        StageSpec(
+            name="spawner",
+            dim=1,
+            bounds=((0.0, 1.0),),
+            kind="external",
+            command=f"{PY} {script}",
+            timeout=1.0,
+        ),
+    )
+    pipe = PipelineSpec(name="spawn1", stages=stages, noise_std=0.0)
+    store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(StageExecutionError):
         run(pipe, np.array([0.5]), empty_pool(pipe.stage_dims, 5, "all"), store)
+    pid = int(pid_file.read_text())
+    # a killed grandchild lingers as a zombie until its new parent reaps it;
+    # wait for that, but well short of the 5 s it would sleep if it lived
+    deadline = time.monotonic() + 2.0
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.05)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 def test_protocol_error_without_objective_line(tmp_path):
