@@ -90,40 +90,24 @@ class ModelSet:
     costs: tuple[gp.GPModel, ...] = ()
 
 
-@dataclass
-class BudgetState:
-    """Total and consumed budget in cost units, plus the current cooling
-    factor eta (updated by the caller's schedule each iteration)."""
-
-    total_budget: float
-    consumed: float = 0.0
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not self.total_budget > 0.0:
-            raise InvalidArgumentError("total_budget must be positive")
-        if self.consumed < 0.0:
-            raise InvalidArgumentError("consumed must be nonnegative")
-
-    @property
-    def remaining_fraction(self) -> float:
-        """Remaining budget as a fraction of total, clamped at 0 on overshoot."""
-        return max(0.0, (self.total_budget - self.consumed) / self.total_budget)
-
-
-def cooling_eta(budget: BudgetState, schedule: str) -> float:
-    """Next cooling factor under the given schedule.
+def cooling_eta(schedule: str, total_budget: float, consumed: float, eta: float) -> float:
+    """Next cooling factor under the given schedule, from the budget in cost
+    units and the previous factor ``eta``.
 
     ``budget``   : remaining / total, clamped at 0 on overshoot.
     ``constant`` : always 1.
-    ``exp_decay``: 0.9 times the previous value (carried in ``budget.eta``).
+    ``exp_decay``: 0.9 times the previous value.
     """
+    if not total_budget > 0.0:
+        raise InvalidArgumentError("total_budget must be positive")
+    if consumed < 0.0:
+        raise InvalidArgumentError("consumed must be nonnegative")
     if schedule == "budget":
-        return budget.remaining_fraction
+        return max(0.0, (total_budget - consumed) / total_budget)
     if schedule == "constant":
         return 1.0
     if schedule == "exp_decay":
-        return EXP_DECAY_FACTOR * budget.eta
+        return EXP_DECAY_FACTOR * eta
     raise InvalidArgumentError(f"unknown eta schedule: {schedule!r}")
 
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .acquisition import ETA_SCHEDULES, METHODS
@@ -108,17 +108,23 @@ def summarize(traces: list[RunTrace]) -> list[SummaryRow]:
     return rows
 
 
-def write_summary_csv(rows: list[SummaryRow], path: Path) -> None:
-    lines = [
+def write_summary_csv(
+    rows: list[SummaryRow], path: Path, levels: list[str] | None = None
+) -> None:
+    """One line per row; with ``levels``, one label per row, each line
+    starts with a ``level`` column."""
+    header = (
         "pipeline,method,repeats,mean_best,se_best,mean_iterations,"
         "mean_consumed,pct_improv_memo"
-    ]
-    for r in rows:
-        lines.append(
+    )
+    lines = [header if levels is None else f"level,{header}"]
+    for i, r in enumerate(rows):
+        line = (
             f"{r.pipeline},{r.method},{r.repeats},{r.mean_best:.17g},"
             f"{r.se_best:.17g},{r.mean_iterations:.17g},{r.mean_consumed:.17g},"
             f"{r.pct_improv_memo:.17g}"
         )
+        lines.append(line if levels is None else f"{levels[i]},{line}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -211,31 +217,19 @@ def _build_jobs(args, out_dir: Path, overrides: dict | None = None) -> list[dict
             raise InvalidArgumentError(
                 f"unknown method {m!r}; choose from {', '.join(METHODS)}"
             )
-    budget = args.budget if args.budget == "auto" else float(args.budget)
+    # the run flags carry RunConfig's field names as their dest
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "method"}
     jobs = []
     for method in methods:
         for i in range(args.repeats):
             seed = args.seed + i
-            config = dict(
-                method=method,
-                n0=args.warmup,
-                m=args.raw_samples,
-                n_mc=args.mc_samples,
-                restarts=args.acq_restarts,
-                q=args.cache_size,
-                epsilon=args.epsilon,
-                eta_schedule=args.eta_schedule,
-                prefix_policy=args.prefix_policy,
-                total_budget=budget,
-                seed=seed,
-            )
-            config.update(overrides)
+            config = {**flags, **overrides, "method": method, "seed": seed}
             run_id = f"{args.pipeline or Path(args.pipeline_file).stem}_{method}_s{seed}"
             jobs.append(
                 dict(
                     pipeline_name=args.pipeline,
                     pipeline_file=args.pipeline_file,
-                    config=config,
+                    config=RunConfig(**config).to_dict(),  # refuses a bad config up front
                     trace_path=str(out_dir / f"{run_id}.csv"),
                     cache_root=str(cache_base / run_id),
                 )
@@ -250,22 +244,21 @@ def _run_jobs(jobs: list[dict], n_jobs: int) -> list[str]:
         return list(pool.map(_execute_job, jobs))
 
 
-def _collect_traces(paths: list[str | Path]) -> list[RunTrace]:
-    return [read_trace(p) for p in paths]
+def _report(paths: list, out_dir: Path) -> int:
+    """Read the traces, then write and print their summary and curves."""
+    traces = [read_trace(p) for p in paths]
+    rows = summarize(traces)
+    write_summary_csv(rows, out_dir / "summary.csv")
+    write_curves_csv(traces, out_dir / "curves.csv")
+    print_summary(rows)
+    return 0
 
 
 def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _load_pipeline(args.pipeline, args.pipeline_file)  # fail fast on bad spec
-    jobs = _build_jobs(args, out_dir)
-    paths = _run_jobs(jobs, args.jobs)
-    traces = _collect_traces(paths)
-    rows = summarize(traces)
-    write_summary_csv(rows, out_dir / "summary.csv")
-    write_curves_csv(traces, out_dir / "curves.csv")
-    print_summary(rows)
-    return 0
+    return _report(_run_jobs(_build_jobs(args, out_dir), args.jobs), out_dir)
 
 
 def cmd_ablate(args) -> int:
@@ -278,25 +271,15 @@ def cmd_ablate(args) -> int:
     for level in levels:
         level_dir = out_dir / f"{args.kind}_{level}"
         level_dir.mkdir(parents=True, exist_ok=True)
-        jobs = _build_jobs(args, level_dir, {field_name: level})
-        paths = _run_jobs(jobs, args.jobs)
-        traces = _collect_traces(paths)
-        rows = summarize(traces)
+        paths = _run_jobs(_build_jobs(args, level_dir, {field_name: level}), args.jobs)
+        rows = summarize([read_trace(p) for p in paths])
         write_summary_csv(rows, level_dir / "summary.csv")
         level_rows.append((str(level), rows))
-
-    lines = [
-        "level,pipeline,method,repeats,mean_best,se_best,mean_iterations,"
-        "mean_consumed,pct_improv_memo"
-    ]
-    for level, rows in level_rows:
-        for r in rows:
-            lines.append(
-                f"{level},{r.pipeline},{r.method},{r.repeats},{r.mean_best:.17g},"
-                f"{r.se_best:.17g},{r.mean_iterations:.17g},{r.mean_consumed:.17g},"
-                f"{r.pct_improv_memo:.17g}"
-            )
-    (out_dir / "ablation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_summary_csv(
+        [r for _, rows in level_rows for r in rows],
+        out_dir / "ablation.csv",
+        [level for level, rows in level_rows for _ in rows],
+    )
 
     for level, rows in level_rows:
         print(f"--- {args.kind} = {level} ---")
@@ -328,34 +311,46 @@ def cmd_report(args) -> int:
     )
     if not paths:
         raise InvalidArgumentError(f"no trace CSVs found in {results_dir}")
-    traces = _collect_traces(paths)
-    rows = summarize(traces)
-    write_summary_csv(rows, results_dir / "summary.csv")
-    write_curves_csv(traces, results_dir / "curves.csv")
-    print_summary(rows)
-    return 0
+    return _report(paths, results_dir)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _budget(text: str) -> float | str:
+    """``auto`` or a number; argparse refuses anything else, and RunConfig a
+    number that is not finite."""
+    return text if text == "auto" else float(text)
+
+
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that set a RunConfig field name it as their dest."""
     d = RunConfig()  # the one source of run defaults
     p.add_argument("--pipeline", help=f"synthetic suite name: {', '.join(SYNTHETIC_SUITES)}")
     p.add_argument("--pipeline-file", help="JSON pipeline definition path")
     p.add_argument("--methods", default=d.method, help="comma-separated methods")
     p.add_argument("--repeats", type=int, default=1, help="repeats per method")
     p.add_argument("--seed", type=int, default=d.seed, help="base seed (repeat i uses seed+i)")
-    p.add_argument("--budget", default=d.total_budget, help="total budget, or 'auto' (5x warmup)")
-    p.add_argument("--warmup", type=int, default=d.n0, help="warmup evaluations N0")
-    p.add_argument("--cache-size", type=int, default=d.q, help="prefix sources kept (Q)")
+    p.add_argument(
+        "--budget", dest="total_budget", type=_budget, default=d.total_budget,
+        help="total budget, or 'auto' (5x warmup)",
+    )
+    p.add_argument("--warmup", dest="n0", type=int, default=d.n0, help="warmup evaluations N0")
+    p.add_argument(
+        "--cache-size", dest="q", type=int, default=d.q, help="prefix sources kept (Q)"
+    )
     p.add_argument("--prefix-policy", default=d.prefix_policy, choices=PREFIX_POLICIES)
     p.add_argument("--eta-schedule", default=d.eta_schedule, choices=ETA_SCHEDULES)
     p.add_argument("--epsilon", type=float, default=d.epsilon, help="memoized-stage modeled cost")
-    p.add_argument("--raw-samples", type=int, default=d.m, help="candidates per batch (M)")
-    p.add_argument("--mc-samples", type=int, default=d.n_mc, help="cost draws per candidate (D)")
     p.add_argument(
-        "--acq-restarts", type=int, default=d.restarts, help="candidate re-draws kept (r)"
+        "--raw-samples", dest="m", type=int, default=d.m, help="candidates per batch (M)"
+    )
+    p.add_argument(
+        "--mc-samples", dest="n_mc", type=int, default=d.n_mc, help="cost draws per candidate (D)"
+    )
+    p.add_argument(
+        "--acq-restarts", dest="restarts", type=int, default=d.restarts,
+        help="candidate re-draws kept (r)",
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
     p.add_argument("--out", default="results", help="output directory")

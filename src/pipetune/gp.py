@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -71,10 +71,6 @@ class GPModel:
     chol: np.ndarray
     alpha: np.ndarray
     target_transform: tuple[float, float]
-
-    @property
-    def n_train(self) -> int:
-        return self.inputs.shape[0]
 
     @property
     def dim(self) -> int:
@@ -150,17 +146,6 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - shift) / scale, shift, scale
 
 
-def _factor(
-    x: np.ndarray, z: np.ndarray, params: KernelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of K + noise I and alpha = (K + noise I)^-1 z."""
-    k = _gram(x, params.lengthscales, params.output_scale)
-    k += params.noise_variance * np.eye(x.shape[0])
-    chol = _chol_with_jitter(k)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
-    return chol, alpha
-
-
 def _lml_values(
     x: np.ndarray,
     z: np.ndarray,
@@ -196,8 +181,13 @@ def _lml_values(
 
 
 def _build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
+    """Condition on standardized y: the Cholesky factor of K + noise I and
+    alpha = (K + noise I)^-1 z."""
     z, shift, scale = _standardize(y)
-    chol, alpha = _factor(x, z, params)
+    k = _gram(x, params.lengthscales, params.output_scale)
+    k += params.noise_variance * np.eye(x.shape[0])
+    chol = _chol_with_jitter(k)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
     return GPModel(
         inputs=x,
         targets=z,
@@ -208,14 +198,17 @@ def _build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     )
 
 
-def _as_xy(
-    observations: Iterable[tuple[Sequence[float], float]],
-) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(observations)
-    if len(pairs) < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {len(pairs)}")
-    x = np.asarray([np.asarray(p[0], dtype=float).ravel() for p in pairs])
-    y = np.asarray([float(p[1]) for p in pairs])
+def _as_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the (n, dim) inputs and n targets, refused unless they are
+    at least 2 finite rows."""
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
+    if x.ndim != 2 or y.shape != (len(x),):
+        raise InvalidArgumentError(
+            f"need one input row per target, got inputs {x.shape} and targets {y.shape}"
+        )
+    if len(y) < 2:
+        raise InsufficientDataError(f"need at least 2 observations, got {len(y)}")
     if not np.all(np.isfinite(y)):
         raise InvalidArgumentError("targets must be finite")
     if not np.all(np.isfinite(x)):
@@ -223,13 +216,11 @@ def _as_xy(
     return x, y
 
 
-def build_model(
-    observations: Iterable[tuple[Sequence[float], float]], params: KernelParams
-) -> GPModel:
-    """Condition on the data with explicitly chosen hyperparameters — no
-    fitting.  Useful when the caller knows the kernel it wants (tests,
-    hand-tuned surrogates)."""
-    x, y = _as_xy(observations)
+def build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
+    """Condition on inputs x (n, dim) and targets y (n,) with explicitly
+    chosen hyperparameters — no fitting.  Useful when the caller knows the
+    kernel it wants (tests, hand-tuned surrogates)."""
+    x, y = _as_xy(x, y)
     if x.shape[1] != params.dim:
         raise InvalidArgumentError(
             f"input dimension {x.shape[1]} != lengthscale dimension {params.dim}"
@@ -240,12 +231,8 @@ def build_model(
 def _log_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of the log-parameter vector
     (log lengthscales, log output scale, log noise variance)."""
-    lo = np.log(
-        np.array([LENGTHSCALE_BOUNDS[0]] * dim + [OUTPUT_SCALE_BOUNDS[0], NOISE_BOUNDS[0]])
-    )
-    hi = np.log(
-        np.array([LENGTHSCALE_BOUNDS[1]] * dim + [OUTPUT_SCALE_BOUNDS[1], NOISE_BOUNDS[1]])
-    )
+    bounds = [LENGTHSCALE_BOUNDS] * dim + [OUTPUT_SCALE_BOUNDS, NOISE_BOUNDS]
+    lo, hi = np.log(bounds).T
     return lo, hi
 
 
@@ -294,7 +281,8 @@ def log_prior(
 
 
 def fit(
-    observations: Iterable[tuple[Sequence[float], float]],
+    x: np.ndarray,
+    y: np.ndarray,
     seed: int,
     restarts: int = 3,
     max_rounds: int = 10,
@@ -321,8 +309,10 @@ def fit(
 
     Parameters
     ----------
-    observations : iterable of (x, y)
-        Training pairs; x must lie in the unit cube.
+    x : (n, dim) array
+        Training inputs, in the unit cube.
+    y : (n,) array
+        Training targets.
     seed : int
         Seeds the restart starting points.
 
@@ -330,10 +320,12 @@ def fit(
     ------
     InsufficientDataError
         Fewer than two observations.
+    InvalidArgumentError
+        Row counts differ, or a value is not finite.
     NumericalFailureError
         Covariance stayed singular through jitter escalation.
     """
-    x, y = _as_xy(observations)
+    x, y = _as_xy(x, y)
     dim = x.shape[1]
 
     z, _, _ = _standardize(y)

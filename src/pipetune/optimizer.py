@@ -17,21 +17,14 @@ import json
 import logging
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import gp
-from .acquisition import (
-    ETA_SCHEDULES,
-    METHODS,
-    BudgetState,
-    ModelSet,
-    cooling_eta,
-    score_candidates,
-)
+from .acquisition import ETA_SCHEDULES, METHODS, ModelSet, cooling_eta, score_candidates
 from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, empty_pool, update_pool
 from .candidates import SearchSpace, generate, scrambled_halton
 from .errors import (
@@ -103,23 +96,11 @@ class RunConfig:
             raise InvalidArgumentError(f"unknown prefix policy: {self.prefix_policy!r}")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be nonnegative")
-        if self.total_budget != "auto" and not float(self.total_budget) > 0.0:
-            raise InvalidArgumentError("total_budget must be positive or 'auto'")
+        if self.total_budget != "auto" and not 0.0 < float(self.total_budget) < math.inf:
+            raise InvalidArgumentError("total_budget must be positive and finite, or 'auto'")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n0": self.n0,
-            "m": self.m,
-            "n_mc": self.n_mc,
-            "restarts": self.restarts,
-            "q": self.q,
-            "epsilon": self.epsilon,
-            "eta_schedule": self.eta_schedule,
-            "prefix_policy": self.prefix_policy,
-            "total_budget": self.total_budget,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -173,10 +154,6 @@ class OptState:
     rows: list[TraceRow]
     models: Optional[ModelSet] = None
 
-    @property
-    def f_best(self) -> float:
-        return max(o.y for o in self.observations)
-
 
 # ---------------------------------------------------------------------------
 # model fitting
@@ -190,28 +167,22 @@ def _fit_models(state: OptState, iteration: int) -> ModelSet:
     y = np.array([o.y for o in obs])
 
     objective = gp.fit(
-        zip(xn, y), derived_int(cfg.seed, _TAG_FIT, iteration, _OBJECTIVE_MODEL_INDEX)
+        xn, y, derived_int(cfg.seed, _TAG_FIT, iteration, _OBJECTIVE_MODEL_INDEX)
     )
     costs = []
     for seg in METHODS[cfg.method].segments(state.space.n_stages):
-        cols = seg.columns(state.space)
-        pairs = [
-            (xn[i, cols], math.log(seg.cost(o.stage_costs)))
-            for i, o in enumerate(obs)
-            if o.memo_delta < seg.first
-        ]
-        costs.append(gp.fit(pairs, derived_int(cfg.seed, _TAG_FIT, iteration, seg.index)))
+        rows = [i for i, o in enumerate(obs) if o.memo_delta < seg.first]
+        # math.log per row, as np.log may round differently
+        log_costs = [math.log(seg.cost(obs[i].stage_costs)) for i in rows]
+        seed = derived_int(cfg.seed, _TAG_FIT, iteration, seg.index)
+        costs.append(gp.fit(xn[rows, seg.columns(state.space)], log_costs, seed))
     return ModelSet(objective=objective, costs=tuple(costs))
 
 
 # ---------------------------------------------------------------------------
 # loop
 
-def init_state(
-    config: RunConfig,
-    pipeline: PipelineSpec,
-    cache_root: Optional[str | Path] = None,
-) -> OptState:
+def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path) -> OptState:
     """Run the warmup phase and return loop state ready for step().
 
     Warmup points come from a scrambled low-discrepancy sequence seeded
@@ -231,14 +202,11 @@ def init_state(
             f"m={config.m} is below the {groups} candidate groups that a pool of "
             f"q={capacity} sources gives under prefix policy {config.prefix_policy!r}"
         )
-    store = StageOutputStore(
-        cache_root if cache_root is not None else tempfile.mkdtemp(prefix="pipetune_cache_")
-    )
     state = OptState(
         config=config,
         pipeline=pipeline,
         space=space,
-        store=store,
+        store=StageOutputStore(cache_root),
         pool=pool,
         observations=[],
         consumed=0.0,
@@ -293,10 +261,7 @@ def step(state: OptState) -> Observation:
     # the trace records the exponent applied, which stays 1 without cooling
     if method.cools:
         state.eta = cooling_eta(
-            BudgetState(
-                total_budget=state.total_budget, consumed=state.consumed, eta=state.eta
-            ),
-            cfg.eta_schedule,
+            cfg.eta_schedule, state.total_budget, state.consumed, state.eta
         )
 
     try:
@@ -310,7 +275,7 @@ def step(state: OptState) -> Observation:
             exc,
         )
 
-    f_best = state.f_best
+    f_best = state.rows[-1].best_y  # the best y observed so far
     segments = method.segments(state.space.n_stages)
     all_xs: list[np.ndarray] = []
     all_scores: list[np.ndarray] = []
@@ -361,9 +326,13 @@ def run(
     """Warmup then step until the budget is consumed; the iteration that
     crosses the budget completes and is recorded.
 
-    On failure, rows gathered so far are flushed to trace_path before the
-    error propagates.
+    Without ``cache_root`` the stage outputs go to a temporary directory,
+    removed when the run returns or raises. On failure, rows gathered so
+    far are flushed to trace_path before the error propagates.
     """
+    if cache_root is None:
+        with tempfile.TemporaryDirectory(prefix="pipetune_cache_") as root:
+            return run(config, pipeline, trace_path, root)
     state = init_state(config, pipeline, cache_root)
     trace = RunTrace(
         pipeline_name=pipeline.name,

@@ -222,7 +222,6 @@ class Observation:
     y: float
     stage_costs: tuple[float, ...]
     memo_delta: int
-    wall_time: float
 
     @property
     def executed_cost(self) -> float:
@@ -327,8 +326,9 @@ def run(
     Stages 1..delta are served from the cache (cost 0.0); stages delta+1..K
     execute. A stored output that no longer resolves is skipped for the
     next shallower pool depth. When the pool has capacity, the executed
-    stages' outputs (all but the last stage's) are stored, which also
-    rewrites a damaged one, so this observation can seed future prefixes.
+    stages' outputs are stored at the pool's depths, the only ones a lookup
+    resolves, which also rewrites a damaged one, so this observation can
+    seed future prefixes.
     """
     x = np.asarray(x, dtype=float)
     space = spec.search_space()
@@ -337,7 +337,6 @@ def run(
     if not space.contains(x):
         raise InvalidArgumentError("x outside pipeline bounds")
 
-    started = time.perf_counter()
     hit = lookup(pool, x)
     # every pool depth up to the hit's is a cached prefix of x too: a
     # damaged blob falls back to the deepest one that still resolves
@@ -352,7 +351,7 @@ def run(
             break
 
     k_total = spec.n_stages
-    store_outputs = pool.capacity > 0
+    store_depths = pool.deltas if pool.capacity > 0 else ()
     stage_costs = [0.0] * k_total
     synthetic = spec.stages[0].kind == "synthetic"
 
@@ -363,7 +362,7 @@ def run(
             stage_x = x[space.stage_slice(k)]
             carry += stage.objective_fn(stage_x)
             stage_costs[k - 1] = stage.cost_fn(stage_x)
-            if store_outputs and k < k_total:
+            if k in store_depths:
                 cache.store_output(k, x[: space.prefix_width(k)], _PARTIAL.pack(carry))
         y = carry + _keyed_noise(x, spec.noise_std)
     else:
@@ -377,16 +376,12 @@ def run(
                     stage, k, stage_x, carry_payload, workdir
                 )
                 stage_costs[k - 1] = cost
-                if store_outputs and k < k_total:
+                if k in store_depths:
                     cache.store_output(k, x[: space.prefix_width(k)], carry_payload)
             y = _parse_objective(stdout, k_total)
 
     return Observation(
-        x=x,
-        y=float(y),
-        stage_costs=tuple(stage_costs),
-        memo_delta=delta,
-        wall_time=time.perf_counter() - started,
+        x=x, y=float(y), stage_costs=tuple(stage_costs), memo_delta=delta
     )
 
 
@@ -394,6 +389,17 @@ def run(
 # synthetic suites and pipeline definition files
 
 _SUITE_ORDER = ("branin2", "hartmann3", "beale2", "ackley3", "michalewicz2")
+
+
+def _benchmark_stage(name: str, bench: BenchmarkFunction) -> StageSpec:
+    return StageSpec(
+        name=name,
+        dim=bench.dim,
+        bounds=bench.bounds,
+        kind="synthetic",
+        objective_fn=bench.stage_objective,
+        cost_fn=default_stage_cost,
+    )
 
 
 def synthetic_suite(name: str) -> PipelineSpec:
@@ -407,20 +413,11 @@ def synthetic_suite(name: str) -> PipelineSpec:
         picks = _SUITE_ORDER * 2
     else:
         raise InvalidArgumentError(f"unknown synthetic suite: {name!r}")
-    stages = []
-    for k, bench_name in enumerate(picks, start=1):
-        bench = BENCHMARKS[bench_name]
-        stages.append(
-            StageSpec(
-                name=f"s{k}_{bench.name}",
-                dim=bench.dim,
-                bounds=bench.bounds,
-                kind="synthetic",
-                objective_fn=bench.stage_objective,
-                cost_fn=default_stage_cost,
-            )
-        )
-    return PipelineSpec(name=name, stages=tuple(stages))
+    stages = tuple(
+        _benchmark_stage(f"s{k}_{bench_name}", BENCHMARKS[bench_name])
+        for k, bench_name in enumerate(picks, start=1)
+    )
+    return PipelineSpec(name=name, stages=stages)
 
 
 def load_pipeline_file(path: str | Path) -> PipelineSpec:
@@ -445,16 +442,7 @@ def load_pipeline_file(path: str | Path) -> PipelineSpec:
                 raise InvalidArgumentError(
                     f"stage {k}: unknown benchmark {item.get('function')!r}"
                 )
-            stages.append(
-                StageSpec(
-                    name=item.get("name", f"s{k}_{bench.name}"),
-                    dim=bench.dim,
-                    bounds=bench.bounds,
-                    kind="synthetic",
-                    objective_fn=bench.stage_objective,
-                    cost_fn=default_stage_cost,
-                )
-            )
+            stages.append(_benchmark_stage(item.get("name", f"s{k}_{bench.name}"), bench))
         else:
             bounds = tuple((float(lo), float(hi)) for lo, hi in item["bounds"])
             stages.append(

@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from pipetune.acquisition import (
-    BudgetState,
     ModelSet,
     cooling_eta,
     expected_improvement_batch,
@@ -107,7 +106,7 @@ def test_criterion_02_gp_exactness():
     )
     x3 = np.array([[0.1, 0.2], [0.5, 0.9], [0.8, 0.3]])
     y3 = np.array([1.0, -2.0, 0.5])
-    model3 = build_model(list(zip(x3, y3)), params3)
+    model3 = build_model(x3, y3, params3)
     mean3, _ = posterior_mean_var(model3, x3)
     interp_err = float(np.max(np.abs(mean3 - y3)))
 
@@ -123,7 +122,7 @@ def test_criterion_02_gp_exactness():
         x = rng.uniform(0.0, 1.0, size=(4, 3))
         y = rng.standard_normal(4)
         queries = rng.uniform(0.0, 1.0, size=(6, 3))
-        model = build_model(list(zip(x, y)), params)
+        model = build_model(x, y, params)
         mean, var = posterior_mean_var(model, queries)
         omean, ovar = _dense_oracle(x, y, params, queries)
         oracle_err = max(
@@ -192,18 +191,15 @@ def test_criterion_04_memoization_gate():
             output_scale=1e-18,
             noise_variance=1e-6,
         )
-        pts = [
-            (np.full(dim, 0.2), math.log(cost)),
-            (np.full(dim, 0.8), math.log(cost)),
-        ]
-        return build_model(pts, params)
+        x = np.array([np.full(dim, 0.2), np.full(dim, 0.8)])
+        return build_model(x, [math.log(cost)] * 2, params)
 
     costs = tuple(
         flat_cost_model(space.stage_dims[k], stage_costs[k]) for k in range(3)
     )
-    obj_pts = [(space.normalize(x[None, :])[0], float(i)) for i, x in enumerate(xs)]
     objective = build_model(
-        obj_pts,
+        space.normalize(xs),
+        np.arange(len(xs), dtype=float),
         KernelParams(
             lengthscales=np.full(7, 0.5), output_scale=1.0, noise_variance=1e-4
         ),
@@ -246,19 +242,18 @@ def test_criterion_04_memoization_gate():
 
 
 def test_criterion_05_eta_schedules():
-    budget = BudgetState(total_budget=100.0)
-    etas = []
-    for consumed in (0.0, 10.0, 35.0, 60.0, 99.0, 100.0, 140.0):
-        budget.consumed = consumed
-        etas.append(cooling_eta(budget, "budget"))
+    etas = [
+        cooling_eta("budget", 100.0, consumed, 1.0)
+        for consumed in (0.0, 10.0, 35.0, 60.0, 99.0, 100.0, 140.0)
+    ]
     nonincreasing = all(b <= a for a, b in zip(etas, etas[1:]))
     hits_zero = etas[-2] == 0.0 and etas[-1] == 0.0
 
-    state = BudgetState(total_budget=1.0, eta=1.0)
+    eta = 1.0
     decay_err = 0.0
     for t in range(1, 31):
-        state.eta = cooling_eta(state, "exp_decay")
-        decay_err = max(decay_err, abs(state.eta - 0.9**t))
+        eta = cooling_eta("exp_decay", 1.0, 0.0, eta)
+        decay_err = max(decay_err, abs(eta - 0.9**t))
     _check(
         5,
         "eta schedules",
@@ -318,7 +313,7 @@ def test_criterion_06_cache_randomized_invariants():
         if rng.uniform() < 0.7:
             y = float(rng.standard_normal())
             obs = Observation(
-                x=x, y=y, stage_costs=(1.0, 1.0, 1.0), memo_delta=0, wall_time=0.0
+                x=x, y=y, stage_costs=(1.0, 1.0, 1.0), memo_delta=0
             )
             pool = update_pool(pool, obs)
             ref.offer(tuple(float(v) for v in x[:3]), y)
@@ -507,7 +502,6 @@ def test_criterion_14_cache_overhead(tmp_path):
                 y=float(rng.standard_normal()),
                 stage_costs=(1.0, 1.0, 1.0),
                 memo_delta=0,
-                wall_time=0.0,
             )
             pool = update_pool(pool, obs)
         timings.append((time.perf_counter() - start) / 100)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from pipetune.acquisition import (
     EXP_DECAY_FACTOR,
     METHODS,
-    BudgetState,
     ModelSet,
     _segment_draws,
     cooling_eta,
@@ -197,7 +196,9 @@ def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
 )
 def test_segment_draws_exponentiate_only_live_rows(memoized):
     model = build_model(
-        [([0.1], 0.0), ([0.5], 1.0), ([0.9], -0.5)], KernelParams(np.array([0.3]), 1.0, 1e-2)
+        np.array([[0.1], [0.5], [0.9]]),
+        [0.0, 1.0, -0.5],
+        KernelParams(np.array([0.3]), 1.0, 1e-2),
     )
     xn = np.linspace(0.0, 1.0, 5)[:, None]
     _check_segment_draws(model, xn, np.array(memoized), n_mc=64, seed=21)
@@ -205,7 +206,8 @@ def test_segment_draws_exponentiate_only_live_rows(memoized):
 
 _DRAWS_MODEL_DATA = np.random.default_rng(5).uniform(size=(40, 3))
 _DRAWS_MODEL = build_model(
-    zip(_DRAWS_MODEL_DATA, np.sin(5.0 * _DRAWS_MODEL_DATA).sum(axis=1)),
+    _DRAWS_MODEL_DATA,
+    np.sin(5.0 * _DRAWS_MODEL_DATA).sum(axis=1),
     KernelParams(np.array([0.4, 0.2, 0.7]), 1.3, 1e-3),
 )
 
@@ -234,34 +236,35 @@ def test_segment_draws_match_full_block_property(data, rows, n_mc, seed):
 # Story: the budget schedule is the remaining fraction, clamped at zero once
 # the budget is overshot.
 def test_budget_schedule():
-    assert cooling_eta(BudgetState(100.0, 0.0), "budget") == 1.0
-    assert cooling_eta(BudgetState(100.0, 25.0), "budget") == 0.75
-    assert cooling_eta(BudgetState(100.0, 100.0), "budget") == 0.0
-    assert cooling_eta(BudgetState(100.0, 130.0), "budget") == 0.0
+    assert cooling_eta("budget", 100.0, 0.0, 1.0) == 1.0
+    assert cooling_eta("budget", 100.0, 25.0, 1.0) == 0.75
+    assert cooling_eta("budget", 100.0, 100.0, 1.0) == 0.0
+    assert cooling_eta("budget", 100.0, 130.0, 1.0) == 0.0
 
 
 def test_constant_schedule():
-    assert cooling_eta(BudgetState(100.0, 99.0, eta=0.2), "constant") == 1.0
+    assert cooling_eta("constant", 100.0, 99.0, 0.2) == 1.0
 
 
 # Story: exp_decay multiplies the carried eta by the fixed factor each call.
 def test_exp_decay_schedule():
     eta = 1.0
     for t in range(1, 40):
-        eta = cooling_eta(BudgetState(100.0, 0.0, eta=eta), "exp_decay")
+        eta = cooling_eta("exp_decay", 100.0, 0.0, eta)
         assert eta == pytest.approx(EXP_DECAY_FACTOR**t, abs=1e-12)
 
 
 def test_unknown_schedule_raises():
     with pytest.raises(InvalidArgumentError):
-        cooling_eta(BudgetState(100.0, 0.0), "linear")
+        cooling_eta("linear", 100.0, 0.0, 1.0)
 
 
+# Story: the budget's two refusals run on every call, whatever the schedule.
 def test_budget_state_validation():
     with pytest.raises(InvalidArgumentError):
-        BudgetState(total_budget=0.0)
+        cooling_eta("budget", 0.0, 0.0, 1.0)
     with pytest.raises(InvalidArgumentError):
-        BudgetState(total_budget=10.0, consumed=-1.0)
+        cooling_eta("constant", 10.0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,8 @@ def _flat_world(n=5):
     space = synthetic_suite("synth3").search_space()
     xs = space.uniform(np.random.default_rng(3), n)
     objective = build_model(
-        [(space.normalize(x[None, :])[0], float(i)) for i, x in enumerate(xs)],
+        space.normalize(xs),
+        np.arange(len(xs), dtype=float),
         KernelParams(lengthscales=np.full(7, 0.5), output_scale=1.0, noise_variance=1e-4),
     )
 
@@ -282,10 +286,8 @@ def _flat_world(n=5):
         params = KernelParams(
             lengthscales=np.full(dim, 10.0), output_scale=1.0, noise_variance=1e-6
         )
-        return build_model(
-            [(np.full(dim, 0.2), math.log(cost)), (np.full(dim, 0.8), math.log(cost))],
-            params,
-        )
+        x = np.array([np.full(dim, 0.2), np.full(dim, 0.8)])
+        return build_model(x, [math.log(cost)] * 2, params)
 
     stages = tuple(flat(space.stage_dims[k], (2.0, 3.0, 4.0)[k]) for k in range(3))
     total = (flat(space.dim, 9.0),)

@@ -29,7 +29,7 @@ from pipetune.pipeline import Observation
 def _obs(x, y):
     x = np.asarray(x, dtype=float)
     return Observation(
-        x=x, y=float(y), stage_costs=(1.0,) * 3, memo_delta=0, wall_time=0.0
+        x=x, y=float(y), stage_costs=(1.0,) * 3, memo_delta=0
     )
 
 

@@ -31,7 +31,6 @@ def _obs(x, y):
         y=float(y),
         stage_costs=(1.0, 1.0, 1.0),
         memo_delta=0,
-        wall_time=0.0,
     )
 
 

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from pipetune.cli import (
+    SummaryRow,
     _build_jobs,
     _improvement_flags,
     build_parser,
@@ -89,6 +90,32 @@ def test_summary_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("pipeline,method,repeats,mean_best")
     assert lines[1].split(",")[:3] == ["toy", "ei", "1"]
+
+
+# Story: one writer serves summary.csv and ablation.csv; its bytes, with and
+# without the level column, are those of the two writers it replaced:
+# floats at 17 significant digits, one line per row, a final newline.
+def test_summary_csv_bytes_with_and_without_levels(tmp_path):
+    rows = [
+        SummaryRow("synth3", "eeipu", 5, 1 / 3, 0.1 + 0.2, 12.5, 100.0, 200 / 3),
+        SummaryRow("synth3", "ei", 1, -(2.0**-40), 0.0, 7.0, 1e-7, 0.0),
+    ]
+    header = (
+        "pipeline,method,repeats,mean_best,se_best,mean_iterations,"
+        "mean_consumed,pct_improv_memo"
+    )
+    eeipu = "synth3,eeipu,5,0.33333333333333331,0.30000000000000004,12.5,100,66.666666666666671"
+    ei = "synth3,ei,1,-9.0949470177292824e-13,0,7,9.9999999999999995e-08,0"
+
+    path = tmp_path / "summary.csv"
+    write_summary_csv(rows, path)
+    assert path.read_bytes() == f"{header}\n{eeipu}\n{ei}\n".encode()
+
+    path = tmp_path / "ablation.csv"
+    write_summary_csv([rows[0], *rows], path, ["0.001", "100.0", "100.0"])
+    assert path.read_bytes() == (
+        f"level,{header}\n0.001,{eeipu}\n100.0,{eeipu}\n100.0,{ei}\n".encode()
+    )
 
 
 def test_curves_csv_is_long_format(tmp_path):
@@ -228,6 +255,20 @@ def test_unknown_method_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown method" in capsys.readouterr().err
+
+
+# Story: --budget takes 'auto' or a finite number; anything else is a usage
+# error (exit 2) before any run starts.
+def test_bad_budget_is_usage_error(tmp_path, capsys):
+    flags = ["run", "--pipeline", "synth3", "--out", str(tmp_path), "--budget"]
+    with pytest.raises(SystemExit) as exc:
+        main([*flags, "abc"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+    for budget in ("inf", "1e400", "nan"):
+        assert main([*flags, budget]) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))
 
 
 def test_unknown_pipeline_is_usage_error(tmp_path, capsys):

@@ -3,13 +3,19 @@ budget accounting, acquisition scoring mechanics, the single-stage
 degeneracy, and trace persistence."""
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
 
 import pipetune.optimizer as optimizer
 from pipetune.acquisition import ModelSet, score_candidates
-from pipetune.errors import InvalidArgumentError, NumericalFailureError, TraceParseError
+from pipetune.errors import (
+    InvalidArgumentError,
+    NumericalFailureError,
+    PipetuneError,
+    TraceParseError,
+)
 from pipetune.gp import KernelParams, build_model
 from pipetune.optimizer import (
     RunConfig,
@@ -66,6 +72,14 @@ def test_run_config_validation():
     ):
         with pytest.raises(InvalidArgumentError):
             RunConfig(**bad)
+
+
+# Story: a budget that is not finite would keep run's loop going forever,
+# so RunConfig refuses it, whether given as a float or as a string.
+@pytest.mark.parametrize("budget", [float("inf"), "1e400", float("nan"), "-inf"])
+def test_run_config_refuses_nonfinite_budget(budget):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        RunConfig(total_budget=budget)
 
 
 def test_run_config_roundtrips_to_dict():
@@ -157,6 +171,24 @@ def test_only_pool_methods_write_blobs(tmp_path):
         assert not list(root.rglob("index.tsv")), method
 
 
+# Story: without a cache root, run stores stage outputs in a temporary
+# directory that it removes when it returns and when it raises.
+def test_run_without_cache_root_leaves_nothing_behind(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    pipe = synthetic_suite("synth3")
+    trace = run(_tiny_cfg("eeipu", total_budget=150.0), pipe)
+    assert trace.post_warmup_rows() and any(r.delta > 0 for r in trace.rows)
+    assert not list(tmp_path.iterdir())
+
+    def failing_step(state):
+        raise PipetuneError("step failed")
+
+    monkeypatch.setattr(optimizer, "step", failing_step)
+    with pytest.raises(PipetuneError, match="step failed"):
+        run(_tiny_cfg("eeipu", total_budget=150.0), pipe)
+    assert not list(tmp_path.iterdir())
+
+
 def test_explicit_budget_respected(tmp_path):
     pipe = synthetic_suite("synth3")
     state = init_state(_tiny_cfg("ei", total_budget=123.0), pipe, tmp_path)
@@ -245,8 +277,8 @@ def _constant_cost_model(dim, cost):
     params = KernelParams(
         lengthscales=np.full(dim, 10.0), output_scale=1.0, noise_variance=1e-6
     )
-    pts = [(np.full(dim, 0.2), math.log(cost)), (np.full(dim, 0.8), math.log(cost))]
-    return build_model(pts, params)
+    x = np.array([np.full(dim, 0.2), np.full(dim, 0.8)])
+    return build_model(x, [math.log(cost)] * 2, params)
 
 
 # Story: the scorer replaces the first delta stage draws with epsilon before
@@ -261,9 +293,9 @@ def test_score_candidates_memoization_gate():
     costs = tuple(
         _constant_cost_model(space.stage_dims[k], (2.0, 3.0, 4.0)[k]) for k in range(3)
     )
-    obj_pts = [(space.normalize(x[None, :])[0], float(i)) for i, x in enumerate(xs)]
     objective = build_model(
-        obj_pts,
+        space.normalize(xs),
+        np.arange(len(xs), dtype=float),
         KernelParams(lengthscales=np.full(7, 0.5), output_scale=1.0, noise_variance=1e-4),
     )
     models = ModelSet(objective=objective, costs=costs)
@@ -305,9 +337,9 @@ def test_score_candidates_ei_is_cost_blind():
     pipe = synthetic_suite("synth3")
     space = pipe.search_space()
     xs = space.uniform(np.random.default_rng(1), 4)
-    obj_pts = [(space.normalize(x[None, :])[0], float(i)) for i, x in enumerate(xs)]
     objective = build_model(
-        obj_pts,
+        space.normalize(xs),
+        np.arange(len(xs), dtype=float),
         KernelParams(lengthscales=np.full(7, 0.5), output_scale=1.0, noise_variance=1e-4),
     )
     models = ModelSet(objective=objective)
