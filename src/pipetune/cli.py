@@ -194,21 +194,11 @@ def _load_pipeline(name: str | None, file: str | None) -> PipelineSpec:
     )
 
 
-def _execute_job(job: dict) -> str:
-    """Run one (method, seed) tuning run; module-level so process pools can
-    pickle it. Returns the trace path."""
-    pipeline = _load_pipeline(job["pipeline_name"], job["pipeline_file"])
-    config = RunConfig(**job["config"])
-    run_optimizer(
-        config,
-        pipeline,
-        trace_path=job["trace_path"],
-        cache_root=job["cache_root"],
-    )
-    return job["trace_path"]
-
-
-def _build_jobs(args, out_dir: Path, overrides: dict | None = None) -> list[dict]:
+def _build_jobs(
+    args, out_dir: Path, overrides: dict | None = None
+) -> list[tuple[RunConfig, str, str]]:
+    """One (config, trace path, cache root) per method and repeat; every
+    config is checked by RunConfig before any job runs."""
     overrides = overrides or {}
     cache_base = Path(os.environ.get(CACHE_ROOT_ENV, out_dir / "cache"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -223,25 +213,23 @@ def _build_jobs(args, out_dir: Path, overrides: dict | None = None) -> list[dict
     for method in methods:
         for i in range(args.repeats):
             seed = args.seed + i
-            config = {**flags, **overrides, "method": method, "seed": seed}
+            config = RunConfig(**{**flags, **overrides, "method": method, "seed": seed})
             run_id = f"{args.pipeline or Path(args.pipeline_file).stem}_{method}_s{seed}"
-            jobs.append(
-                dict(
-                    pipeline_name=args.pipeline,
-                    pipeline_file=args.pipeline_file,
-                    config=RunConfig(**config).to_dict(),  # refuses a bad config up front
-                    trace_path=str(out_dir / f"{run_id}.csv"),
-                    cache_root=str(cache_base / run_id),
-                )
-            )
+            jobs.append((config, str(out_dir / f"{run_id}.csv"), str(cache_base / run_id)))
     return jobs
 
 
-def _run_jobs(jobs: list[dict], n_jobs: int) -> list[str]:
-    if n_jobs <= 1 or len(jobs) <= 1:
-        return [_execute_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_execute_job, jobs))
+def _run_jobs(pipeline: PipelineSpec, jobs: list[tuple], n_jobs: int) -> list[str]:
+    """Run the jobs, in a process pool when n_jobs > 1; returns their trace
+    paths."""
+    runs = [(config, pipeline, path, root) for config, path, root in jobs]
+    if n_jobs <= 1 or len(runs) <= 1:
+        for run in runs:
+            run_optimizer(*run)
+    else:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            list(pool.map(run_optimizer, *zip(*runs)))
+    return [path for _, path, _ in jobs]
 
 
 def _report(paths: list, out_dir: Path) -> int:
@@ -257,21 +245,22 @@ def _report(paths: list, out_dir: Path) -> int:
 def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _load_pipeline(args.pipeline, args.pipeline_file)  # fail fast on bad spec
-    return _report(_run_jobs(_build_jobs(args, out_dir), args.jobs), out_dir)
+    pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
+    return _report(_run_jobs(pipeline, _build_jobs(args, out_dir), args.jobs), out_dir)
 
 
 def cmd_ablate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _load_pipeline(args.pipeline, args.pipeline_file)
+    pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
     field_name, levels = ABLATION_LEVELS[args.kind]
 
     level_rows: list[tuple[str, list[SummaryRow]]] = []
     for level in levels:
         level_dir = out_dir / f"{args.kind}_{level}"
         level_dir.mkdir(parents=True, exist_ok=True)
-        paths = _run_jobs(_build_jobs(args, level_dir, {field_name: level}), args.jobs)
+        jobs = _build_jobs(args, level_dir, {field_name: level})
+        paths = _run_jobs(pipeline, jobs, args.jobs)
         rows = summarize([read_trace(p) for p in paths])
         write_summary_csv(rows, level_dir / "summary.csv")
         level_rows.append((str(level), rows))

@@ -58,15 +58,15 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class GPModel:
-    """A fitted GP: normalized inputs, standardized targets and the
-    Cholesky factorization used for posterior inference.
+    """A fitted GP: normalized inputs and the Cholesky factorization used
+    for posterior inference.
 
     ``target_transform`` is the (shift, scale) pair that undoes the
-    internal standardization; ``alpha`` solves (K + noise I) alpha = z.
+    internal standardization of the targets to z; ``alpha`` solves
+    (K + noise I) alpha = z.
     """
 
     inputs: np.ndarray
-    targets: np.ndarray
     params: KernelParams
     chol: np.ndarray
     alpha: np.ndarray
@@ -111,14 +111,6 @@ def _cross_cov(
     return k
 
 
-def _gram(
-    x: np.ndarray, lengthscales: np.ndarray, output_scale: float | np.ndarray
-) -> np.ndarray:
-    k = _cross_cov(x, x, lengthscales, output_scale)
-    # exact symmetry keeps the Cholesky stable
-    return 0.5 * (k + np.swapaxes(k, -1, -2))
-
-
 def _chol_with_jitter(k_noisy: np.ndarray) -> np.ndarray:
     """Cholesky factor of an SPD matrix, escalating diagonal jitter from
     1e-8 by factors of 10 up to 1e-2 before giving up."""
@@ -158,7 +150,7 @@ def _lml_values(
     (B, dim), output_scale (B,) and noise_variance (B,), all positive.
     -inf where the covariance stays singular through jitter escalation."""
     n, batch = x.shape[0], len(output_scale)
-    k = _gram(x, lengthscales, output_scale)
+    k = _cross_cov(x, x, lengthscales, output_scale)
     k.reshape(batch, -1)[:, :: n + 1] += noise_variance[:, None]  # the diagonals, as a view
     try:
         chols = np.linalg.cholesky(k)
@@ -178,24 +170,6 @@ def _lml_values(
         w, _ = lapack.dtrtrs(chols[i], z, lower=1)
         values[i] = -0.5 * w @ w - log_det - 0.5 * n * _LOG_2PI
     return values
-
-
-def _build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
-    """Condition on standardized y: the Cholesky factor of K + noise I and
-    alpha = (K + noise I)^-1 z."""
-    z, shift, scale = _standardize(y)
-    k = _gram(x, params.lengthscales, params.output_scale)
-    k += params.noise_variance * np.eye(x.shape[0])
-    chol = _chol_with_jitter(k)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
-    return GPModel(
-        inputs=x,
-        targets=z,
-        params=params,
-        chol=chol,
-        alpha=alpha,
-        target_transform=(shift, scale),
-    )
 
 
 def _as_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +192,26 @@ def _as_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     """Condition on inputs x (n, dim) and targets y (n,) with explicitly
-    chosen hyperparameters — no fitting.  Useful when the caller knows the
-    kernel it wants (tests, hand-tuned surrogates)."""
+    chosen hyperparameters — no fitting: the Cholesky factor of
+    K + noise I and alpha = (K + noise I)^-1 z for the standardized z.
+    ``fit`` calls it with the hyperparameters it chose."""
     x, y = _as_xy(x, y)
     if x.shape[1] != params.dim:
         raise InvalidArgumentError(
             f"input dimension {x.shape[1]} != lengthscale dimension {params.dim}"
         )
-    return _build_model(x, y, params)
+    z, shift, scale = _standardize(y)
+    k = _cross_cov(x, x, params.lengthscales, params.output_scale)
+    k += params.noise_variance * np.eye(x.shape[0])
+    chol = _chol_with_jitter(k)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    return GPModel(
+        inputs=x,
+        params=params,
+        chol=chol,
+        alpha=alpha,
+        target_transform=(shift, scale),
+    )
 
 
 def _log_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +365,7 @@ def fit(
     best = int(np.argmax(vals))  # the first of equal values: the earlier start
     if not np.isfinite(vals[best]):
         raise NumericalFailureError("likelihood not finite at any candidate")
-    return _build_model(x, y, _theta_to_params(thetas[best], dim))
+    return build_model(x, y, _theta_to_params(thetas[best], dim))
 
 
 def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -63,6 +63,14 @@ def derived_int(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([int(seed), *map(int, tags)]).generate_state(1)[0])
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Resolved knobs for one tuning run."""
@@ -82,22 +90,26 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidArgumentError(f"unknown method: {self.method!r}")
+        for name in ("n0", "m", "n_mc", "restarts", "q", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be an integer")
         if self.n0 < 2:
             raise InvalidArgumentError("n0 must be >= 2")
         if self.m < 1 or self.n_mc < 1 or self.restarts < 1:
             raise InvalidArgumentError("m, n_mc, and restarts must be >= 1")
         if self.q < 0:
             raise InvalidArgumentError("q must be >= 0")
-        if not self.epsilon > 0.0:
-            raise InvalidArgumentError("epsilon must be positive")
+        if not (_is_real(self.epsilon) and self.epsilon > 0.0):
+            raise InvalidArgumentError("epsilon must be a positive number")
         if self.eta_schedule not in ETA_SCHEDULES:
             raise InvalidArgumentError(f"unknown eta schedule: {self.eta_schedule!r}")
         if self.prefix_policy not in PREFIX_POLICIES:
             raise InvalidArgumentError(f"unknown prefix policy: {self.prefix_policy!r}")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be nonnegative")
-        if self.total_budget != "auto" and not 0.0 < float(self.total_budget) < math.inf:
-            raise InvalidArgumentError("total_budget must be positive and finite, or 'auto'")
+        budget = self.total_budget
+        if budget != "auto" and not (_is_real(budget) and 0.0 < budget < math.inf):
+            raise InvalidArgumentError("total_budget must be a positive finite number, or 'auto'")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,19 +152,21 @@ class RunTrace:
 
 @dataclass
 class OptState:
-    """Mutable loop state owned by run()/step()."""
+    """Mutable loop state owned by run()/step(); ``rows`` is its only record
+    of what ran, so the budget consumed and the eta are read from it."""
 
     config: RunConfig
     pipeline: PipelineSpec
     space: SearchSpace
     store: StageOutputStore
     pool: PrefixPool
-    observations: list[Observation]
-    consumed: float
     total_budget: float
-    eta: float
     rows: list[TraceRow]
     models: Optional[ModelSet] = None
+
+    @property
+    def consumed(self) -> float:
+        return self.rows[-1].consumed if self.rows else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +174,22 @@ class OptState:
 
 def _fit_models(state: OptState, iteration: int) -> ModelSet:
     """The objective GP, then one log-cost GP per cost segment, fitted on
-    the observations that executed every stage of the segment."""
+    the trace rows that executed every stage of the segment."""
     cfg = state.config
-    obs = state.observations
-    xn = state.space.normalize(np.stack([o.x for o in obs]))
-    y = np.array([o.y for o in obs])
+    rows = state.rows
+    xn = state.space.normalize(np.array([r.x for r in rows]))
+    y = np.array([r.y for r in rows])
 
     objective = gp.fit(
         xn, y, derived_int(cfg.seed, _TAG_FIT, iteration, _OBJECTIVE_MODEL_INDEX)
     )
     costs = []
     for seg in METHODS[cfg.method].segments(state.space.n_stages):
-        rows = [i for i, o in enumerate(obs) if o.memo_delta < seg.first]
+        executed = [i for i, r in enumerate(rows) if r.delta < seg.first]
         # math.log per row, as np.log may round differently
-        log_costs = [math.log(seg.cost(obs[i].stage_costs)) for i in rows]
+        log_costs = [math.log(seg.cost(rows[i].stage_costs)) for i in executed]
         seed = derived_int(cfg.seed, _TAG_FIT, iteration, seg.index)
-        costs.append(gp.fit(xn[rows, seg.columns(state.space)], log_costs, seed))
+        costs.append(gp.fit(xn[executed, seg.columns(state.space)], log_costs, seed))
     return ModelSet(objective=objective, costs=tuple(costs))
 
 
@@ -208,16 +222,13 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
         space=space,
         store=StageOutputStore(cache_root),
         pool=pool,
-        observations=[],
-        consumed=0.0,
         total_budget=0.0,  # resolved after warmup
-        eta=1.0,
         rows=[],
     )
 
     design = scrambled_halton(space.dim, config.n0, derived_int(config.seed, _TAG_WARMUP))
     for x in space.lower + design * (space.upper - space.lower):
-        _evaluate(state, x, 0.0)
+        _evaluate(state, x, 0.0, 1.0)
 
     if config.total_budget == "auto":
         state.total_budget = 5.0 * state.consumed
@@ -228,20 +239,18 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
     return state
 
 
-def _evaluate(state: OptState, x: np.ndarray, score: float) -> Observation:
-    """Run x, then record it: the observation, the budget consumed, the
-    pool update and a trace row at the current eta."""
+def _evaluate(state: OptState, x: np.ndarray, score: float, eta: float) -> Observation:
+    """Run x, then record it: the pool update and a trace row with the
+    budget consumed and the eta applied."""
     obs = run_pipeline(state.pipeline, x, state.pool, state.store)
-    state.observations.append(obs)
-    state.consumed += obs.executed_cost
     state.pool = update_pool(state.pool, obs)
     best = state.rows[-1].best_y if state.rows else float("-inf")
     state.rows.append(
         TraceRow(
-            iteration=len(state.observations),
+            iteration=len(state.rows) + 1,
             delta=obs.memo_delta,
-            eta=state.eta,
-            consumed=state.consumed,
+            eta=eta,
+            consumed=state.consumed + obs.executed_cost,
             y=obs.y,
             best_y=max(best, obs.y),
             score=score,
@@ -256,13 +265,12 @@ def step(state: OptState) -> Observation:
     """One model-guided iteration: fit, generate, score, evaluate, update."""
     cfg = state.config
     method = METHODS[cfg.method]
-    iteration = len(state.observations) + 1
+    iteration = len(state.rows) + 1
 
     # the trace records the exponent applied, which stays 1 without cooling
+    eta = state.rows[-1].eta
     if method.cools:
-        state.eta = cooling_eta(
-            cfg.eta_schedule, state.total_budget, state.consumed, state.eta
-        )
+        eta = cooling_eta(cfg.eta_schedule, state.total_budget, state.consumed, eta)
 
     try:
         state.models = _fit_models(state, iteration)
@@ -298,7 +306,7 @@ def step(state: OptState) -> Observation:
                 xs,
                 deltas,
                 f_best,
-                state.eta,
+                eta,
                 cfg.epsilon,
                 cfg.n_mc,
                 mc_rngs,
@@ -314,7 +322,7 @@ def step(state: OptState) -> Observation:
     else:
         chosen = int(np.argmax(scores))
     # a copy, so the observation does not keep the whole batch alive
-    return _evaluate(state, xs[chosen].copy(), float(scores[chosen]))
+    return _evaluate(state, xs[chosen].copy(), float(scores[chosen]), eta)
 
 
 def run(
@@ -327,8 +335,9 @@ def run(
     crosses the budget completes and is recorded.
 
     Without ``cache_root`` the stage outputs go to a temporary directory,
-    removed when the run returns or raises. On failure, rows gathered so
-    far are flushed to trace_path before the error propagates.
+    removed when the run returns or raises. The trace is written to
+    trace_path once, also when a step fails: then with the rows gathered so
+    far, before the error propagates.
     """
     if cache_root is None:
         with tempfile.TemporaryDirectory(prefix="pipetune_cache_") as root:
@@ -343,12 +352,9 @@ def run(
     try:
         while state.consumed < state.total_budget:
             step(state)
-    except BaseException:
+    finally:
         if trace_path is not None:
             write_trace(trace, trace_path)
-        raise
-    if trace_path is not None:
-        write_trace(trace, trace_path)
     return trace
 
 
@@ -392,8 +398,9 @@ def write_trace(trace: RunTrace, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> RunTrace:
-    """Parse a persisted trace (and its sidecar when present) back into a
-    RunTrace; malformed content raises a parse error naming the file."""
+    """Parse a persisted trace and its JSON sidecar back into a RunTrace;
+    malformed content, or a sidecar that is missing or lacks a key, raises
+    a parse error naming the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -435,19 +442,15 @@ def read_trace(path: str | Path) -> RunTrace:
             )
         )
 
-    config: dict = {}
-    total_budget = rows[-1].consumed if rows else 0.0
     sidecar_path = path.with_suffix(".json")
-    if sidecar_path.exists():
-        try:
-            doc = json.loads(sidecar_path.read_text(encoding="utf-8"))
-            config = doc.get("config", {})
-            total_budget = float(doc.get("resolved_total_budget", total_budget))
-            name = doc.get("pipeline", path.stem)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            raise TraceParseError(f"bad sidecar: {exc}", str(sidecar_path))
-    else:
-        name = path.stem
+    try:
+        doc = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        name, config = doc["pipeline"], doc["config"]
+        total_budget = float(doc["resolved_total_budget"])
+    except KeyError as exc:
+        raise TraceParseError(f"sidecar lacks key {exc}", str(sidecar_path))
+    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        raise TraceParseError(f"bad sidecar: {exc}", str(sidecar_path))
     return RunTrace(
         pipeline_name=name, config=config, total_budget=total_budget, rows=rows
     )

@@ -166,8 +166,8 @@ class StageSpec:
     timeout: float = 300.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidArgumentError("stage dim must be >= 1")
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
+            raise InvalidArgumentError(f"stage dim must be an integer >= 1, got {self.dim!r}")
         if len(self.bounds) != self.dim:
             raise InvalidArgumentError("bounds count must match stage dim")
         if any(not lo < hi for lo, hi in self.bounds):
@@ -191,9 +191,12 @@ class PipelineSpec:
     def __post_init__(self):
         if not self.stages:
             raise InvalidArgumentError("pipeline needs at least one stage")
+        noise = self.noise_std
+        if not (isinstance(noise, (int, float)) and 0.0 <= noise < math.inf):
+            raise InvalidArgumentError(f"noise_std must be a finite number >= 0, got {noise!r}")
         kinds = sorted({s.kind for s in self.stages})
         if len(kinds) > 1:
-            # run() executes a pipeline as all-synthetic or all-external
+            # each stage reads the payload of the one before, and the kinds' differ
             raise InvalidArgumentError(
                 f"pipeline {self.name!r} mixes stage kinds {kinds}; "
                 "a pipeline's stages must all be synthetic or all external"
@@ -248,55 +251,64 @@ def _substitute(template: str, stage_x: np.ndarray, input_path: str, output_path
     return text.replace("{input}", input_path).replace("{output}", output_path)
 
 
-def _run_external_stage(
-    stage: StageSpec,
-    stage_index: int,
-    stage_x: np.ndarray,
-    input_payload: bytes,
-    workdir: Path,
+def _run_stage(
+    stage: StageSpec, stage_index: int, stage_x: np.ndarray, payload: bytes
 ) -> tuple[bytes, float, str]:
-    """Execute one external stage; returns (output payload, wall seconds,
-    stdout text)."""
-    input_path = workdir / f"stage_{stage_index}_input"
-    output_path = workdir / f"stage_{stage_index}_output"
-    input_path.write_bytes(input_payload)
-    command = _substitute(stage.command, stage_x, str(input_path), str(output_path))
-    argv = shlex.split(command)
-    start = time.perf_counter()
-    try:
-        # its own session, so that a timeout can kill all the stage started
-        proc = subprocess.Popen(
-            argv,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            cwd=workdir,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        raise StageExecutionError(f"stage command failed to start: {exc}", stage_index)
-    with proc:
+    """Execute one stage on the payload the previous stage left; returns
+    (output payload, cost, stdout text), the stdout ending in the
+    'objective=<float>' line that the last stage must print.
+
+    A synthetic stage's payload is the running objective sum, packed, which
+    it also prints; its cost is its cost function. An external stage runs in
+    a fresh working directory of its own, so it sees nothing of the stages
+    before it but the payload at {input}; it leaves its output at {output}
+    (its stdout when it writes none), and its cost is its wall time.
+    """
+    if stage.kind == "synthetic":
+        carry = (_PARTIAL.unpack(payload)[0] if payload else 0.0) + stage.objective_fn(stage_x)
+        return _PARTIAL.pack(carry), stage.cost_fn(stage_x), f"objective={float(carry)!r}"
+    with tempfile.TemporaryDirectory(prefix="pipetune_stage_") as tmp:
+        workdir = Path(tmp)
+        input_path = workdir / f"stage_{stage_index}_input"
+        output_path = workdir / f"stage_{stage_index}_output"
+        input_path.write_bytes(payload)
+        command = _substitute(stage.command, stage_x, str(input_path), str(output_path))
+        argv = shlex.split(command)
+        start = time.perf_counter()
         try:
-            stdout, stderr = proc.communicate(timeout=stage.timeout)
-        except BaseException as exc:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-            if not isinstance(exc, subprocess.TimeoutExpired):
-                raise
-            raise StageExecutionError(
-                f"stage command timed out after {stage.timeout}s",
-                stage_index,
-                # the output read so far, as bytes even in text mode
-                output=(exc.stdout or b"").decode(errors="replace"),
+            # its own session, so that a timeout can kill all the stage started
+            proc = subprocess.Popen(
+                argv,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=workdir,
+                start_new_session=True,
             )
-    elapsed = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise StageExecutionError(
-            f"stage command exited with status {proc.returncode}",
-            stage_index,
-            output=stdout + stderr,
-        )
-    payload = output_path.read_bytes() if output_path.exists() else stdout.encode()
+        except OSError as exc:
+            raise StageExecutionError(f"stage command failed to start: {exc}", stage_index)
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=stage.timeout)
+            except BaseException as exc:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                if not isinstance(exc, subprocess.TimeoutExpired):
+                    raise
+                raise StageExecutionError(
+                    f"stage command timed out after {stage.timeout}s",
+                    stage_index,
+                    # the output read so far, as bytes even in text mode
+                    output=(exc.stdout or b"").decode(errors="replace"),
+                )
+        elapsed = time.perf_counter() - start
+        if proc.returncode != 0:
+            raise StageExecutionError(
+                f"stage command exited with status {proc.returncode}",
+                stage_index,
+                output=stdout + stderr,
+            )
+        payload = output_path.read_bytes() if output_path.exists() else stdout.encode()
     return payload, max(elapsed, MIN_WALL_COST), stdout
 
 
@@ -340,10 +352,10 @@ def run(
     hit = lookup(pool, x)
     # every pool depth up to the hit's is a cached prefix of x too: a
     # damaged blob falls back to the deepest one that still resolves
-    delta, carry_payload = 0, b""
+    delta, payload = 0, b""
     for depth in (d for d in reversed(pool.deltas) if d <= hit.delta):
         try:
-            carry_payload = cache.resolve(depth, x[: space.prefix_width(depth)])
+            payload = cache.resolve(depth, x[: space.prefix_width(depth)])
         except StorageError as exc:
             logger.warning("cache resolution failed (%s); trying a shorter prefix", exc)
         else:
@@ -353,32 +365,13 @@ def run(
     k_total = spec.n_stages
     store_depths = pool.deltas if pool.capacity > 0 else ()
     stage_costs = [0.0] * k_total
-    synthetic = spec.stages[0].kind == "synthetic"
-
-    if synthetic:
-        carry = _PARTIAL.unpack(carry_payload)[0] if delta > 0 else 0.0
-        for k in range(delta + 1, k_total + 1):
-            stage = spec.stages[k - 1]
-            stage_x = x[space.stage_slice(k)]
-            carry += stage.objective_fn(stage_x)
-            stage_costs[k - 1] = stage.cost_fn(stage_x)
-            if k in store_depths:
-                cache.store_output(k, x[: space.prefix_width(k)], _PARTIAL.pack(carry))
-        y = carry + _keyed_noise(x, spec.noise_std)
-    else:
-        with tempfile.TemporaryDirectory(prefix="pipetune_stage_") as tmp:
-            workdir = Path(tmp)
-            stdout = ""
-            for k in range(delta + 1, k_total + 1):
-                stage = spec.stages[k - 1]
-                stage_x = x[space.stage_slice(k)]
-                carry_payload, cost, stdout = _run_external_stage(
-                    stage, k, stage_x, carry_payload, workdir
-                )
-                stage_costs[k - 1] = cost
-                if k in store_depths:
-                    cache.store_output(k, x[: space.prefix_width(k)], carry_payload)
-            y = _parse_objective(stdout, k_total)
+    for k in range(delta + 1, k_total + 1):
+        payload, stage_costs[k - 1], stdout = _run_stage(
+            spec.stages[k - 1], k, x[space.stage_slice(k)], payload
+        )
+        if k in store_depths:
+            cache.store_output(k, x[: space.prefix_width(k)], payload)
+    y = _parse_objective(stdout, k_total) + _keyed_noise(x, spec.noise_std)
 
     return Observation(
         x=x, y=float(y), stage_costs=tuple(stage_costs), memo_delta=delta
@@ -420,47 +413,52 @@ def synthetic_suite(name: str) -> PipelineSpec:
     return PipelineSpec(name=name, stages=stages)
 
 
+def _file_stage(k: int, item: dict) -> StageSpec:
+    """Stage k of a pipeline definition file."""
+    kind = item.get("kind", "external")
+    if kind == "synthetic":
+        bench = BENCHMARKS.get(item.get("function", ""))
+        if bench is None:
+            raise InvalidArgumentError(f"unknown benchmark {item.get('function')!r}")
+        return _benchmark_stage(item.get("name", f"s{k}_{bench.name}"), bench)
+    return StageSpec(
+        name=item.get("name", f"s{k}"),
+        dim=item["dim"],
+        bounds=tuple((float(lo), float(hi)) for lo, hi in item["bounds"]),
+        kind=kind,
+        command=item["command"],
+        timeout=float(item.get("timeout", 300.0)),
+    )
+
+
 def load_pipeline_file(path: str | Path) -> PipelineSpec:
     """Build a PipelineSpec from a JSON definition.
 
-    Schema: {"name": str, "stages": [{"kind": "external", "dim": int,
-    "bounds": [[lo, hi]..], "command": str, "timeout": float} |
-    {"kind": "synthetic", "function": benchmark name}]}.
+    Schema: {"name": str, "noise_std": float, "stages": [{"kind":
+    "external", "dim": int, "bounds": [[lo, hi]..], "command": str,
+    "timeout": float} | {"kind": "synthetic", "function": benchmark name}]}.
+    A file that does not match it is refused before any stage runs.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidArgumentError(f"cannot load pipeline file {path}: {exc}")
+    if not (isinstance(doc, dict) and isinstance(doc.get("stages", []), list)):
+        raise InvalidArgumentError(f"pipeline file {path} is not an object with a stage list")
 
     stages = []
     for k, item in enumerate(doc.get("stages", []), start=1):
-        kind = item.get("kind", "external")
-        if kind == "synthetic":
-            bench = BENCHMARKS.get(item.get("function", ""))
-            if bench is None:
-                raise InvalidArgumentError(
-                    f"stage {k}: unknown benchmark {item.get('function')!r}"
-                )
-            stages.append(_benchmark_stage(item.get("name", f"s{k}_{bench.name}"), bench))
-        else:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in item["bounds"])
-            stages.append(
-                StageSpec(
-                    name=item.get("name", f"s{k}"),
-                    dim=int(item["dim"]),
-                    bounds=bounds,
-                    kind="external",
-                    command=item["command"],
-                    timeout=float(item.get("timeout", 300.0)),
-                )
-            )
+        try:
+            stages.append(_file_stage(k, item))
+        except KeyError as exc:
+            raise InvalidArgumentError(f"pipeline file {path}, stage {k}: no {exc} given")
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"pipeline file {path}, stage {k}: {exc}")
     if not stages:
         raise InvalidArgumentError(f"pipeline file {path} defines no stages")
     return PipelineSpec(
         name=doc.get("name", path.stem),
         stages=tuple(stages),
-        noise_std=float(doc.get("noise_std", 0.0))
-        if "noise_std" in doc
-        else (NOISE_STD if stages[0].kind == "synthetic" else 0.0),
+        noise_std=doc.get("noise_std", NOISE_STD if stages[0].kind == "synthetic" else 0.0),
     )

@@ -204,6 +204,32 @@ def test_report_reaggregates_identically(run_dir, capsys):
     assert (run_dir / "curves.csv").read_bytes() == curves_before
 
 
+# Story: --jobs 2 runs the same jobs in a process pool, which pickles the
+# loaded pipeline for its workers; every trace and sidecar comes out byte for
+# byte as with --jobs 1.
+def test_parallel_jobs_write_identical_traces(run_dir, tmp_path, capsys):
+    out = tmp_path / "par"
+    code = main(
+        ["run", "--pipeline", "synth3", "--methods", "eeipu,ei", "--seed", "0",
+         "--out", str(out), "--jobs", "2", *_TINY_FLAGS]
+    )
+    assert code == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in run_dir.glob("synth3_*"))
+    assert len(names) == 4
+    assert sorted(p.name for p in out.glob("synth3_*")) == names
+    for name in names:
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# Story: report reads each trace's method and warmup size from its sidecar;
+# a trace CSV without one is a runtime error naming the missing file.
+def test_report_without_sidecar_exits_1(run_dir, tmp_path, capsys):
+    (tmp_path / "alone.csv").write_bytes((run_dir / "synth3_ei_s0.csv").read_bytes())
+    assert main(["report", str(tmp_path)]) == 1
+    assert "alone.json" in capsys.readouterr().err
+
+
 def test_summary_matches_recomputation_from_traces(run_dir):
     traces = [
         read_trace(p)
@@ -240,8 +266,8 @@ def test_ablate_eta_writes_level_dirs(tmp_path, capsys):
 # RunConfig() would, field for field.
 def test_bare_run_flags_build_the_default_config(tmp_path):
     args = build_parser().parse_args(["run", "--pipeline", "synth3"])
-    (job,) = _build_jobs(args, tmp_path)
-    assert job["config"] == RunConfig().to_dict()
+    ((config, _, _),) = _build_jobs(args, tmp_path)
+    assert config == RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +328,21 @@ def test_mixed_pipeline_file_exits_2(tmp_path, capsys):
     code = main(["run", "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS])
     assert code == 2
     assert "mixes stage kinds" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not list(out.glob("**/*.csv"))
+
+
+# Story: a pipeline file with a misspelled stage kind is refused with the
+# usage exit code; the stage does not run as an external one.
+def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
+    marker = tmp_path / "ran"
+    pipe = tmp_path / "typo.json"
+    stage = {"kind": "externl", "dim": 1, "bounds": [[0.0, 1.0]], "command": f"touch {marker}"}
+    pipe.write_text(json.dumps({"name": "typo", "stages": [stage]}))
+    out = tmp_path / "out"
+    code = main(["run", "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS])
+    assert code == 2
+    assert "unknown stage kind" in capsys.readouterr().err
     assert not marker.exists()
     assert not list(out.glob("**/*.csv"))
 

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipetune import gp
 from pipetune.acquisition import _segment_draws
@@ -90,6 +92,27 @@ def test_matern52_frozen_value_and_axioms():
     near = _k([0, 0], [0.1, 0.1], p)
     far = _k([0, 0], [3.0, 3.0], p)
     assert near > far > 0.0
+
+
+# Story: the gram matrix of a point set with itself comes out exactly
+# symmetric, one matrix or a stacked batch, so the LML and the model build
+# factor it as it is, with no symmetrizing pass.
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(2, 79),
+    dim=st.integers(1, 10),
+    batch=st.one_of(st.none(), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_is_exactly_symmetric(n, dim, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, dim))
+    shape = (dim,) if batch is None else (batch, dim)
+    lengthscales = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=shape))
+    output_scale = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size=shape[:-1]))
+    k = _cross_cov(x, x, lengthscales, float(output_scale) if batch is None else output_scale)
+    assert k.shape == shape[:-1] + (n, n)
+    assert np.array_equal(k, np.swapaxes(k, -1, -2))
 
 
 # Story: per-dimension lengthscales weight distances anisotropically; a move
@@ -319,7 +342,7 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
     def objective(log_theta):
         stats["evals"] += 1
         params = gp._theta_to_params(log_theta, dim)
-        k = gp._gram(x, params.lengthscales, params.output_scale)
+        k = gp._cross_cov(x, x, params.lengthscales, params.output_scale)
         try:
             np.linalg.cholesky(k + params.noise_variance * np.eye(len(x)))
         except np.linalg.LinAlgError:

@@ -76,3 +76,71 @@ def test_unused_import_scan_sees_both_cases():
     assert {"TYPE_CHECKING", "Observation"} <= used
     assert "os" not in used
     assert set(_imported_names(tree)) == {"os", "TYPE_CHECKING", "Observation"}
+
+
+def _dataclass_fields(tree: ast.Module) -> dict[str, int]:
+    """Each annotated field of a ``@dataclass`` class, as ``Class.field``,
+    with its line number."""
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(
+            (isinstance(d, ast.Name) and d.id == "dataclass")
+            or (isinstance(d, ast.Attribute) and d.attr == "dataclass")
+            for d in decorators
+        ):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found[f"{node.name}.{stmt.target.id}"] = stmt.lineno
+    return found
+
+
+def _unread_fields(trees: list[ast.Module]) -> list[str]:
+    """The dataclass fields of these modules that none of them reads as an
+    attribute (``obj.field`` in a load context)."""
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        name for tree in trees for name in _dataclass_fields(tree)
+        if name.split(".")[1] not in read
+    )
+
+
+# Story: a dataclass field that no module of the package reads is state kept
+# for nobody; it is written on every construction and hides what the code
+# actually depends on.
+def test_no_unread_dataclass_fields():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    unread = _unread_fields(trees)
+    assert not unread, f"dataclass fields no module reads: {', '.join(unread)}"
+
+
+# Story: the scan finds a field never read and a field only ever assigned,
+# counts a field read through an attribute, and knows the decorator with or
+# without arguments and through the module.
+def test_unread_field_scan_sees_both_cases():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    read: int\n"
+        "    unread: int = 0\n"
+        "@dataclasses.dataclass\n"
+        "class Q:\n"
+        "    stored: int\n"
+        "class NotData:\n"
+        "    plain: int\n"
+        "def f(p: P, q: Q) -> int:\n"
+        "    q.stored = 1\n"
+        "    return p.read\n"
+    )
+    assert set(_dataclass_fields(tree)) == {"P.read", "P.unread", "Q.stored"}
+    assert _unread_fields([tree]) == ["P.unread", "Q.stored"]

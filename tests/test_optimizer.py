@@ -2,6 +2,7 @@
 budget accounting, acquisition scoring mechanics, the single-stage
 degeneracy, and trace persistence."""
 
+import json
 import math
 import tempfile
 
@@ -82,6 +83,29 @@ def test_run_config_refuses_nonfinite_budget(budget):
         RunConfig(total_budget=budget)
 
 
+# Story: a field of the wrong type is refused up front with a usage error,
+# not accepted and then failed on deep inside the run; bool is not an int.
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(n0=3.5),
+        dict(m=True),
+        dict(n_mc=20.0),
+        dict(restarts="2"),
+        dict(q=None),
+        dict(seed="1"),
+        dict(epsilon="0.1"),
+        dict(total_budget="abc"),
+        dict(total_budget="50"),
+        dict(total_budget=True),
+    ],
+    ids=repr,
+)
+def test_run_config_refuses_wrong_types(bad):
+    with pytest.raises(InvalidArgumentError):
+        RunConfig(**bad)
+
+
 def test_run_config_roundtrips_to_dict():
     cfg = _tiny_cfg()
     d = cfg.to_dict()
@@ -108,7 +132,7 @@ def test_warmup_identical_across_methods(tmp_path):
     xs = {}
     for method in ("eeipu", "ei", "eips", "carbo"):
         state = init_state(_tiny_cfg(method), pipe, tmp_path / method)
-        xs[method] = np.stack([o.x for o in state.observations])
+        xs[method] = np.array([r.x for r in state.rows])
     base = xs["eeipu"]
     for method, pts in xs.items():
         assert np.array_equal(base, pts), method
@@ -405,6 +429,27 @@ def test_read_trace_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(TraceParseError):
         read_trace(empty)
+
+
+# Story: the sidecar is the only record of a trace's method, warmup size and
+# budget, so a trace read without it, or with a sidecar that lacks a key, is
+# refused rather than summarized from guesses.
+def test_read_trace_requires_its_sidecar(tmp_path):
+    row = TraceRow(1, 0, 1.0, 2.0, 0.5, 0.5, 0.0, (2.0,), (0.25,))
+    config = {"method": "ei", "n0": 1}
+    trace = RunTrace(pipeline_name="p", config=config, total_budget=9.0, rows=[row])
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    assert read_trace(path) == trace
+    sidecar = path.with_suffix(".json")
+    doc = json.loads(sidecar.read_text())
+    for key in ("pipeline", "config", "resolved_total_budget"):
+        sidecar.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        with pytest.raises(TraceParseError, match=key):
+            read_trace(path)
+    sidecar.unlink()
+    with pytest.raises(TraceParseError, match=r"t\.json"):
+        read_trace(path)
 
 
 def test_write_trace_rejects_empty(tmp_path):

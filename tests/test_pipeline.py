@@ -440,6 +440,53 @@ def test_external_memoized_resume(tmp_path):
     assert memo.y == pytest.approx(11.0)  # cached 6.0 + 5
 
 
+# Story: each external stage runs in a working directory of its own, so a
+# file that stage 1 leaves in its working directory never reaches stage 2;
+# only {input} does. An evaluation served from the cache therefore scores
+# what a fresh one does.
+def test_memoized_external_run_matches_fresh(tmp_path):
+    s1 = tmp_path / "side1.py"
+    s1.write_text(
+        "import sys\n"
+        "open('side.txt', 'w').write('7')\n"
+        "open(sys.argv[1], 'w').write('carried')\n"
+    )
+    s2 = tmp_path / "side2.py"
+    s2.write_text(
+        "import os\n"
+        "side = open('side.txt').read() if os.path.exists('side.txt') else '0'\n"
+        "print(f'objective={float(side)}')\n"
+    )
+    stages = tuple(
+        StageSpec(name=f"s{k}", dim=1, bounds=((0.0, 1.0),), kind="external", command=cmd)
+        for k, cmd in ((1, f"{PY} {s1} {{output}}"), (2, f"{PY} {s2}"))
+    )
+    pipe = PipelineSpec(name="side", stages=stages, noise_std=0.0)
+    store = StageOutputStore(tmp_path / "cache")
+    pool = empty_pool(pipe.stage_dims, 3, "all")
+    x = np.array([0.5, 0.5])
+    fresh = run(pipe, x, pool, store)
+    memo = run(pipe, x, update_pool(pool, fresh), store)
+    assert (fresh.memo_delta, memo.memo_delta) == (0, 1)
+    assert memo.y == fresh.y == 0.0
+
+
+# Story: noise_std applies to external stages as to synthetic ones: y is
+# the printed objective plus the noise keyed by x, the same on every run.
+def test_external_pipeline_file_applies_keyed_noise(tmp_path):
+    path = tmp_path / "noisy.json"
+    stage = {"dim": 1, "bounds": [[0.0, 10.0]], "command": "echo objective={x1}"}
+    path.write_text(json.dumps({"name": "noisy", "noise_std": 0.5, "stages": [stage]}))
+    pipe = load_pipeline_file(path)
+    x = np.array([3.0])
+    ys = [
+        run(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), StageOutputStore(tmp_path / c)).y
+        for c in ("a", "b")
+    ]
+    assert _keyed_noise(x, 0.5) != 0.0
+    assert ys == [3.0 + _keyed_noise(x, 0.5)] * 2
+
+
 def test_external_failure_raises_with_stage_index(tmp_path):
     fail = f"{PY} -c 'import sys; sys.exit(3)'"
     pipe = _external_pipeline(tmp_path, final_cmd=fail)
@@ -584,6 +631,43 @@ def test_load_pipeline_file_errors(tmp_path):
     )
     with pytest.raises(InvalidArgumentError):
         load_pipeline_file(unknown)
+
+
+_EXTERNAL = {
+    "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]], "command": "echo objective=1"
+}
+
+
+# Story: a file that does not match the schema is refused with a usage error
+# naming what is wrong, never a raw KeyError or a stage run of a misspelled
+# kind.
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        *(
+            ({"stages": [{k: v for k, v in _EXTERNAL.items() if k != key}]}, f"no '{key}'")
+            for key in ("command", "dim", "bounds")
+        ),
+        ([_EXTERNAL], "not an object"),
+        ({"stages": _EXTERNAL}, "not an object"),
+        ({"stages": [{**_EXTERNAL, "dim": "one"}]}, "integer"),
+        ({"stages": [{**_EXTERNAL, "dim": 1.5}]}, "integer"),
+        ({"stages": [{**_EXTERNAL, "kind": "externl"}]}, "unknown stage kind"),
+        ({"stages": [{**_EXTERNAL, "bounds": [[0.0]]}]}, "stage 1"),
+        ({"noise_std": "0.1", "stages": [_EXTERNAL]}, "noise_std"),
+        ({"noise_std": -0.1, "stages": [_EXTERNAL]}, "noise_std"),
+    ],
+    ids=[
+        "no-command", "no-dim", "no-bounds", "list-doc",
+        "stages-not-list", "dim-string", "dim-float", "unknown-kind", "short-bound",
+        "noise-string", "noise-negative",
+    ],
+)
+def test_load_pipeline_file_refuses_malformed(tmp_path, doc, match):
+    path = tmp_path / "pipe.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgumentError, match=match):
+        load_pipeline_file(path)
 
 
 def test_observation_executed_cost_skips_memoized():
