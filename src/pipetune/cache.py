@@ -3,6 +3,10 @@ observations by objective, with their stage outputs persisted to an
 on-disk store addressed by (stage, prefix values), and answers exact
 prefix lookups.  Only this module turns a prefix into a storage address.
 
+The store holds exactly the blobs of the pool's distinct entries: an
+output is written when the pool admits its prefix and deleted when the
+last entry with its address leaves the pool (``StageOutputStore.commit``).
+
 Lookups use exact float equality on purpose: candidates reuse prefixes
 by copying stored values verbatim, so anything short of an exact match
 is a different configuration and must be recomputed.
@@ -181,7 +185,9 @@ class StageOutputStore:
 
     Layout: ``<root>/stage_<k>/<hex sha256 of key values>.bin``; each blob is
     a 4-byte magic, a version byte, an 8-byte big-endian payload length, then
-    the payload. Stores are idempotent: identical keys share one record.
+    the payload. Identical keys share one record. ``commit`` keeps the store
+    equal to a prefix pool's entries: it writes what the pool admits and
+    deletes what it evicts, so nothing else is written.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -223,8 +229,30 @@ class StageOutputStore:
             tmp.write_bytes(blob)
             os.replace(tmp, path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise StorageError(f"cannot write stage output: {exc}", str(path))
         return handle
+
+    def commit(self, before: PrefixPool, after: PrefixPool, obs: "Observation") -> None:
+        """Move the store from ``before``'s entries to ``after``'s, where
+        ``after`` is ``update_pool(before, obs)``: store each output of
+        ``obs`` whose (depth, prefix) is an entry of ``after`` (an admitted
+        prefix, or one whose damaged blob this evaluation reran), then delete
+        the blob of every entry of ``before`` that no entry of ``after``
+        shares.  A write that fails raises StorageError before anything is
+        deleted, so ``before`` still resolves everywhere it did."""
+        kept = {(e.delta, e.values) for e in after.all_entries()}
+        for depth, payload in obs.outputs:
+            values = tuple(float(v) for v in obs.x[: sum(after.stage_dims[:depth])])
+            if (depth, values) in kept:
+                self.store_output(depth, values, payload)
+        for entry in before.distinct_entries():
+            if (entry.delta, entry.values) not in kept:
+                path = self._path(self.handle_for(entry.delta, entry.values))
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError as exc:
+                    raise StorageError(f"cannot delete stage output: {exc}", str(path))
 
     def resolve(self, stage_index: int, key_values: Sequence[float]) -> bytes:
         """The payload stored under these key values; StorageError when it

@@ -6,6 +6,16 @@ from __future__ import annotations
 class PipetuneError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # rebuilt from its args and attributes without calling __init__, whose
+        # signature subclasses extend, so an error raised in a worker process
+        # unpickles in the parent
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls: type, args: tuple) -> PipetuneError:
+    return cls.__new__(cls, *args)
+
 
 class InvalidArgumentError(PipetuneError, ValueError):
     """A caller-supplied argument violates a precondition."""

@@ -240,10 +240,13 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
 
 
 def _evaluate(state: OptState, x: np.ndarray, score: float, eta: float) -> Observation:
-    """Run x, then record it: the pool update and a trace row with the
-    budget consumed and the eta applied."""
+    """Run x, then record it: the pool update, the store's blobs for the
+    new pool, and a trace row with the budget consumed and the eta applied.
+    The pool is assigned last, so a failed write leaves it as it was."""
     obs = run_pipeline(state.pipeline, x, state.pool, state.store)
-    state.pool = update_pool(state.pool, obs)
+    after = update_pool(state.pool, obs)
+    state.store.commit(state.pool, after, obs)
+    state.pool = after
     best = state.rows[-1].best_y if state.rows else float("-inf")
     state.rows.append(
         TraceRow(

@@ -219,12 +219,15 @@ class PipelineSpec:
 @dataclass(frozen=True)
 class Observation:
     """One full pipeline evaluation: memoized stages carry cost 0.0 here
-    (they consumed nothing); the acquisition layer models them as epsilon."""
+    (they consumed nothing); the acquisition layer models them as epsilon.
+    ``outputs`` holds the (depth, payload) of each executed stage at a pool
+    depth, for the store to keep if the pool admits that prefix."""
 
     x: np.ndarray
     y: float
     stage_costs: tuple[float, ...]
     memo_delta: int
+    outputs: tuple[tuple[int, bytes], ...] = ()
 
     @property
     def executed_cost(self) -> float:
@@ -337,10 +340,11 @@ def run(
 
     Stages 1..delta are served from the cache (cost 0.0); stages delta+1..K
     execute. A stored output that no longer resolves is skipped for the
-    next shallower pool depth. When the pool has capacity, the executed
-    stages' outputs are stored at the pool's depths, the only ones a lookup
-    resolves, which also rewrites a damaged one, so this observation can
-    seed future prefixes.
+    next shallower pool depth. Nothing is written here: when the pool has
+    capacity, the executed stages' outputs at the pool's depths, the only
+    ones a lookup resolves, are returned in ``Observation.outputs``, and
+    ``StageOutputStore.commit`` stores those the pool admits (rewriting a
+    damaged blob an entry still points at).
     """
     x = np.asarray(x, dtype=float)
     space = spec.search_space()
@@ -365,16 +369,21 @@ def run(
     k_total = spec.n_stages
     store_depths = pool.deltas if pool.capacity > 0 else ()
     stage_costs = [0.0] * k_total
+    outputs = []
     for k in range(delta + 1, k_total + 1):
         payload, stage_costs[k - 1], stdout = _run_stage(
             spec.stages[k - 1], k, x[space.stage_slice(k)], payload
         )
         if k in store_depths:
-            cache.store_output(k, x[: space.prefix_width(k)], payload)
+            outputs.append((k, payload))
     y = _parse_objective(stdout, k_total) + _keyed_noise(x, spec.noise_std)
 
     return Observation(
-        x=x, y=float(y), stage_costs=tuple(stage_costs), memo_delta=delta
+        x=x,
+        y=float(y),
+        stage_costs=tuple(stage_costs),
+        memo_delta=delta,
+        outputs=tuple(outputs),
     )
 
 

@@ -7,6 +7,9 @@ insertion counters) to check the top-Q semantics hold under arbitrary
 interleavings, for every prefix policy and 2-6 stages.
 """
 
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,3 +374,77 @@ def test_handle_for_is_pure(tmp_path):
     assert not list(tmp_path.rglob("*.bin"))
     with pytest.raises(InvalidArgumentError):
         store.handle_for(0, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# commit: the store holds exactly the pool's entries
+
+
+def _commit(store, pool, obs):
+    after = update_pool(pool, obs)
+    store.commit(pool, after, obs)
+    return after
+
+
+def _blobs(root):
+    return {str(p.relative_to(root).with_suffix("")) for p in root.rglob("*.bin")}
+
+
+# Story: evicting a source deletes only the blobs no remaining entry has; a
+# short prefix the admitted source shares with the evicted one stays.
+def test_eviction_keeps_a_blob_another_source_shares(tmp_path):
+    store = StageOutputStore(tmp_path)
+    pool = empty_pool((2, 3, 2), 1, "all")
+    a = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    old = Observation(x=a, y=1.0, stage_costs=(1.0, 1.0, 1.0), memo_delta=0,
+                      outputs=((1, b"a1"), (2, b"a2")))
+    pool = _commit(store, pool, old)
+    assert _blobs(tmp_path) == {store.handle_for(1, a[:2]), store.handle_for(2, a[:5])}
+
+    b = a.copy()
+    b[2:5] = [0.9, 0.8, 0.7]
+    new = Observation(x=b, y=2.0, stage_costs=(0.0, 1.0, 1.0), memo_delta=1,
+                      outputs=((2, b"b2"),))
+    pool = _commit(store, pool, new)
+    assert [s.objective for s in pool.sources] == [2.0]
+    assert _blobs(tmp_path) == {store.handle_for(1, a[:2]), store.handle_for(2, b[:5])}
+    assert store.resolve(1, b[:2]) == b"a1"
+    assert store.resolve(2, b[:5]) == b"b2"
+
+
+# Story: an evaluation the pool does not admit leaves the store untouched,
+# and a pool without capacity never has anything written for it.
+@pytest.mark.parametrize("capacity", [0, 1])
+def test_commit_writes_nothing_the_pool_does_not_admit(tmp_path, capacity):
+    store = StageOutputStore(tmp_path)
+    pool = empty_pool((1, 1, 1), capacity, "all")
+    outputs = ((1, b"p1"), (2, b"p2"))
+    pool = _commit(store, pool, Observation(np.array([0.1, 0.2, 0.3]), 5.0, (1.0,) * 3, 0, outputs))
+    before = _blobs(tmp_path)
+    assert len(before) == 2 * capacity
+    low = Observation(np.array([0.4, 0.5, 0.6]), 1.0, (1.0,) * 3, 0, outputs)
+    assert _commit(store, pool, low) is pool
+    assert _blobs(tmp_path) == before
+
+
+# Story: a write that fails part way (a full disk) raises StorageError,
+# leaves no temporary file and deletes nothing, so the pool before the
+# commit still resolves.
+def test_failed_commit_deletes_nothing(tmp_path, monkeypatch):
+    store = StageOutputStore(tmp_path)
+    pool = _commit(store, empty_pool((1, 1), 1, "all"),
+                   Observation(np.array([0.1, 0.2]), 1.0, (1.0, 1.0), 0, ((1, b"old"),)))
+    better = Observation(np.array([0.3, 0.4]), 2.0, (1.0, 1.0), 0, ((1, b"new"),))
+    after = update_pool(pool, better)
+    write_bytes = Path.write_bytes
+
+    def disk_full(path, data):
+        write_bytes(path, data[:3])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full)
+    with pytest.raises(StorageError, match="No space"):
+        store.commit(pool, after, better)
+    assert store.resolve(1, [0.1]) == b"old"
+    assert _blobs(tmp_path) == {store.handle_for(1, [0.1])}
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -347,6 +347,22 @@ def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
     assert not list(out.glob("**/*.csv"))
 
 
+# Story: a stage that fails is a runtime error, exit 1 with one error line,
+# whether the jobs run in this process or in a process pool, whose workers
+# hand the error back to the parent pickled.
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_stage_exits_1_with_any_jobs(tmp_path, capsys, jobs):
+    pipe = tmp_path / "fails.json"
+    stage = {"kind": "external", "dim": 1, "bounds": [[0.0, 1.0]], "command": "false"}
+    pipe.write_text(json.dumps({"name": "fails", "stages": [stage]}))
+    code = main(
+        ["run", "--pipeline-file", str(pipe), "--out", str(tmp_path / "out"),
+         "--repeats", "2", "--warmup", "2", "--jobs", jobs]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: stage command exited with status 1\n"
+
+
 def test_missing_pipeline_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--methods", "ei"])

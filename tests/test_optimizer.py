@@ -2,19 +2,25 @@
 budget accounting, acquisition scoring mechanics, the single-stage
 degeneracy, and trace persistence."""
 
+import errno
 import json
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipetune.optimizer as optimizer
 from pipetune.acquisition import ModelSet, score_candidates
+from pipetune.cache import PREFIX_POLICIES
 from pipetune.errors import (
     InvalidArgumentError,
     NumericalFailureError,
     PipetuneError,
+    StorageError,
     TraceParseError,
 )
 from pipetune.gp import KernelParams, build_model
@@ -193,6 +199,75 @@ def test_only_pool_methods_write_blobs(tmp_path):
         run(_tiny_cfg(method, total_budget=150.0), pipe, cache_root=root)
         assert bool(list(root.rglob("*.bin"))) == (method == "eeipu"), method
         assert not list(root.rglob("index.tsv")), method
+
+
+def _blob_handles(root):
+    return {str(p.relative_to(root).with_suffix("")) for p in Path(root).rglob("*.bin")}
+
+
+def _pool_handles(state):
+    return {state.store.handle_for(e.delta, e.values) for e in state.pool.distinct_entries()}
+
+
+# Story: after every evaluation the store holds exactly the blobs of the
+# pool's distinct entries, at most Q per policy depth, and no temporary
+# file, whatever mix of fresh points, shared prefixes and repeats the loop
+# evaluates.
+@pytest.mark.parametrize("policy", PREFIX_POLICIES)
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(q=st.integers(1, 3), data=st.data())
+def test_store_holds_exactly_the_pool_entries(policy, q, data):
+    pipe = synthetic_suite("synth5")
+    space = pipe.search_space()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    config = RunConfig(method="eeipu", n0=2, m=16, q=q, prefix_policy=policy, total_budget=1e9)
+    with tempfile.TemporaryDirectory() as root:
+        state = init_state(config, pipe, root)
+        assert _blob_handles(root) == _pool_handles(state)
+        for _ in range(data.draw(st.integers(1, 12))):
+            x = space.uniform(rng, 1)[0]
+            # copy the first `depth` stages of an evaluated point (0: none)
+            depth = data.draw(st.integers(0, space.n_stages))
+            width = space.prefix_width(depth)
+            x[:width] = data.draw(st.sampled_from(state.rows)).x[:width]
+            optimizer._evaluate(state, x, 0.0, 1.0)
+            assert _blob_handles(root) == _pool_handles(state)
+        assert len(_pool_handles(state)) <= q * len(state.pool.deltas)
+        assert not list(Path(root).rglob("*.tmp"))
+
+
+# Story: on the 10-stage suite at the acceptance config's n0, m, n_mc and
+# restarts, the store ends a run holding the pool's entries alone, at most
+# Q x 9 blobs. The budget is fixed at 1.5x the warmup's cost rather than
+# auto's 5x, which takes 77 s; warmup alone fills the pool's 45 entries, so
+# the run's evictions are exercised all the same.
+def test_synth10_run_ends_with_at_most_q_times_9_blobs(tmp_path):
+    config = RunConfig(method="eeipu", n0=5, m=256, n_mc=500, restarts=10, total_budget=1000.0)
+    state = init_state(config, synthetic_suite("synth10"), tmp_path)
+    while state.consumed < state.total_budget:
+        step(state)
+    assert len(state.rows) > config.n0
+    assert _blob_handles(tmp_path) == _pool_handles(state)
+    assert len(_blob_handles(tmp_path)) <= config.q * 9
+
+
+# Story: an admitted evaluation whose blobs cannot be written (a read-only
+# cache root) raises StorageError and leaves the pool, the trace and the
+# store as they were, so the pool never offers an entry without its blob.
+def test_unwritable_store_leaves_the_pool_unchanged(tmp_path, monkeypatch):
+    pipe = synthetic_suite("synth3")
+    state = init_state(_tiny_cfg(q=5), pipe, tmp_path)  # room for a new source
+    pool, rows, blobs = state.pool, list(state.rows), _blob_handles(tmp_path)
+
+    def read_only(path, data):
+        raise OSError(errno.EROFS, "Read-only file system")
+
+    monkeypatch.setattr(Path, "write_bytes", read_only)
+    x = pipe.search_space().uniform(np.random.default_rng(7), 1)[0]
+    with pytest.raises(StorageError, match="Read-only"):
+        optimizer._evaluate(state, x, 0.0, 1.0)
+    assert state.pool is pool and state.rows == rows
+    assert _blob_handles(tmp_path) == blobs
 
 
 # Story: without a cache root, run stores stage outputs in a temporary

@@ -210,6 +210,15 @@ def test_run_composes_stage_objectives_and_costs(tmp_path):
     assert obs.executed_cost == pytest.approx(sum(obs.stage_costs))
 
 
+def _evaluate(pipe, x, pool, store):
+    """Run x, update the pool and commit its outputs to the store, as the
+    tuning loop does; returns the observation and the updated pool."""
+    obs = run(pipe, x, pool, store)
+    after = update_pool(pool, obs)
+    store.commit(pool, after, obs)
+    return obs, after
+
+
 # Story: a memoized resume must produce the bit-identical objective to a
 # full evaluation of the same x — the stored partial sum is the exact left
 # fold of the executed stages.
@@ -219,8 +228,7 @@ def test_memoized_resume_is_bitwise_identical(tmp_path):
     pool = empty_pool(pipe.stage_dims, 5, "all")
 
     src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    full = run(pipe, src, pool, store)
-    pool = update_pool(pool, full)
+    full, pool = _evaluate(pipe, src, pool, store)
 
     # same prefix, different final stage: resumes after stage 2
     probe = src.copy()
@@ -241,32 +249,33 @@ def test_memoized_resume_is_bitwise_identical(tmp_path):
     assert again.y == full.y
 
 
-# Story: a lookup resolves only the pool's depths, so a fresh evaluation
-# stores its outputs there and nowhere else, under every prefix policy.
+# Story: a lookup resolves only the pool's depths, so an admitted
+# evaluation stores its outputs there and nowhere else, under every prefix
+# policy.
 @pytest.mark.parametrize("policy", PREFIX_POLICIES)
 def test_stage_outputs_stored_only_at_policy_depths(tmp_path, policy):
     pipe = synthetic_suite("synth5")
     pool = empty_pool(pipe.stage_dims, 5, policy)
     x = pipe.search_space().uniform(np.random.default_rng(4), 1)[0]
-    run(pipe, x, pool, StageOutputStore(tmp_path))
+    _evaluate(pipe, x, pool, StageOutputStore(tmp_path))
     stored = sorted(blob.parent.name for blob in tmp_path.rglob("*.bin"))
     assert stored == [f"stage_{d}" for d in pool.deltas]
 
 
 # Story: if every cached blob of a prefix disappears, the run logs and
-# falls back to a full evaluation rather than failing, and restores them.
+# falls back to a full evaluation rather than failing, and its commit
+# restores them.
 def test_missing_blob_falls_back_to_full_run(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
     pool = empty_pool(pipe.stage_dims, 5, "all")
     src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    full = run(pipe, src, pool, store)
-    pool = update_pool(pool, full)
+    full, pool = _evaluate(pipe, src, pool, store)
 
     for blob in tmp_path.rglob("*.bin"):
         blob.unlink()
 
-    obs = run(pipe, src, pool, store)
+    obs, pool = _evaluate(pipe, src, pool, store)
     assert obs.memo_delta == 0
     assert obs.y == full.y
     assert len(list(tmp_path.rglob("*.bin"))) == 2
@@ -280,8 +289,7 @@ def _cached_synth3(tmp_path):
     store, pool and the path of _SRC's stage-2 blob."""
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    pool = empty_pool(pipe.stage_dims, 5, "all")
-    pool = update_pool(pool, run(pipe, _SRC, pool, store))
+    _, pool = _evaluate(pipe, _SRC, empty_pool(pipe.stage_dims, 5, "all"), store)
     return pipe, store, pool, tmp_path / f"{store.handle_for(2, _SRC[:5])}.bin"
 
 
@@ -293,7 +301,8 @@ def _fresh_y(pipe, x, tmp_path):
 
 # Story: a damaged stage-2 blob is served from the longest prefix that still
 # resolves (stage 1), with the objective bit-equal to a fresh run, and the
-# run's own store rewrites the damaged blob.
+# commit after the run rewrites the damaged blob, which a pool entry still
+# points at.
 @pytest.mark.parametrize(
     "damage",
     [
@@ -311,7 +320,7 @@ def test_damaged_deeper_blob_falls_back_to_intact_prefix(tmp_path, caplog, damag
     probe[5:] = [0.3, 2.7]
 
     with caplog.at_level(logging.WARNING, logger="pipetune.pipeline"):
-        obs = run(pipe, probe, pool, store)
+        obs, pool = _evaluate(pipe, probe, pool, store)
     assert "cache resolution failed" in caplog.text
     assert obs.memo_delta == 1
     assert obs.stage_costs[0] == 0.0
@@ -325,14 +334,14 @@ def test_damaged_deeper_blob_falls_back_to_intact_prefix(tmp_path, caplog, damag
 
 
 # Story: a truncated blob costs a rerun from the longest intact prefix,
-# which also rewrites it, so the next hit on the same prefix is served from
-# the cache again.
+# whose commit also rewrites it, so the next hit on the same prefix is
+# served from the cache again.
 def test_truncated_blob_is_repaired_by_the_fallback_run(tmp_path, caplog):
     pipe, store, pool, blob = _cached_synth3(tmp_path)
     blob.write_bytes(blob.read_bytes()[:5])
 
     with caplog.at_level(logging.WARNING, logger="pipetune.pipeline"):
-        fallback = run(pipe, _SRC, pool, store)
+        fallback, pool = _evaluate(pipe, _SRC, pool, store)
     assert fallback.memo_delta == 1
     assert "cache resolution failed" in caplog.text
     assert blob.stat().st_size > 5
@@ -342,14 +351,32 @@ def test_truncated_blob_is_repaired_by_the_fallback_run(tmp_path, caplog):
     assert repaired.y == _fresh_y(pipe, _SRC, tmp_path)
 
 
+# Story: a fallback rerun that the pool does not admit (the same source,
+# no better objective) still rewrites the damaged blob, because a pool
+# entry still points at it.
+def test_unadmitted_fallback_rerun_still_repairs_the_blob(tmp_path):
+    pipe, store, pool, blob = _cached_synth3(tmp_path)
+    payload = store.resolve(2, _SRC[:5])
+    blob.write_bytes(blob.read_bytes()[:5])
+    probe = _SRC.copy()
+    probe[5:] = [0.0, 0.0]
+
+    obs, after = _evaluate(pipe, probe, pool, store)
+    assert obs.memo_delta == 1
+    assert after is pool
+    assert store.resolve(2, _SRC[:5]) == payload
+    assert len(list(tmp_path.rglob("*.bin"))) == 2
+
+
 # Story: a pool without capacity can never serve a prefix, so nothing is
-# stored for it.
+# kept or stored for it.
 def test_no_blobs_without_pool_capacity(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    obs = run(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), store)
+    obs, _ = _evaluate(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), store)
     assert obs.memo_delta == 0
+    assert obs.outputs == ()
     assert not list(tmp_path.rglob("*.bin"))
 
 
@@ -358,7 +385,7 @@ def test_output_handles_are_content_addressed(tmp_path):
     space = pipe.search_space()
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    run(pipe, x, empty_pool(pipe.stage_dims, 5, "all"), store)
+    _evaluate(pipe, x, empty_pool(pipe.stage_dims, 5, "all"), store)
     # stage k's output, the partial objective sum, is addressed by x's first
     # k stages' values alone
     partial = 0.0
@@ -430,8 +457,7 @@ def test_external_memoized_resume(tmp_path):
     store = StageOutputStore(tmp_path / "cache")
     pool = empty_pool(pipe.stage_dims, 3, "all")
     x = np.array([3.0, 4.0])
-    obs = run(pipe, x, pool, store)
-    pool = update_pool(pool, obs)
+    obs, pool = _evaluate(pipe, x, pool, store)
 
     probe = np.array([3.0, 5.0])
     memo = run(pipe, probe, pool, store)
@@ -465,8 +491,8 @@ def test_memoized_external_run_matches_fresh(tmp_path):
     store = StageOutputStore(tmp_path / "cache")
     pool = empty_pool(pipe.stage_dims, 3, "all")
     x = np.array([0.5, 0.5])
-    fresh = run(pipe, x, pool, store)
-    memo = run(pipe, x, update_pool(pool, fresh), store)
+    fresh, pool = _evaluate(pipe, x, pool, store)
+    memo = run(pipe, x, pool, store)
     assert (fresh.memo_delta, memo.memo_delta) == (0, 1)
     assert memo.y == fresh.y == 0.0
 
