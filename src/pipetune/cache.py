@@ -197,6 +197,20 @@ class StageOutputStore:
         except OSError as exc:
             raise StorageError(f"cannot create cache root: {exc}", str(self.root))
 
+    def clear(self) -> None:
+        """Delete the blobs and partial writes of this layout, the
+        ``stage_<k>/*.bin`` and ``*.tmp`` files, and nothing else under the
+        root, so that a run starting in a root an earlier run used holds
+        only what it writes itself: ``store_output`` keeps a blob that
+        verifies, which would hand an earlier run's payload to the next
+        stage. One directory listing on an empty root."""
+        for path in self.root.glob("stage_*/*"):
+            if path.suffix in (".bin", ".tmp"):
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError as exc:
+                    raise StorageError(f"cannot delete stage output: {exc}", str(path))
+
     def handle_for(self, stage_index: int, key_values: Sequence[float]) -> str:
         """Handle a store of these key values would produce; no I/O."""
         if stage_index < 1:

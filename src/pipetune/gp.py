@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InsufficientDataError, InvalidArgumentError, NumericalFailureError
 
@@ -28,6 +27,10 @@ _JITTER_START = 1e-8
 _JITTER_MAX = 1e-2
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# The corner of the bordered covariance in _lml_values: far above any
+# z' (K + noise I)^-1 z, which noise >= 1e-6 keeps below 1e6 n.
+_BORDER = 1e30
 
 
 @dataclass(frozen=True)
@@ -148,13 +151,23 @@ def _lml_values(
     """Log marginal likelihood of standardized targets z under each of B
     hyperparameter sets, evaluated as one stacked batch: lengthscales
     (B, dim), output_scale (B,) and noise_variance (B,), all positive.
-    -inf where the covariance stays singular through jitter escalation."""
+    -inf where the covariance stays singular through jitter escalation.
+
+    Each covariance K + noise I is bordered by z and a large corner,
+    ``[[K + noise I, z], [z', c]]``, so that one Cholesky factor holds both
+    terms: its leading n diagonal entries give log|K + noise I|, and its
+    last row is w = L^-1 z, with z' (K + noise I)^-1 z = |w|^2. Each
+    member's value depends on its own matrix alone, not on the batch."""
     n, batch = x.shape[0], len(output_scale)
-    k = _cross_cov(x, x, lengthscales, output_scale)
-    k.reshape(batch, -1)[:, :: n + 1] += noise_variance[:, None]  # the diagonals, as a view
+    k = np.empty((batch, n + 1, n + 1))
+    k[:, :n, :n] = _cross_cov(x, x, lengthscales, output_scale)
+    # the leading n diagonal entries, as a view
+    k.reshape(batch, -1)[:, : n * (n + 2) : n + 2] += noise_variance[:, None]
+    k[:, n, :n] = k[:, :n, n] = z
+    k[:, n, n] = _BORDER
     try:
         chols = np.linalg.cholesky(k)
-        factored = list(range(batch))
+        factored = np.arange(batch)
     except np.linalg.LinAlgError:
         chols, factored = k, []
         for i, k_noisy in enumerate(k):
@@ -163,12 +176,12 @@ def _lml_values(
                 factored.append(i)
             except NumericalFailureError:
                 pass
-    log_dets = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)[factored]), axis=1)
+    chols = chols[factored]
+    w = chols[:, n, :n]
+    log_dets = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)[:, :n]), axis=1)
     values = np.full(batch, -np.inf)
-    for i, log_det in zip(factored, log_dets):
-        # z' (L L')^-1 z = |w|^2 with L w = z
-        w, _ = lapack.dtrtrs(chols[i], z, lower=1)
-        values[i] = -0.5 * w @ w - log_det - 0.5 * n * _LOG_2PI
+    w_sq = (w[:, None, :] @ w[:, :, None]).ravel()  # one dot product per member
+    values[factored] = -0.5 * w_sq - log_dets - 0.5 * n * _LOG_2PI
     return values
 
 

@@ -204,7 +204,9 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
 
     Only a memo-aware method on a pipeline of two or more stages keeps a
     prefix pool. A config whose ``m`` is below the number of candidate
-    groups a full pool gives is refused before any stage runs.
+    groups a full pool gives is refused before any stage runs. The pool
+    starts empty, so the store starts empty too: blobs an earlier run left
+    in ``cache_root`` are deleted before warmup.
     """
     space = pipeline.search_space()
     memo = METHODS[config.method].memo_aware and space.n_stages > 1
@@ -226,6 +228,7 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
         rows=[],
     )
 
+    state.store.clear()
     design = scrambled_halton(space.dim, config.n0, derived_int(config.seed, _TAG_WARMUP))
     for x in space.lower + design * (space.upper - space.lower):
         _evaluate(state, x, 0.0, 1.0)

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+from pipetune import acquisition
 from pipetune.acquisition import (
     EXP_DECAY_FACTOR,
     METHODS,
     ModelSet,
+    _ndtr,
     _segment_draws,
     cooling_eta,
     expected_improvement_batch,
@@ -94,6 +97,64 @@ def test_ei_batch_matches_scalar():
         [_scalar_ei(m, v, f_best) for m, v in zip(mean, var)]
     )
     assert np.allclose(batch, scalar, atol=1e-12)
+
+
+def _ndtr_inputs():
+    """Points on both sides of every branch boundary of cephes ndtr (|a| at
+    sqrt(2) times 1/sqrt(2), 1 and 8) and of its underflow edge, each
+    as a dense grid plus the 200 nearest doubles, then signed zeros,
+    infinities, huge values and 1e5 random normals at several scales."""
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * acquisition._MAXLOG)]
+    parts = []
+    for b in edges:
+        parts.append(b + np.linspace(-1e-3, 1e-3, 4001))
+        parts.append(b + np.spacing(b) * np.arange(-100.0, 101.0))
+    parts.append(np.linspace(37.0, 38.5, 4001))  # the underflow edge, near 37.7
+    rng = np.random.default_rng(2024)
+    parts += [scale * rng.standard_normal(100_000) for scale in (0.1, 1.0, 3.0, 10.0, 30.0)]
+    a = np.concatenate(parts)
+    special = [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324]
+    return np.concatenate([a, -a, special])
+
+
+# Story: expected improvement's normal CDF is cephes ndtr computed in-house,
+# so every score is what it was when EI called scipy.special.ndtr. Equal
+# means equal bytes, in every branch, at each boundary and the underflow
+# edge, at signed zeros and infinities; NaN stays NaN.
+def test_ndtr_matches_scipy_bit_for_bit():
+    a = _ndtr_inputs()
+    ours, theirs = _ndtr(a), ndtr(a)
+    differ = ours.view(np.int64) != theirs.view(np.int64)
+    assert not differ.any(), (np.count_nonzero(differ), a[differ][:5])
+    assert np.isnan(_ndtr(np.array([np.nan, -np.nan]))).all()
+
+
+def _ei_with_scipy_ndtr(mean, variance, f_best):
+    """expected_improvement_batch as it was written on scipy.special.ndtr."""
+    mean = np.asarray(mean, dtype=float)
+    sigma = np.sqrt(np.asarray(variance, dtype=float))
+    out = np.maximum(mean - f_best, 0.0)
+    pos = sigma > 0.0
+    if np.any(pos):
+        z = (mean[pos] - f_best) / sigma[pos]
+        phi = acquisition._INV_SQRT_2PI * np.exp(-0.5 * z * z)
+        out[pos] = sigma[pos] * (z * ndtr(z) + phi)
+    return out
+
+
+# Story: the scores the optimizer ranks are the bytes EI gave on scipy's
+# ndtr, for beliefs far below, near and far above the incumbent, with some
+# variances zero.
+def test_ei_matches_scipy_ndtr_version_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 1.0, 30.0):
+        mean = scale * rng.standard_normal(50_000)
+        var = (scale * rng.uniform(0.0, 2.0, 50_000)) ** 2
+        var[::97] = 0.0
+        for f_best in (0.0, scale, -scale):
+            ours = expected_improvement_batch(mean, var, f_best)
+            theirs = _ei_with_scipy_ndtr(mean, var, f_best)
+            assert ours.tobytes() == theirs.tobytes(), (scale, f_best)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,10 @@
 """Unit tests for the search space, the warmup design and prefix-grouped
 candidate generation."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.stats import qmc
 
-import pipetune
 from pipetune.cache import empty_pool, update_pool
 from pipetune.candidates import SearchSpace, generate, scrambled_halton
 from pipetune.errors import InvalidArgumentError
@@ -104,21 +98,6 @@ def test_scrambled_halton_matches_scipy_bit_for_bit(d):
             theirs = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
             assert ours.shape == theirs.shape == (n, d)
             assert ours.tobytes() == theirs.tobytes(), (d, seed, n)
-
-
-# Story: importing the library, CLI included, does not load scipy.stats,
-# whose import alone costs more than the rest of set-up.
-def test_import_does_not_load_scipy_stats():
-    src = str(Path(pipetune.__file__).resolve().parents[1])
-    probe = "import sys, pipetune, pipetune.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

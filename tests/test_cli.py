@@ -7,6 +7,7 @@ import math
 import pytest
 
 from pipetune.cli import (
+    CACHE_ROOT_ENV,
     SummaryRow,
     _build_jobs,
     _improvement_flags,
@@ -361,6 +362,22 @@ def test_failing_stage_exits_1_with_any_jobs(tmp_path, capsys, jobs):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: stage command exited with status 1\n"
+
+
+# Story: a second run into the same --out, with a smaller --cache-size,
+# leaves its cache root holding its own pool's blobs alone: at most
+# q x (policy depths), where synth3 caches two depths.
+def test_rerun_into_one_out_leaves_only_its_own_blobs(tmp_path, monkeypatch):
+    monkeypatch.delenv(CACHE_ROOT_ENV, raising=False)
+    # a later flag overrides its value in _TINY_FLAGS
+    flags = ["run", "--pipeline", "synth3", "--methods", "eeipu", "--seed", "0",
+             "--out", str(tmp_path), *_TINY_FLAGS, "--budget", "150"]
+    root = tmp_path / "cache" / "synth3_eeipu_s0"
+    assert main([*flags, "--cache-size", "3"]) == 0
+    assert len(list(root.rglob("*.bin"))) > 2
+    assert main([*flags, "--cache-size", "1"]) == 0
+    assert 0 < len(list(root.rglob("*.bin"))) <= 1 * 2
+    assert not list(root.rglob("*.tmp"))
 
 
 def test_missing_pipeline_flag_exits_2(capsys):

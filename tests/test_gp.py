@@ -425,6 +425,52 @@ def test_fit_matches_sequential_oracle(seed, n, dim, restarts, offset):
     assert got.noise_variance == want.noise_variance
 
 
+def _covariance_kind(x, log_theta):
+    """'plain', 'jitter' or 'inf': whether K + noise I at these
+    hyperparameters factors as it is, needs jitter, or fails through it."""
+    params = gp._theta_to_params(log_theta, x.shape[1])
+    k = _cross_cov(x, x, params.lengthscales, params.output_scale)
+    k += params.noise_variance * np.eye(len(x))
+    try:
+        np.linalg.cholesky(k)
+        return "plain"
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        _chol_with_jitter(k)
+        return "jitter"
+    except NumericalFailureError:
+        return "inf"
+
+
+# Story: a member's likelihood does not depend on the batch it is scored
+# in: alone, or stacked with two others in any order, its value has the same
+# bits, also when a neighbour needs jitter or scores -inf and the stack falls
+# back to factoring one matrix at a time. The per-restart cache and the
+# lockstep fit rely on it.
+def test_lml_values_are_batch_independent():
+    x, y = _fit_data(1, 8, 2, 2e6)
+    z = (y - np.mean(y)) / np.std(y)
+    dim = x.shape[1]
+    lo, hi = gp._log_bounds(dim)
+    rng = np.random.default_rng(0)
+    found = {}
+    while len(found) < 3:
+        log_theta = rng.uniform(lo, hi)
+        found.setdefault(_covariance_kind(x, log_theta), log_theta)
+    kinds = ["plain", "jitter", "inf"]
+    theta = np.exp(np.array([found[kind] for kind in kinds]))
+
+    def lml(rows):
+        t = theta[rows]
+        return _lml_values(x, z, t[:, :dim], t[:, dim], t[:, dim + 1])
+
+    alone = np.concatenate([lml([i]) for i in range(3)])
+    assert np.isfinite(alone[:2]).all() and alone[2] == -np.inf
+    for order in ([0, 1, 2], [2, 1, 0], [1, 0, 2], [0, 0, 0], [1, 1, 0]):
+        assert lml(order).tobytes() == alone[order].tobytes(), order
+
+
 # Story: when every trial scores -inf, the lockstep fit fails as the
 # sequential ascent does.
 def test_fit_fails_where_sequential_oracle_finds_nothing_finite():

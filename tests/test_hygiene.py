@@ -1,6 +1,9 @@
 """Source hygiene checks over the package's own modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -144,3 +147,34 @@ def test_unread_field_scan_sees_both_cases():
     )
     assert set(_dataclass_fields(tree)) == {"P.read", "P.unread", "Q.stored"}
     assert _unread_fields([tree]) == ["P.unread", "Q.stored"]
+
+
+# Story: the runtime needs numpy alone. No module imports scipy, and a
+# fresh interpreter that imports the library and the CLI, then runs a short
+# eeipu trace (warmup, GP fits, scoring, memoized stages), has loaded no
+# scipy module, deferred imports included. scipy's import alone costs more
+# than the rest of set-up.
+def test_import_and_run_load_no_scipy():
+    for path in sorted(SRC.glob("*.py")):
+        names = _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+        assert "scipy" not in names, path.name
+    probe = (
+        "import sys, pipetune, pipetune.cli\n"
+        "from pipetune import RunConfig, run, synthetic_suite\n"
+        "config = RunConfig(method='eeipu', seed=0, n0=3, m=24, n_mc=40, restarts=2,"
+        " total_budget=150.0)\n"
+        "trace = run(config, synthetic_suite('synth3'))\n"
+        "print(len(trace.post_warmup_rows()), any(r.delta for r in trace.rows))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    ran, loaded = out.stdout.splitlines()
+    steps, memoized = ran.split()
+    assert int(steps) >= 2 and memoized == "True", ran
+    assert loaded == "[]"

@@ -5,6 +5,7 @@ degeneracy, and trace persistence."""
 import errno
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import pipetune.optimizer as optimizer
 from pipetune.acquisition import ModelSet, score_candidates
-from pipetune.cache import PREFIX_POLICIES
+from pipetune.cache import PREFIX_POLICIES, StageOutputStore
 from pipetune.errors import (
     InvalidArgumentError,
     NumericalFailureError,
@@ -249,6 +250,46 @@ def test_synth10_run_ends_with_at_most_q_times_9_blobs(tmp_path):
     assert len(state.rows) > config.n0
     assert _blob_handles(tmp_path) == _pool_handles(state)
     assert len(_blob_handles(tmp_path)) <= config.q * 9
+
+
+# Story: a run that starts in a cache root an earlier run used resolves only
+# what it wrote itself. Every prefix the run can admit is seeded first with
+# a valid blob of another payload, as a run of a changed stage would leave
+# it; the trace and the blobs left equal those of a run in a fresh root.
+def test_reused_root_resolves_the_fresh_payload(tmp_path):
+    pipe = synthetic_suite("synth3")
+    space = pipe.search_space()
+    config = _tiny_cfg(total_budget=150.0)
+    fresh = run(config, pipe, tmp_path / "fresh.csv", tmp_path / "fresh")
+    assert any(row.delta > 0 for row in fresh.rows)
+    stale = StageOutputStore(tmp_path / "reused")
+    for row in fresh.rows:
+        for depth in range(1, space.n_stages):
+            stale.store_output(depth, row.x[: space.prefix_width(depth)], struct.pack(">d", 1e6))
+    run(config, pipe, tmp_path / "reused.csv", tmp_path / "reused")
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    blobs = _blob_handles(tmp_path / "fresh")
+    assert _blob_handles(tmp_path / "reused") == blobs
+    for handle in blobs:
+        path = f"{handle}.bin"
+        assert (tmp_path / "reused" / path).read_bytes() == (tmp_path / "fresh" / path).read_bytes()
+
+
+# Story: clearing a store deletes its blobs and partial writes and leaves
+# any other file under the root alone.
+def test_clear_deletes_only_the_store_layout(tmp_path):
+    store = StageOutputStore(tmp_path)
+    store.clear()  # an empty root
+    store.store_output(1, [0.5], b"x")
+    (tmp_path / "stage_2").mkdir()
+    (tmp_path / "stage_2" / "partial.tmp").write_bytes(b"")
+    (tmp_path / "stage_2" / "notes.txt").write_text("kept")
+    (tmp_path / "trace.csv").write_text("kept")
+    store.clear()
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*")) == [
+        "stage_2/notes.txt",
+        "trace.csv",
+    ]
 
 
 # Story: an admitted evaluation whose blobs cannot be written (a read-only
