@@ -75,31 +75,29 @@ class PrefixPool:
             raise InvalidArgumentError("capacity must be nonnegative")
         if any(d < 1 for d in self.stage_dims):
             raise InvalidArgumentError("stage dims must be positive")
-        _policy_deltas(self.policy, len(self.stage_dims))  # refuses unknown policies
+        # a pool is frozen, so its deltas and entries are computed once
+        # (this also refuses unknown policies)
+        entries = tuple(e for src in self.sources for e in src.entries)
+        object.__setattr__(self, "_deltas", _policy_deltas(self.policy, len(self.stage_dims)))
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_distinct", tuple(dict.fromkeys(entries)))
 
     @property
     def deltas(self) -> tuple[int, ...]:
         """The prefix depths every source contributes, ascending."""
-        return _policy_deltas(self.policy, len(self.stage_dims))
+        return self._deltas
 
     def all_entries(self) -> tuple[PrefixEntry, ...]:
         """Every cached prefix in deterministic order (insertion, then
         ascending delta). The empty prefix is not an entry."""
-        return tuple(e for src in self.sources for e in src.entries)
+        return self._entries
 
     def distinct_entries(self) -> tuple[PrefixEntry, ...]:
         """``all_entries`` with duplicate (delta, values) pairs collapsed to
         the first occurrence.  Two sources can share a short prefix while
         differing later; identical values address identical stored outputs,
         so the duplicates carry no extra information."""
-        seen: set[tuple[int, tuple[float, ...]]] = set()
-        out = []
-        for entry in self.all_entries():
-            key = (entry.delta, entry.values)
-            if key not in seen:
-                seen.add(key)
-                out.append(entry)
-        return tuple(out)
+        return self._distinct
 
 
 @dataclass(frozen=True)

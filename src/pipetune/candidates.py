@@ -18,15 +18,17 @@ from .errors import InvalidArgumentError
 @dataclass(frozen=True)
 class SearchSpace:
     """Stage-segmented box domain: per-stage dimension counts plus global
-    lower/upper bounds, lower < upper elementwise."""
+    lower/upper bounds, lower < upper elementwise, held as read-only copies
+    so that one space can be shared."""
 
     stage_dims: tuple[int, ...]
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        lower = np.array(self.lower, dtype=float)
+        upper = np.array(self.upper, dtype=float)
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "stage_dims", tuple(int(d) for d in self.stage_dims))
@@ -37,6 +39,10 @@ class SearchSpace:
             raise InvalidArgumentError(f"bounds must have shape ({d},)")
         if not np.all(lower < upper):
             raise InvalidArgumentError("require lower < upper elementwise")
+
+    def __reduce__(self):
+        # rebuilt through __init__, so an unpickled space is read-only too
+        return SearchSpace, (self.stage_dims, self.lower, self.upper)
 
     @property
     def dim(self) -> int:
@@ -129,20 +135,13 @@ def generate(
             f"M={m} smaller than the {n_groups} prefix groups"
         )
     b_size = m // n_groups
-    remainder = m - b_size * n_groups
+    first = m - b_size * len(entries)  # the empty group takes the remainder
 
-    draws: list[np.ndarray] = []
-    deltas: list[np.ndarray] = []
-    for group_index in range(n_groups):
-        count = b_size + (remainder if group_index == 0 else 0)
-        draw = space.uniform(rng, count)
-        if group_index == 0:
-            delta = 0
-        else:
-            entry = entries[group_index - 1]
-            delta = entry.delta
-            width = len(entry.values)
-            draw[:, :width] = np.asarray(entry.values, dtype=float)
-        draws.append(draw)
-        deltas.append(np.full(count, delta))
-    return np.concatenate(draws), np.concatenate(deltas)
+    # one draw for the batch: Generator.random fills row-major from one
+    # stream, so group-by-group draws would give these same values
+    xs = space.uniform(rng, m)
+    for i, entry in enumerate(entries):
+        start = first + i * b_size
+        xs[start : start + b_size, : len(entry.values)] = entry.values
+    deltas = np.repeat([0, *(e.delta for e in entries)], [first] + [b_size] * len(entries))
+    return xs, deltas

@@ -198,7 +198,11 @@ def _build_jobs(
     args, out_dir: Path, overrides: dict | None = None
 ) -> list[tuple[RunConfig, str, str]]:
     """One (config, trace path, cache root) per method and repeat; every
-    config is checked by RunConfig before any job runs."""
+    config is checked by RunConfig, and --repeats and --jobs are checked,
+    before any job runs."""
+    for flag in ("repeats", "jobs"):
+        if getattr(args, flag) < 1:
+            raise InvalidArgumentError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     overrides = overrides or {}
     cache_base = Path(os.environ.get(CACHE_ROOT_ENV, out_dir / "cache"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

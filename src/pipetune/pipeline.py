@@ -201,6 +201,9 @@ class PipelineSpec:
                 f"pipeline {self.name!r} mixes stage kinds {kinds}; "
                 "a pipeline's stages must all be synthetic or all external"
             )
+        lower = [lo for s in self.stages for lo, _ in s.bounds]
+        upper = [hi for s in self.stages for _, hi in s.bounds]
+        object.__setattr__(self, "_space", SearchSpace(self.stage_dims, lower, upper))
 
     @property
     def n_stages(self) -> int:
@@ -211,9 +214,9 @@ class PipelineSpec:
         return tuple(s.dim for s in self.stages)
 
     def search_space(self) -> SearchSpace:
-        lower = np.array([lo for s in self.stages for lo, _ in s.bounds])
-        upper = np.array([hi for s in self.stages for _, hi in s.bounds])
-        return SearchSpace(stage_dims=self.stage_dims, lower=lower, upper=upper)
+        """The spec's one search space, built with it; its bounds are
+        read-only."""
+        return self._space
 
 
 @dataclass(frozen=True)

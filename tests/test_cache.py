@@ -158,6 +158,24 @@ def test_distinct_entries_collapses_shared_short_prefix():
     assert sum(1 for e in distinct if e.delta == 1) == 1
 
 
+# Story: a pool computes its entries once, when it is built; update_pool
+# returns a new pool, whose entries show the source it admitted or evicted,
+# and leaves the old pool's as they were.
+def test_entries_follow_admission_and_eviction():
+    empty = _pool(1)
+    first = update_pool(empty, _obs([1, 2, 3, 4, 5], 1.0))
+    second = update_pool(first, _obs([6, 7, 8, 9, 9], 2.0))
+    assert empty.all_entries() == empty.distinct_entries() == ()
+    assert [(e.delta, e.values) for e in first.distinct_entries()] == [
+        (1, (1.0, 2.0)), (2, (1.0, 2.0, 3.0))
+    ]
+    assert [(e.delta, e.values) for e in second.distinct_entries()] == [
+        (1, (6.0, 7.0)), (2, (6.0, 7.0, 8.0))
+    ]
+    assert second.all_entries() == second.distinct_entries()
+    assert first.distinct_entries()[0].values == (1.0, 2.0)
+
+
 def test_update_validation_and_noops():
     # capacity zero: never stores
     zero = _pool(0)

@@ -8,7 +8,7 @@ from scipy.stats import qmc
 from pipetune.cache import empty_pool, update_pool
 from pipetune.candidates import SearchSpace, generate, scrambled_halton
 from pipetune.errors import InvalidArgumentError
-from pipetune.pipeline import Observation
+from pipetune.pipeline import Observation, synthetic_suite
 
 
 def _space():
@@ -174,3 +174,50 @@ def test_generate_deterministic_by_rng():
     xs_a, deltas_a = generate(pool, s, 12, np.random.default_rng(7))
     xs_b, deltas_b = generate(pool, s, 12, np.random.default_rng(7))
     assert np.array_equal(xs_a, xs_b) and np.array_equal(deltas_a, deltas_b)
+
+
+def _per_group_oracle(pool, space, m, rng):
+    """Candidate generation as one uniform draw per prefix group: the
+    empty group first with the remainder, then each distinct entry."""
+    entries = pool.distinct_entries()
+    b_size = m // (1 + len(entries))
+    xs = [space.uniform(rng, m - b_size * len(entries))]
+    deltas = [np.zeros(len(xs[0]), dtype=int)]
+    for entry in entries:
+        draw = space.uniform(rng, b_size)
+        draw[:, : len(entry.values)] = np.asarray(entry.values, dtype=float)
+        xs.append(draw)
+        deltas.append(np.full(b_size, entry.delta))
+    return np.concatenate(xs), np.concatenate(deltas)
+
+
+def _filled_pool(space, capacity, policy, n_obs, seed):
+    pool = empty_pool(space.stage_dims, capacity, policy)
+    rng = np.random.default_rng(seed)
+    for x in space.uniform(rng, n_obs):
+        pool = update_pool(pool, _obs(x, rng.random()))
+    return pool
+
+
+# Story: generate draws the whole batch at once and copies prefixes into its
+# blocks of rows; the result must equal, bit for bit, drawing each group on
+# its own, for pools of 0, 1 and many entries, with and without a remainder,
+# on the 3-stage and 10-stage suites.
+@pytest.mark.parametrize("suite", ["synth3", "synth10"])
+@pytest.mark.parametrize(
+    "capacity,policy,n_obs,n_entries",
+    [(0, "all", 0, 0), (1, "first", 1, 1), (1, "all", 1, None), (5, "all", 12, None)],
+)
+@pytest.mark.parametrize("m", [256, 257, 97])
+def test_generate_equals_per_group_draws(suite, capacity, policy, n_obs, n_entries, m):
+    space = synthetic_suite(suite).search_space()
+    pool = _filled_pool(space, capacity, policy, n_obs, seed=m + n_obs)
+    # one source gives one entry per pool depth: 2 on synth3, 9 on synth10
+    want = n_entries if n_entries is not None else capacity * (space.n_stages - 1)
+    assert len(pool.distinct_entries()) == want
+    seed = 11 * m + capacity
+    xs, deltas = generate(pool, space, m, np.random.default_rng(seed))
+    want_xs, want_deltas = _per_group_oracle(pool, space, m, np.random.default_rng(seed))
+    assert xs.tobytes() == want_xs.tobytes()
+    assert deltas.tolist() == want_deltas.tolist()
+    assert xs.shape == (m, space.dim)

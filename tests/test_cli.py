@@ -333,6 +333,31 @@ def test_mixed_pipeline_file_exits_2(tmp_path, capsys):
     assert not list(out.glob("**/*.csv"))
 
 
+# Story: --repeats and --jobs below 1 are usage errors (exit 2) in run and
+# ablate, refused before any stage runs or any output is written, rather
+# than an empty table or a silent serial run.
+@pytest.mark.parametrize("command", [["run"], ["ablate", "eta"]])
+@pytest.mark.parametrize("flag,value", [
+    ("--repeats", "0"), ("--repeats", "-2"), ("--jobs", "0"), ("--jobs", "-3"),
+])
+def test_out_of_range_repeats_and_jobs_exit_2(tmp_path, capsys, command, flag, value):
+    marker = tmp_path / "ran"
+    pipe = tmp_path / "touch.json"
+    stage = {
+        "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]],
+        "command": f"touch {marker} && echo objective=1.0",
+    }
+    pipe.write_text(json.dumps({"name": "touch", "stages": [stage]}))
+    out = tmp_path / "out"
+    code = main(
+        [*command, "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS, flag, value]
+    )
+    assert code == 2
+    assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not list(out.glob("**/*.csv"))
+
+
 # Story: a pipeline file with a misspelled stage kind is refused with the
 # usage exit code; the stage does not run as an external one.
 def test_malformed_pipeline_file_exits_2(tmp_path, capsys):

@@ -128,6 +128,26 @@ def test_derived_seeds_are_stable_and_distinct():
     assert np.array_equal(a, b)
 
 
+# Story: the derived seeds hand SeedSequence the 32-bit words of each int,
+# and must give exactly the state numpy derives from the plain list, for
+# zero, word-boundary and multi-word values alike.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("tags", [(), (0,), (2**33,), (103, 0, 2**33, 7), (2**32 - 1, 2**32)])
+def test_derived_seeds_equal_seed_sequence_of_the_list(seed, tags):
+    reference = np.random.SeedSequence([seed, *tags])
+    assert derived_int(seed, *tags) == int(reference.generate_state(1)[0])
+    ours = derived_rng(seed, *tags).random(8)
+    assert ours.tobytes() == np.random.default_rng(reference).random(8).tobytes()
+
+
+@pytest.mark.parametrize("values", [(-1,), (3, -1), (3, 101, -(2**40))])
+def test_derived_seeds_refuse_negative_values(values):
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        derived_int(*values)
+    with pytest.raises(InvalidArgumentError, match="nonnegative"):
+        derived_rng(*values)
+
+
 # ---------------------------------------------------------------------------
 # warmup and state
 

@@ -10,6 +10,7 @@ import json
 import logging
 import math
 import os
+import pickle
 import struct
 import sys
 import time
@@ -154,6 +155,21 @@ def test_spec_validation():
         StageSpec(name="s", dim=1, bounds=((0.0, 1.0),), kind="external", command="")
     with pytest.raises(InvalidArgumentError):
         PipelineSpec(name="p", stages=())
+
+
+# Story: a spec builds its search space once and every caller shares it, so
+# its bounds are read-only, also in a copy a worker process unpickles.
+def test_search_space_is_built_once_with_read_only_bounds():
+    spec = synthetic_suite("synth3")
+    space = spec.search_space()
+    assert spec.search_space() is space
+    assert space.stage_dims == spec.stage_dims
+    assert space.lower.tolist() == [lo for s in spec.stages for lo, _ in s.bounds]
+    assert space.upper.tolist() == [hi for s in spec.stages for _, hi in s.bounds]
+    for bounds in (space.lower, space.upper, pickle.loads(pickle.dumps(spec)).search_space().lower):
+        with pytest.raises(ValueError, match="read-only"):
+            bounds[0] = 0.0
+    assert space.lower.tolist() == [lo for s in spec.stages for lo, _ in s.bounds]
 
 
 # ---------------------------------------------------------------------------
