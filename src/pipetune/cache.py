@@ -75,12 +75,13 @@ class PrefixPool:
             raise InvalidArgumentError("capacity must be nonnegative")
         if any(d < 1 for d in self.stage_dims):
             raise InvalidArgumentError("stage dims must be positive")
-        # a pool is frozen, so its deltas and entries are computed once
-        # (this also refuses unknown policies)
+        # a pool is frozen, so its deltas, entries and their (delta, values)
+        # addresses are computed once (this also refuses unknown policies)
         entries = tuple(e for src in self.sources for e in src.entries)
         object.__setattr__(self, "_deltas", _policy_deltas(self.policy, len(self.stage_dims)))
         object.__setattr__(self, "_entries", entries)
         object.__setattr__(self, "_distinct", tuple(dict.fromkeys(entries)))
+        object.__setattr__(self, "_addresses", frozenset((e.delta, e.values) for e in entries))
 
     @property
     def deltas(self) -> tuple[int, ...]:
@@ -253,7 +254,7 @@ class StageOutputStore:
         the blob of every entry of ``before`` that no entry of ``after``
         shares.  A write that fails raises StorageError before anything is
         deleted, so ``before`` still resolves everywhere it did."""
-        kept = {(e.delta, e.values) for e in after.all_entries()}
+        kept = after._addresses
         for depth, payload in obs.outputs:
             values = tuple(float(v) for v in obs.x[: sum(after.stage_dims[:depth])])
             if (depth, values) in kept:

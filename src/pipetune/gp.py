@@ -296,9 +296,10 @@ def fit(
     the step after a round without improvement, stopping below 0.05.
 
     The restarts are independent ascents advanced in lockstep: at each
-    (round, coordinate, direction) the trial points of every restart still
-    running are scored as one stacked batch (one stacked Cholesky, one
-    triangular solve each). Each restart caches its values by the bytes of
+    (round, coordinate) the up and down trials of every restart still
+    running are scored as one stacked batch (one stacked Cholesky), and
+    where a restart's up trial wins, its down trial from the new point in a
+    second, retry batch. Each restart caches its values by the bytes of
     the log-parameter vector, because the ascent often returns to a point
     it has scored; ``log_prior`` runs once per distinct vector. Trial
     vectors are clipped to the bounds and exponentiated as one block, so
@@ -360,16 +361,26 @@ def fit(
     for _ in range(max_rounds):
         improved = np.zeros(len(starts), dtype=bool)
         for coord in range(dim + 2):
-            for direction in (1.0, -1.0):
-                trials = thetas[active]
-                trials[:, coord] += direction * steps[active]
+            # every running restart's up and down trials as one batch; where
+            # the up trial wins, the down trial is made again from the new
+            # point, in a second batch, as the one-restart ascent makes it
+            rows = np.concatenate([active, active])
+            deltas = np.concatenate([steps[active], -steps[active]])
+            n_up = active.size
+            while rows.size:
+                trials = thetas[rows]
+                trials[:, coord] += deltas
                 np.clip(trials, lo, hi, out=trials)
-                trial_vals = objective(active, trials)
-                better = trial_vals > vals[active] + 1e-12
-                moved = active[better]
+                trial_vals = objective(rows, trials)
+                better = trial_vals > vals[rows] + 1e-12
+                up_won = better[:n_up]
+                better[n_up : 2 * n_up] &= ~up_won
+                moved = rows[better]
                 thetas[moved] = trials[better]
                 vals[moved] = trial_vals[better]
                 improved[moved] = True
+                rows = rows[:n_up][up_won]
+                deltas, n_up = -steps[rows], 0
         steps[active[~improved[active]]] *= 0.5
         active = active[steps[active] >= 0.05]
         if not active.size:

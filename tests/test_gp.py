@@ -328,7 +328,13 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
     another, one uncached evaluation per trial, and the LML from two LU
     solves against the Cholesky factor. Returns the winning KernelParams
     (None when no value is finite), the set of vectors each restart
-    evaluated, and how many evaluations needed jitter or scored -inf."""
+    evaluated, and how many evaluations needed jitter or scored -inf.
+
+    A restart's visited set also holds, for each up step it accepted, the
+    down trial from the point before the move, which the lockstep fit
+    scores in the same batch as the up trial. ``stats`` also holds the
+    (round, coordinate) pairs that some restart ran, and those in which
+    some restart's up step won."""
     dim = x.shape[1]
     z = (y - np.mean(y)) / np.std(y)
     rng = np.random.default_rng(seed)
@@ -337,7 +343,7 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
     starts = [base]
     for _ in range(max(0, restarts - 1)):
         starts.append(np.clip(base + rng.uniform(-1.5, 1.5, size=dim + 2), lo, hi))
-    stats = {"evals": 0, "jitter": 0, "inf": 0}
+    stats = {"evals": 0, "jitter": 0, "inf": 0, "pairs": set(), "up_won": set()}
 
     def objective(log_theta):
         stats["evals"] += 1
@@ -365,9 +371,10 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
         seen.add(theta.tobytes())
         val = objective(theta)
         step = 1.0
-        for _ in range(max_rounds):
+        for round_ in range(max_rounds):
             improved = False
             for coord in range(dim + 2):
+                stats["pairs"].add((round_, coord))
                 for direction in (1.0, -1.0):
                     trial = theta.copy()
                     trial[coord] += direction * step
@@ -375,6 +382,11 @@ def _sequential_fit(x, y, seed, restarts=3, max_rounds=10):
                     seen.add(trial.tobytes())
                     trial_val = objective(trial)
                     if trial_val > val + 1e-12:
+                        if direction > 0:
+                            stats["up_won"].add((round_, coord))
+                            down = theta.copy()
+                            down[coord] -= step
+                            seen.add(np.clip(down, lo, hi).tobytes())
                         theta, val = trial, trial_val
                         improved = True
             if not improved:
@@ -482,7 +494,10 @@ def test_fit_fails_where_sequential_oracle_finds_nothing_finite():
 
 
 # Story: the cache scores each restart's distinct vectors once, and every
-# score still calls gp.log_prior, which counts likelihood evaluations.
+# score still calls gp.log_prior, which counts likelihood evaluations. In
+# (3, 5, 1, 10) three down trials made again after a winning up step are new
+# vectors (log output scale 0.3526... + 1 - 1 rounds away from 0.3526...),
+# so a fit that skipped that retry batch would count 3 short.
 def test_fit_calls_log_prior_once_per_distinct_vector(monkeypatch):
     calls = []
 
@@ -490,7 +505,11 @@ def test_fit_calls_log_prior_once_per_distinct_vector(monkeypatch):
         calls.append(args)
         return log_prior(*args)
 
-    for seed, n, dim, restarts, offset in [(2, 30, 7, 10, 0.0), (1, 8, 2, 3, 2e6)]:
+    for seed, n, dim, restarts, offset in [
+        (2, 30, 7, 10, 0.0),
+        (1, 8, 2, 3, 2e6),
+        (3, 5, 1, 10, 0.0),
+    ]:
         x, y = _fit_data(seed, n, dim, offset)
         _, visited, stats = _sequential_fit(x, y, seed, restarts)
         calls.clear()
@@ -499,6 +518,28 @@ def test_fit_calls_log_prior_once_per_distinct_vector(monkeypatch):
         monkeypatch.undo()
         assert len(calls) == sum(len(seen) for seen in visited)
         assert len(calls) < stats["evals"]
+
+
+# Story: each (round, coordinate) scores the up and down trials of every
+# running restart as one batch, plus one retry batch where some up step
+# won: at most 2 x restarts members a call, and at most 1 + R + U calls,
+# with R the pairs some restart ran and U those where some up step won (the
+# first call scores the starts; a batch that is all cached makes no call).
+def test_fit_batches_both_directions_per_coordinate(monkeypatch):
+    sizes = []
+
+    def recording_lml(x, z, lengthscales, *args):
+        sizes.append(len(lengthscales))
+        return _lml_values(x, z, lengthscales, *args)
+
+    seed, n, dim, restarts = 2, 30, 7, 10
+    x, y = _fit_data(seed, n, dim)
+    _, _, stats = _sequential_fit(x, y, seed, restarts)
+    monkeypatch.setattr(gp, "_lml_values", recording_lml)
+    fit(x, y, seed=seed, restarts=restarts)
+    assert sizes[0] == restarts and max(sizes) == 2 * restarts
+    assert len(sizes) <= 1 + len(stats["pairs"]) + len(stats["up_won"])
+    assert stats["up_won"]
 
 
 def test_fit_input_validation():
