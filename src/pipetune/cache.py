@@ -77,24 +77,23 @@ class PrefixPool:
             raise InvalidArgumentError("stage dims must be positive")
         # a pool is frozen, so its deltas, entries and their (delta, values)
         # addresses are computed once (this also refuses unknown policies)
-        entries = tuple(e for src in self.sources for e in src.entries)
-        object.__setattr__(self, "_deltas", _policy_deltas(self.policy, len(self.stage_dims)))
-        object.__setattr__(self, "_entries", entries)
-        object.__setattr__(self, "_distinct", tuple(dict.fromkeys(entries)))
-        object.__setattr__(self, "_addresses", frozenset((e.delta, e.values) for e in entries))
+        deltas = _policy_deltas(self.policy, len(self.stage_dims))
+        memo = self.capacity > 0 and len(self.stage_dims) > 1
+        distinct = tuple(dict.fromkeys(e for src in self.sources for e in src.entries))
+        object.__setattr__(self, "_deltas", deltas if memo else ())
+        object.__setattr__(self, "_distinct", distinct)
+        object.__setattr__(self, "_addresses", frozenset((e.delta, e.values) for e in distinct))
 
     @property
     def deltas(self) -> tuple[int, ...]:
-        """The prefix depths every source contributes, ascending."""
+        """The prefix depths this pool caches, ascending; ``()`` without
+        capacity or on one stage. The one test of whether anything is
+        memoized."""
         return self._deltas
 
-    def all_entries(self) -> tuple[PrefixEntry, ...]:
-        """Every cached prefix in deterministic order (insertion, then
-        ascending delta). The empty prefix is not an entry."""
-        return self._entries
-
     def distinct_entries(self) -> tuple[PrefixEntry, ...]:
-        """``all_entries`` with duplicate (delta, values) pairs collapsed to
+        """Every cached prefix (not the empty one) in insertion, then
+        ascending delta order, duplicate (delta, values) pairs collapsed to
         the first occurrence.  Two sources can share a short prefix while
         differing later; identical values address identical stored outputs,
         so the duplicates carry no extra information."""
@@ -138,7 +137,7 @@ def update_pool(pool: PrefixPool, obs: "Observation") -> PrefixPool:
     Eviction is whole-source and requires a strictly better objective: on a
     tie the incumbent (earlier insertion) stays.
     """
-    if pool.capacity == 0 or len(pool.stage_dims) < 2:
+    if not pool.deltas:
         return pool
     x = np.asarray(obs.x, dtype=float)
     y = float(obs.y)
@@ -167,14 +166,13 @@ def update_pool(pool: PrefixPool, obs: "Observation") -> PrefixPool:
 
 
 def lookup(pool: PrefixPool, stage_values: Sequence[float]) -> LookupResult:
-    """Longest entry whose values equal the leading components of
-    ``stage_values`` exactly; the empty prefix always matches with delta 0."""
+    """The deepest pool depth at which ``stage_values``' prefix is an
+    entry's address exactly; the empty prefix always matches, delta 0."""
     vals = tuple(float(v) for v in stage_values)
-    delta = 0
-    for entry in pool.all_entries():
-        if entry.delta > delta and vals[: len(entry.values)] == entry.values:
-            delta = entry.delta
-    return LookupResult(delta=delta)
+    for delta in reversed(pool.deltas):
+        if (delta, vals[: sum(pool.stage_dims[:delta])]) in pool._addresses:
+            return LookupResult(delta=delta)
+    return LookupResult(delta=0)
 
 
 class StageOutputStore:
@@ -200,9 +198,8 @@ class StageOutputStore:
         """Delete the blobs and partial writes of this layout, the
         ``stage_<k>/*.bin`` and ``*.tmp`` files, and nothing else under the
         root, so that a run starting in a root an earlier run used holds
-        only what it writes itself: ``store_output`` keeps a blob that
-        verifies, which would hand an earlier run's payload to the next
-        stage. One directory listing on an empty root."""
+        only what it writes itself and holds exactly its pool's entries.
+        One directory listing on an empty root."""
         for path in self.root.glob("stage_*/*"):
             if path.suffix in (".bin", ".tmp"):
                 try:
@@ -225,16 +222,12 @@ class StageOutputStore:
     def store_output(
         self, stage_index: int, key_values: Sequence[float], payload: bytes
     ) -> str:
-        """Store once per key: an existing blob is kept while it verifies,
-        and a damaged one is rewritten atomically.  Returns the handle."""
+        """Write the payload atomically, replacing any blob under these key
+        values, and return the handle.  ``commit`` never stores an address
+        whose blob resolves: a depth run above the hit is a new address, one
+        at or below it was rerun because its blob did not resolve."""
         handle = self.handle_for(stage_index, key_values)
         path = self._path(handle)
-        if path.exists():
-            try:
-                self._read(path)
-                return handle
-            except StorageError:
-                pass
         blob = _HEADER.pack(_BLOB_MAGIC, _BLOB_VERSION, len(payload)) + payload
         tmp = path.with_suffix(".tmp")
         try:

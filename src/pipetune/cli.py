@@ -279,17 +279,18 @@ def cmd_ablate(args) -> int:
         print_summary(rows)
 
     if args.kind == "epsilon":
-        per_level = {
-            float(level): (rows[0].mean_best, rows[0].se_best, rows[0].repeats)
-            for level, rows in level_rows
-            if rows
-        }
-        flag, spread, threshold = epsilon_insensitive(per_level)
-        verdict = "insensitive" if flag else "SENSITIVE"
-        print(
-            f"epsilon sweep: max-min of mean best = {spread:.6g}, "
-            f"2x pooled se = {threshold:.6g} -> {verdict}"
-        )
+        for method in sorted({r.method for _, rows in level_rows for r in rows}):
+            per_level = {
+                float(level): (r.mean_best, r.se_best, r.repeats)
+                for level, rows in level_rows
+                for r in rows
+                if r.method == method
+            }
+            flag, spread, threshold = epsilon_insensitive(per_level)
+            print(
+                f"epsilon sweep, {method}: max-min of mean best = {spread:.6g}, "
+                f"2x pooled se = {threshold:.6g} -> {'insensitive' if flag else 'SENSITIVE'}"
+            )
     return 0
 
 
@@ -319,8 +320,9 @@ def _budget(text: str) -> float | str:
 def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     """The flags that set a RunConfig field name it as their dest."""
     d = RunConfig()  # the one source of run defaults
-    p.add_argument("--pipeline", help=f"synthetic suite name: {', '.join(SYNTHETIC_SUITES)}")
-    p.add_argument("--pipeline-file", help="JSON pipeline definition path")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--pipeline", help=f"synthetic suite name: {', '.join(SYNTHETIC_SUITES)}")
+    which.add_argument("--pipeline-file", help="JSON pipeline definition path")
     p.add_argument("--methods", default=d.method, help="comma-separated methods")
     p.add_argument("--repeats", type=int, default=1, help="repeats per method")
     p.add_argument("--seed", type=int, default=d.seed, help="base seed (repeat i uses seed+i)")
@@ -375,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func in (cmd_run, cmd_ablate) and not (args.pipeline or args.pipeline_file):
-        parser.error("one of --pipeline or --pipeline-file is required")
     try:
         return args.func(args)
     except InvalidArgumentError as exc:

@@ -38,10 +38,11 @@ class StorageError(PipetuneError, RuntimeError):
 
 
 class StageExecutionError(PipetuneError, RuntimeError):
-    """A pipeline stage failed to execute.  Carries the stage index."""
+    """A pipeline stage failed to execute.  Carries the stage index, which
+    the message starts with."""
 
     def __init__(self, message: str, stage_index: int, output: str = ""):
-        super().__init__(message)
+        super().__init__(f"stage {stage_index}: {message}")
         self.stage_index = stage_index
         self.output = output
 

@@ -217,15 +217,14 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
     Warmup points come from a scrambled low-discrepancy sequence seeded
     only by (seed, warmup tag), so every method sees the same start.
 
-    Only a memo-aware method on a pipeline of two or more stages keeps a
-    prefix pool. A config whose ``m`` is below the number of candidate
+    Only a memo-aware method's pool has capacity; its ``deltas`` say what
+    it caches. A config whose ``m`` is below the number of candidate
     groups a full pool gives is refused before any stage runs. The pool
     starts empty, so the store starts empty too: blobs an earlier run left
     in ``cache_root`` are deleted before warmup.
     """
     space = pipeline.search_space()
-    memo = METHODS[config.method].memo_aware and space.n_stages > 1
-    capacity = config.q if memo else 0
+    capacity = config.q if METHODS[config.method].memo_aware else 0
     pool = empty_pool(space.stage_dims, capacity, config.prefix_policy)
     groups = 1 + capacity * len(pool.deltas)
     if config.m < groups:
@@ -420,8 +419,9 @@ def write_trace(trace: RunTrace, path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> RunTrace:
     """Parse a persisted trace and its JSON sidecar back into a RunTrace;
-    malformed content, or a sidecar that is missing or lacks a key, raises
-    a parse error naming the file."""
+    malformed content, or a sidecar that is missing, lacks a key or
+    disagrees with the header's stage count and dim, raises a parse error
+    naming the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -468,10 +468,16 @@ def read_trace(path: str | Path) -> RunTrace:
         doc = json.loads(sidecar_path.read_text(encoding="utf-8"))
         name, config = doc["pipeline"], doc["config"]
         total_budget = float(doc["resolved_total_budget"])
+        shape = (doc["n_stages"], doc["dim"])
     except KeyError as exc:
         raise TraceParseError(f"sidecar lacks key {exc}", str(sidecar_path))
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         raise TraceParseError(f"bad sidecar: {exc}", str(sidecar_path))
+    if shape != (n_stages, dim):
+        raise TraceParseError(
+            f"sidecar n_stages, dim = {shape} but the header has {(n_stages, dim)}",
+            str(sidecar_path),
+        )
     return RunTrace(
         pipeline_name=name, config=config, total_budget=total_budget, rows=rows
     )

@@ -292,7 +292,7 @@ def _run_stage(
                 start_new_session=True,
             )
         except OSError as exc:
-            raise StageExecutionError(f"stage command failed to start: {exc}", stage_index)
+            raise StageExecutionError(f"command failed to start: {exc}", stage_index)
         with proc:
             try:
                 stdout, stderr = proc.communicate(timeout=stage.timeout)
@@ -302,7 +302,7 @@ def _run_stage(
                 if not isinstance(exc, subprocess.TimeoutExpired):
                     raise
                 raise StageExecutionError(
-                    f"stage command timed out after {stage.timeout}s",
+                    f"command timed out after {stage.timeout}s",
                     stage_index,
                     # the output read so far, as bytes even in text mode
                     output=(exc.stdout or b"").decode(errors="replace"),
@@ -310,7 +310,7 @@ def _run_stage(
         elapsed = time.perf_counter() - start
         if proc.returncode != 0:
             raise StageExecutionError(
-                f"stage command exited with status {proc.returncode}",
+                f"command exited with status {proc.returncode}",
                 stage_index,
                 output=stdout + stderr,
             )
@@ -343,11 +343,10 @@ def run(
 
     Stages 1..delta are served from the cache (cost 0.0); stages delta+1..K
     execute. A stored output that no longer resolves is skipped for the
-    next shallower pool depth. Nothing is written here: when the pool has
-    capacity, the executed stages' outputs at the pool's depths, the only
-    ones a lookup resolves, are returned in ``Observation.outputs``, and
-    ``StageOutputStore.commit`` stores those the pool admits (rewriting a
-    damaged blob an entry still points at).
+    next shallower pool depth. Nothing is written here: the executed
+    stages' outputs at the pool's depths, the only ones a lookup resolves,
+    are returned in ``Observation.outputs``; ``StageOutputStore.commit``
+    stores those the pool admits (rewriting a damaged blob it points at).
     """
     x = np.asarray(x, dtype=float)
     space = spec.search_space()
@@ -370,14 +369,13 @@ def run(
             break
 
     k_total = spec.n_stages
-    store_depths = pool.deltas if pool.capacity > 0 else ()
     stage_costs = [0.0] * k_total
     outputs = []
     for k in range(delta + 1, k_total + 1):
         payload, stage_costs[k - 1], stdout = _run_stage(
             spec.stages[k - 1], k, x[space.stage_slice(k)], payload
         )
-        if k in store_depths:
+        if k in pool.deltas:
             outputs.append((k, payload))
     y = _parse_objective(stdout, k_total) + _keyed_noise(x, spec.noise_std)
 

@@ -331,7 +331,7 @@ def test_criterion_06_cache_randomized_invariants():
                 for s in pool.sources
             )
             # entry bound
-            assert len(pool.all_entries()) <= capacity * (n_stages - 1) + 1
+            assert sum(len(s.entries) for s in pool.sources) <= capacity * (n_stages - 1) + 1
         else:
             vals = tuple(float(v) for v in rng.choice(grid, size=5))
             res = lookup(pool, vals)
@@ -339,7 +339,7 @@ def test_criterion_06_cache_randomized_invariants():
             if res.delta:
                 # the match is the candidate's own leading values
                 width = (2, 3)[res.delta - 1]
-                assert PrefixEntry(vals[:width], res.delta) in pool.all_entries()
+                assert PrefixEntry(vals[:width], res.delta) in pool.distinct_entries()
         checked_ops += 1
     _check(
         6,

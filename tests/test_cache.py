@@ -43,6 +43,11 @@ def _pool(capacity, policy="all"):
     return empty_pool(STAGE_DIMS, capacity, policy)
 
 
+def _entries(pool):
+    """Every source's entries, duplicates kept, in insertion order."""
+    return tuple(e for s in pool.sources for e in s.entries)
+
+
 # ---------------------------------------------------------------------------
 # pool basics
 
@@ -50,7 +55,7 @@ def _pool(capacity, policy="all"):
 def test_empty_pool_defaults():
     pool = _pool(5)
     assert pool.sources == ()
-    assert pool.all_entries() == ()
+    assert _entries(pool) == ()
     assert pool.deltas == (1, 2)
     assert lookup(pool, [1.0, 2.0, 3.0, 4.0, 5.0]).delta == 0
 
@@ -88,7 +93,7 @@ def test_policy_deltas():
 # non-complete prefix length, with values sliced at stage boundaries.
 def test_update_inserts_all_prefixes():
     pool = update_pool(_pool(2), _obs([1, 2, 3, 4, 5], 10.0))
-    entries = pool.all_entries()
+    entries = _entries(pool)
     assert entries == (
         PrefixEntry(values=(1.0, 2.0), delta=1),
         PrefixEntry(values=(1.0, 2.0, 3.0), delta=2),
@@ -99,9 +104,9 @@ def test_update_inserts_all_prefixes():
 # Story: the pool applies the policy it was created with.
 def test_update_respects_policy():
     first = update_pool(_pool(5, "first"), _obs([1, 2, 3, 4, 5], 1.0))
-    assert [e.delta for e in first.all_entries()] == [1]
+    assert [e.delta for e in _entries(first)] == [1]
     mean = update_pool(_pool(5, "mean"), _obs([1, 2, 3, 4, 5], 1.0))
-    assert [e.delta for e in mean.all_entries()] == [2]
+    assert [e.delta for e in _entries(mean)] == [2]
 
 
 # Story: at capacity, a strictly better observation evicts the worst source
@@ -118,7 +123,7 @@ def test_eviction_requires_strictly_better():
     # strictly better: worst source (y=1) evicted with all its entries
     better = update_pool(pool, _obs([3, 3, 3, 3, 3], 1.5))
     assert [s.objective for s in better.sources] == [2.0, 1.5]
-    assert all(e.values[:2] != (1.0, 1.0) for e in better.all_entries())
+    assert all(e.values[:2] != (1.0, 1.0) for e in _entries(better))
 
 
 # Story: among equal-objective sources the later insertion is evicted first,
@@ -152,7 +157,7 @@ def test_distinct_entries_collapses_shared_short_prefix():
     pool = update_pool(pool, _obs([1, 2, 3, 4, 5], 1.0))
     pool = update_pool(pool, _obs([1, 2, 7, 4, 5], 2.0))
     assert len(pool.sources) == 2
-    assert len(pool.all_entries()) == 4
+    assert len(_entries(pool)) == 4
     distinct = pool.distinct_entries()
     assert len(distinct) == 3  # shared delta-1 (1,2) appears once
     assert sum(1 for e in distinct if e.delta == 1) == 1
@@ -165,24 +170,33 @@ def test_entries_follow_admission_and_eviction():
     empty = _pool(1)
     first = update_pool(empty, _obs([1, 2, 3, 4, 5], 1.0))
     second = update_pool(first, _obs([6, 7, 8, 9, 9], 2.0))
-    assert empty.all_entries() == empty.distinct_entries() == ()
+    assert _entries(empty) == empty.distinct_entries() == ()
     assert [(e.delta, e.values) for e in first.distinct_entries()] == [
         (1, (1.0, 2.0)), (2, (1.0, 2.0, 3.0))
     ]
     assert [(e.delta, e.values) for e in second.distinct_entries()] == [
         (1, (6.0, 7.0)), (2, (6.0, 7.0, 8.0))
     ]
-    assert second.all_entries() == second.distinct_entries()
+    assert _entries(second) == second.distinct_entries()
     assert first.distinct_entries()[0].values == (1.0, 2.0)
 
 
+# Story: a pool without capacity, or over a one-stage pipeline, caches no
+# depth under any policy, so it never stores and every lookup misses; its
+# policy name is still checked.
 def test_update_validation_and_noops():
-    # capacity zero: never stores
-    zero = _pool(0)
-    assert update_pool(zero, _obs([1, 2, 3, 4, 5], 1.0)) is zero
-    # single-stage pipeline: nothing to prefix
-    one = empty_pool((3,), 5, "all")
-    assert update_pool(one, _obs([1, 2, 3], 1.0)) is one
+    for policy in PREFIX_POLICIES:
+        zero = _pool(0, policy)
+        assert zero.deltas == ()
+        assert update_pool(zero, _obs([1, 2, 3, 4, 5], 1.0)) is zero
+        one = empty_pool((3,), 5, policy)
+        assert one.deltas == ()
+        assert update_pool(one, _obs([1, 2, 3], 1.0)) is one
+        assert lookup(one, [1.0, 2.0, 3.0]).delta == 0
+    with pytest.raises(InvalidArgumentError):
+        _pool(0, "last")
+    with pytest.raises(InvalidArgumentError):
+        empty_pool((3,), 5, "last")
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +268,13 @@ def test_randomized_updates_match_reference():
         }
         want = {k: v[0] for k, v in ref.items.items()}
         assert got == want
-        assert len(pool.all_entries()) <= capacity * (len(STAGE_DIMS) - 1)
+        assert len(_entries(pool)) <= capacity * (len(STAGE_DIMS) - 1)
 
         probe = np.array([rng.choice(grid) for _ in range(5)])
         hit = lookup(pool, probe)
         match_deltas = [
             e.delta
-            for e in pool.all_entries()
+            for e in _entries(pool)
             if tuple(probe[: len(e.values)]) == e.values
         ]
         assert hit.delta == (max(match_deltas) if match_deltas else 0)
@@ -320,15 +334,17 @@ def test_pool_matches_reference_for_every_policy(data, stage_dims, policy, capac
 # disk store
 
 
+# Story: a store under a key reads back under the same key; a second store
+# under it replaces the payload in the one file, atomically.
 def test_store_roundtrip_and_idempotence(tmp_path):
     store = StageOutputStore(tmp_path)
-    payload = b"intermediate-state"
-    h1 = store.store_output(1, [0.5, 0.25], payload)
-    h2 = store.store_output(1, [0.5, 0.25], b"ignored: same key already stored")
+    h1 = store.store_output(1, [0.5, 0.25], b"intermediate-state")
+    assert store.resolve(1, [0.5, 0.25]) == b"intermediate-state"
+    h2 = store.store_output(1, [0.5, 0.25], b"replacement")
     assert h1 == h2 == store.handle_for(1, [0.5, 0.25])
-    assert store.resolve(1, [0.5, 0.25]) == payload
-    files = list(tmp_path.glob("stage_1/*.bin"))
-    assert len(files) == 1
+    assert store.resolve(1, [0.5, 0.25]) == b"replacement"
+    assert len(list(tmp_path.glob("stage_1/*.bin"))) == 1
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_store_distinct_keys_distinct_handles(tmp_path):
@@ -365,8 +381,7 @@ def test_store_resolve_errors(tmp_path):
         store.resolve(1, [1.0])
 
 
-# Story: a damaged blob is not kept: storing the same key again rewrites it,
-# while an intact blob still wins over a later store.
+# Story: a damaged blob is not kept: storing the same key again rewrites it.
 @pytest.mark.parametrize(
     "damage",
     [lambda b: b[:5], lambda b: b"XXXX" + b[4:], lambda b: b[:-1]],

@@ -263,6 +263,27 @@ def test_ablate_eta_writes_level_dirs(tmp_path, capsys):
     assert "---" in capsys.readouterr().out
 
 
+# Story: the epsilon sweep judges each method on its own levels and names
+# it: one verdict line per method, whose spread is that method's max-min of
+# mean best over the levels in ablation.csv.
+def test_ablate_epsilon_prints_a_verdict_per_method(tmp_path, capsys):
+    out = tmp_path / "abl"
+    code = main(
+        ["ablate", "epsilon", "--pipeline", "synth3", "--methods", "eeipu,ei",
+         "--seed", "2", "--out", str(out), *_TINY_FLAGS]
+    )
+    assert code == 0
+    verdicts = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epsilon sweep")]
+    assert [l.split(":")[0] for l in verdicts] == ["epsilon sweep, eeipu", "epsilon sweep, ei"]
+    rows = [l.split(",") for l in (out / "ablation.csv").read_text().splitlines()[1:]]
+    for line in verdicts:
+        method = line.split(":")[0].removeprefix("epsilon sweep, ")
+        means = [float(r[4]) for r in rows if r[2] == method]
+        assert len(means) == 6
+        spread = float(line.split("mean best = ")[1].split(",")[0])
+        assert spread == pytest.approx(max(means) - min(means), rel=1e-5, abs=1e-9)
+
+
 # Story: the CLI keeps no defaults of its own: a bare run builds the config
 # RunConfig() would, field for field.
 def test_bare_run_flags_build_the_default_config(tmp_path):
@@ -386,7 +407,7 @@ def test_failing_stage_exits_1_with_any_jobs(tmp_path, capsys, jobs):
          "--repeats", "2", "--warmup", "2", "--jobs", jobs]
     )
     assert code == 1
-    assert capsys.readouterr().err == "error: stage command exited with status 1\n"
+    assert capsys.readouterr().err == "error: stage 1: command exited with status 1\n"
 
 
 # Story: a second run into the same --out, with a smaller --cache-size,
@@ -403,6 +424,22 @@ def test_rerun_into_one_out_leaves_only_its_own_blobs(tmp_path, monkeypatch):
     assert main([*flags, "--cache-size", "1"]) == 0
     assert 0 < len(list(root.rglob("*.bin"))) <= 1 * 2
     assert not list(root.rglob("*.tmp"))
+
+
+# Story: --pipeline and --pipeline-file name the same thing, so giving both
+# is a usage error before anything runs or is written, in run and ablate.
+@pytest.mark.parametrize("command", [["run"], ["ablate", "eta"]])
+def test_both_pipeline_flags_exit_2(tmp_path, capsys, command):
+    pipe = tmp_path / "onefile.json"
+    stage = {"kind": "synthetic", "function": "branin2"}
+    pipe.write_text(json.dumps({"name": "onefile", "stages": [stage]}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--pipeline", "synth3", "--pipeline-file", str(pipe),
+              "--out", str(out), *_TINY_FLAGS])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/*.csv"))
 
 
 def test_missing_pipeline_flag_exits_2(capsys):

@@ -149,6 +149,68 @@ def test_unread_field_scan_sees_both_cases():
     assert _unread_fields([tree]) == ["P.unread", "Q.stored"]
 
 
+def _public_members(tree: ast.Module) -> dict[str, int]:
+    """Each public method or property of a class, as ``Class.name``, with
+    its line number."""
+    return {
+        f"{node.name}.{stmt.name}": stmt.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")
+    }
+
+
+def _unread_members(trees: list[ast.Module]) -> list[str]:
+    """The public methods and properties of these modules' classes that none
+    of them reads as an attribute."""
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        name for tree in trees for name in _public_members(tree)
+        if name.split(".")[1] not in read
+    )
+
+
+# Story: a public method or property that no module of the package reads is
+# an accessor kept for the tests alone, so the tests check code the
+# optimizer never runs.
+def test_no_unread_public_members():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    unread = _unread_members(trees)
+    assert not unread, f"public methods and properties no module reads: {', '.join(unread)}"
+
+
+# Story: the scan finds a method and a property never read, counts one read
+# through an attribute (a call or a property access), and skips private and
+# dunder methods and module-level functions.
+def test_unread_member_scan_sees_both_cases():
+    tree = ast.parse(
+        "class Pool:\n"
+        "    def __init__(self): ...\n"
+        "    def _helper(self): ...\n"
+        "    def used(self): ...\n"
+        "    def all_entries(self): ...\n"
+        "    @property\n"
+        "    def depth(self): ...\n"
+        "    @property\n"
+        "    def width(self): ...\n"
+        "def unread_function(): ...\n"
+        "def f(p: Pool) -> int:\n"
+        "    p.used()\n"
+        "    return p.depth\n"
+    )
+    assert set(_public_members(tree)) == {
+        "Pool.used", "Pool.all_entries", "Pool.depth", "Pool.width"
+    }
+    assert _unread_members([tree]) == ["Pool.all_entries", "Pool.width"]
+
+
 # Story: the runtime needs numpy alone. No module imports scipy, and a
 # fresh interpreter that imports the library and the CLI, then runs a short
 # eeipu trace (warmup, GP fits, scoring, memoized stages), has loaded no

@@ -257,6 +257,67 @@ def test_store_holds_exactly_the_pool_entries(policy, q, data):
         assert not list(Path(root).rglob("*.tmp"))
 
 
+# Story: the store never writes over a blob that resolves: an executed
+# depth above the hit is a new address, and one at or below it was rerun
+# because its blob did not resolve. Evaluations copy prefixes of evaluated
+# points, and some run after one of the store's blobs was truncated.
+@pytest.mark.parametrize("policy", PREFIX_POLICIES)
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(q=st.integers(1, 3), data=st.data())
+def test_commit_never_stores_over_a_resolving_blob(policy, q, data):
+    pipe = synthetic_suite("synth5")
+    space = pipe.search_space()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    config = RunConfig(method="eeipu", n0=2, m=16, q=q, prefix_policy=policy, total_budget=1e9)
+    with tempfile.TemporaryDirectory() as root:
+        state = init_state(config, pipe, root)
+        store_output = state.store.store_output
+
+        def checked(stage_index, key_values, payload):
+            with pytest.raises(StorageError):
+                state.store.resolve(stage_index, key_values)
+            return store_output(stage_index, key_values, payload)
+
+        state.store.store_output = checked
+        for _ in range(data.draw(st.integers(1, 12))):
+            blobs = sorted(Path(root).rglob("*.bin"))
+            if blobs and data.draw(st.booleans()):
+                blob = data.draw(st.sampled_from(blobs))
+                blob.write_bytes(blob.read_bytes()[:5])
+            x = space.uniform(rng, 1)[0]
+            depth = data.draw(st.integers(0, space.n_stages))
+            width = space.prefix_width(depth)
+            x[:width] = data.draw(st.sampled_from(state.rows)).x[:width]
+            optimizer._evaluate(state, x, 0.0, 1.0)
+
+
+# Story: a pool caches nothing on a one-stage pipeline, whatever the policy,
+# nor for a method that is not memo aware: no depth, no output kept by the
+# run, no blob written.
+@pytest.mark.parametrize(
+    "method,policy,pipe",
+    [("eeipu", p, _one_stage_pipeline()) for p in PREFIX_POLICIES]
+    + [("ei", "all", synthetic_suite("synth3"))],
+    ids=[f"one_stage_{p}" for p in PREFIX_POLICIES] + ["ei_synth3"],
+)
+def test_pool_without_depths_keeps_no_output(tmp_path, monkeypatch, method, policy, pipe):
+    outputs = []
+    run_pipeline = optimizer.run_pipeline
+
+    def recorded(*args):
+        obs = run_pipeline(*args)
+        outputs.append(obs.outputs)
+        return obs
+
+    monkeypatch.setattr(optimizer, "run_pipeline", recorded)
+    state = init_state(_tiny_cfg(method, prefix_policy=policy), pipe, tmp_path)
+    step(state)
+    step(state)
+    assert state.pool.deltas == ()
+    assert outputs == [()] * (TINY["n0"] + 2)
+    assert not list(tmp_path.rglob("*.bin"))
+
+
 # Story: on the 10-stage suite at the acceptance config's n0, m, n_mc and
 # restarts, the store ends a run holding the pool's entries alone, at most
 # Q x 9 blobs. The budget is fixed at 1.5x the warmup's cost rather than
@@ -579,9 +640,13 @@ def test_read_trace_requires_its_sidecar(tmp_path):
     assert read_trace(path) == trace
     sidecar = path.with_suffix(".json")
     doc = json.loads(sidecar.read_text())
-    for key in ("pipeline", "config", "resolved_total_budget"):
+    for key in ("pipeline", "config", "resolved_total_budget", "n_stages", "dim"):
         sidecar.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
         with pytest.raises(TraceParseError, match=key):
+            read_trace(path)
+    for key in ("n_stages", "dim"):
+        sidecar.write_text(json.dumps({**doc, key: doc[key] + 1}))
+        with pytest.raises(TraceParseError, match=r"t\.json.*header"):
             read_trace(path)
     sidecar.unlink()
     with pytest.raises(TraceParseError, match=r"t\.json"):
