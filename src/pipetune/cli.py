@@ -254,6 +254,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.kind == "epsilon" and args.repeats < 2:
+        # its verdict pools the spread of repeats, which one run has none of
+        raise InvalidArgumentError(f"ablate epsilon needs --repeats >= 2, got {args.repeats}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
@@ -338,14 +341,14 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta-schedule", default=d.eta_schedule, choices=ETA_SCHEDULES)
     p.add_argument("--epsilon", type=float, default=d.epsilon, help="memoized-stage modeled cost")
     p.add_argument(
-        "--raw-samples", dest="m", type=int, default=d.m, help="candidates per batch (M)"
+        "--raw-samples", dest="m", type=int, default=d.m, help="candidates per restart (M)"
     )
     p.add_argument(
         "--mc-samples", dest="n_mc", type=int, default=d.n_mc, help="cost draws per candidate (D)"
     )
     p.add_argument(
         "--acq-restarts", dest="restarts", type=int, default=d.restarts,
-        help="candidate re-draws kept (r)",
+        help="candidate batches per iteration (r)",
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel independent runs")
     p.add_argument("--out", default="results", help="output directory")

@@ -304,38 +304,20 @@ def step(state: OptState) -> Observation:
         )
 
     f_best = state.rows[-1].best_y  # the best y observed so far
+    batches = [
+        generate(state.pool, state.space, cfg.m, derived_rng(cfg.seed, _TAG_CAND, iteration, r))
+        for r in range(cfg.restarts)
+    ]
+    xs, deltas = (np.concatenate(parts) for parts in zip(*batches))
+    # one generator per (cost segment, restart), each serving one block
     segments = method.segments(state.space.n_stages)
-    all_xs: list[np.ndarray] = []
-    all_scores: list[np.ndarray] = []
-    for restart in range(cfg.restarts):
-        xs, deltas = generate(
-            state.pool,
-            state.space,
-            cfg.m,
-            derived_rng(cfg.seed, _TAG_CAND, iteration, restart),
-        )
-        mc_rngs = [
-            derived_rng(cfg.seed, _TAG_MC, iteration, seg.index, restart)
-            for seg in segments
-        ]
-        all_scores.append(
-            score_candidates(
-                cfg.method,
-                state.models,
-                state.space,
-                xs,
-                deltas,
-                f_best,
-                eta,
-                cfg.epsilon,
-                cfg.n_mc,
-                mc_rngs,
-            )
-        )
-        all_xs.append(xs)
-
-    xs = np.concatenate(all_xs)
-    scores = np.concatenate(all_scores)
+    mc_rngs = np.empty((len(segments), cfg.restarts), dtype=object)
+    for s, r in np.ndindex(mc_rngs.shape):
+        mc_rngs[s, r] = derived_rng(cfg.seed, _TAG_MC, iteration, segments[s].index, r)
+    scores = score_candidates(
+        cfg.method, state.models, state.space, xs, deltas, f_best, eta,
+        cfg.epsilon, cfg.n_mc, mc_rngs,
+    )
     if np.all(scores == 0.0):
         # nothing promising anywhere; explore uniformly at random
         chosen = int(derived_rng(cfg.seed, _TAG_TIE, iteration).integers(len(xs)))

@@ -1,5 +1,6 @@
-"""Session-scoped fixtures for the end-to-end acceptance criteria, and the
-scalar kernel oracle shared by the GP tests.
+"""Session-scoped fixtures for the end-to-end acceptance criteria, the
+scalar kernel oracle shared by the GP tests, and the generator table that
+``score_candidates`` takes.
 
 The five-seed benchmark comparisons are expensive (a couple of minutes in
 total), so each family of runs executes once per session and is shared by
@@ -10,6 +11,7 @@ fixture always reproduces the same traces.
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from pipetune.optimizer import RunConfig, run
@@ -42,6 +44,14 @@ def matern52(a, b, params):
     r = math.sqrt(sum(((ai - bi) / ls) ** 2 for ai, bi, ls in zip(a, b, params.lengthscales)))
     s5r = math.sqrt(5.0) * r
     return params.output_scale * (1.0 + s5r + 5.0 * r * r / 3.0) * math.exp(-s5r)
+
+
+def rng_table(generators, n_blocks=1):
+    """``score_candidates``' (cost segments x blocks) table of Monte-Carlo
+    generators, from a flat list in segment-major order."""
+    table = np.empty(len(generators), dtype=object)
+    table[:] = generators
+    return table.reshape(-1, n_blocks)
 
 
 def _benchmark_run(method, seed, cache_root, **overrides):

@@ -34,7 +34,7 @@ from pipetune.gp import KernelParams, build_model, posterior_mean_var
 from pipetune.optimizer import RunConfig, derived_rng, run, write_trace
 from pipetune.pipeline import Observation, synthetic_suite
 
-from conftest import SEEDS, matern52
+from conftest import SEEDS, matern52, rng_table
 
 
 RESULTS: list[str] = []
@@ -144,11 +144,11 @@ def test_criterion_02_gp_exactness():
 
 
 def test_criterion_03_inverse_cost_estimator():
-    # the estimator score_candidates runs, fed one row of cost draws per
-    # stage. Constant-cost degeneracy: every draw totals the same, so the
-    # estimate is exactly the reciprocal of the stage-cost sum
+    # the estimator score_candidates runs, fed the totals of one row of
+    # cost draws per stage. Constant-cost degeneracy: every draw totals the
+    # same, so the estimate is exactly the reciprocal of the stage-cost sum
     d = 64
-    const = [np.full(d, 2.0), np.full(d, 3.0), np.full(d, 1.0)]
+    const = np.full(d, 2.0) + np.full(d, 3.0) + np.full(d, 1.0)
     const_err = abs(expected_inverse_cost(const) - 1.0 / 6.0)
 
     # log-normal stage costs at the working sample count vs a large oracle
@@ -158,7 +158,7 @@ def test_criterion_03_inverse_cost_estimator():
     def draw(n, rng):
         return np.exp(mus[:, None] + sds[:, None] * rng.standard_normal((3, n)))
 
-    est = expected_inverse_cost(draw(10_000, np.random.default_rng(31)))
+    est = expected_inverse_cost(draw(10_000, np.random.default_rng(31)).sum(axis=0))
     oracle = float(
         np.mean(1.0 / np.sum(draw(1_000_000, np.random.default_rng(32)), axis=0))
     )
@@ -217,7 +217,7 @@ def test_criterion_04_memoization_gate():
         eta,
         eps,
         200,
-        [derived_rng(42, 104, k) for k in range(3)],
+        rng_table([derived_rng(42, 104, k) for k in range(3)]),
     )
 
     mean, var = posterior_mean_var(models.objective, space.normalize(xs))

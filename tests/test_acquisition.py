@@ -31,6 +31,8 @@ from pipetune.errors import InvalidArgumentError, NumericalFailureError
 from pipetune.gp import KernelParams, build_model, posterior_mean_var
 from pipetune.pipeline import synthetic_suite
 
+from conftest import rng_table
+
 
 def _ei(mu, variance, f_best):
     return float(
@@ -162,29 +164,29 @@ def test_ei_matches_scipy_ndtr_version_bit_for_bit():
 
 
 # Story: an estimate over a nonpositive total cost is meaningless, so the
-# estimator refuses it instead of returning an infinite score.
+# estimator refuses it instead of returning an infinite score; a NaN total,
+# such as a stale buffer row would leave, is refused too.
 def test_cost_estimate_validation():
     with pytest.raises(NumericalFailureError):
-        expected_inverse_cost([np.zeros(4)])
+        expected_inverse_cost(np.zeros(4))
     with pytest.raises(NumericalFailureError):
-        expected_inverse_cost([np.ones(4), -np.ones(4)])
+        expected_inverse_cost(np.ones(4) - np.ones(4))
     with pytest.raises(NumericalFailureError):
-        expected_inverse_cost([])
-
+        expected_inverse_cost(np.array([[1.0, 2.0], [np.nan, 1.0]]))
 
 
 # Story: with constant per-stage draws the estimator is exactly 1 / sum(c).
 def test_inverse_cost_constant_case_exact():
     samples = np.vstack([np.full(64, 2.0), np.full(64, 3.5), np.full(64, 0.5)])
-    assert expected_inverse_cost(samples) == 1.0 / 6.0
+    assert expected_inverse_cost(samples.sum(axis=0)) == 1.0 / 6.0
 
 
 # Story: memoized rows contribute epsilon each, so the constant case with a
 # memoized prefix is exactly 1 / (delta * eps + suffix costs).
 def test_inverse_cost_memoized_constant_exact():
     eps = 0.01
-    draws = [np.full(32, eps), np.full(32, eps), np.full(32, 4.0)]
-    assert expected_inverse_cost(draws) == pytest.approx(1.0 / (2 * eps + 4.0), rel=1e-15)
+    totals = np.full(32, eps) + np.full(32, eps) + np.full(32, 4.0)
+    assert expected_inverse_cost(totals) == pytest.approx(1.0 / (2 * eps + 4.0), rel=1e-15)
 
 
 # Story: for random draws the estimator is the plain mean of reciprocal
@@ -193,29 +195,29 @@ def test_inverse_cost_matches_loop_oracle():
     rng = np.random.default_rng(5)
     samples = rng.lognormal(mean=0.5, sigma=0.4, size=(3, 500))
     oracle = float(np.mean([1.0 / samples[:, d].sum() for d in range(500)]))
-    assert expected_inverse_cost(samples) == pytest.approx(oracle, rel=1e-12)
+    assert expected_inverse_cost(samples.sum(axis=0)) == pytest.approx(oracle, rel=1e-12)
 
 
-# Story: one total-cost segment and two stage segments summing to the same
-# totals give the same estimate; a zero total is refused.
+# Story: a row's estimate reads that row's totals alone, so a matrix of
+# candidates' totals gives each row the bits it gets on its own; a zero
+# total in any row is refused.
 def test_inverse_cost_from_totals_agrees():
     rng = np.random.default_rng(6)
-    samples = rng.lognormal(size=(2, 200))
-    assert expected_inverse_cost([samples.sum(axis=0)]) == expected_inverse_cost(samples)
+    totals = rng.lognormal(size=(5, 200))
+    rows = [expected_inverse_cost(row.copy()) for row in totals]
+    assert expected_inverse_cost(totals).tobytes() == np.array(rows).tobytes()
     with pytest.raises(NumericalFailureError):
-        expected_inverse_cost([np.array([1.0, 0.0])])
+        expected_inverse_cost(np.array([[1.0, 2.0], [1.0, 0.0]]))
 
 
-# Story: the estimator sums the segments from 0.0 in order and inverts in
-# its own buffer: bit for bit the textbook mean of 1 / total, with the
-# caller's draws left untouched.
-def test_inverse_cost_leaves_draws_untouched():
+# Story: the estimator inverts the totals in their own buffer, the scorer's
+# reused one, and returns bit for bit the textbook mean of 1 / total.
+def test_inverse_cost_inverts_totals_in_place():
     rng = np.random.default_rng(8)
-    draws = [rng.lognormal(size=(4, 100)) for _ in range(3)]
-    copies = [d.copy() for d in draws]
-    want = np.mean(1.0 / (0.0 + draws[0] + draws[1] + draws[2]), axis=-1)
-    assert np.array_equal(expected_inverse_cost(draws), want)
-    assert all(np.array_equal(d, c) for d, c in zip(draws, copies))
+    totals = rng.lognormal(size=(4, 100))
+    want = 1.0 / totals
+    assert np.array_equal(expected_inverse_cost(totals), np.mean(want, axis=-1))
+    assert np.array_equal(totals, want)
 
 
 def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
@@ -223,9 +225,16 @@ def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
     by exactly n_read x n_mc normals (n_read = last live row + 1, 0 when all
     rows are memoized), live rows are exp(mu + sd z) bit for bit with z from
     the twin's full (rows, n_mc) block and mu, var from the full-batch
-    posterior, and memoized rows are epsilon."""
+    posterior, and memoized rows are epsilon. The draws fill the buffer
+    passed in, and a NaN-filled one ends with the bits of a fresh one, so
+    no row of an earlier block survives in a reused buffer."""
     rng = np.random.default_rng(seed)
-    draws = _segment_draws(model, xn, memoized, epsilon, n_mc, rng)
+    buffer = np.empty((len(xn), n_mc))
+    draws = _segment_draws(model, xn, memoized, epsilon, n_mc, rng, buffer)
+    assert draws is buffer
+    stale = np.full((len(xn), n_mc), np.nan)
+    _segment_draws(model, xn, memoized, epsilon, n_mc, np.random.default_rng(seed), stale)
+    assert stale.tobytes() == draws.tobytes()
 
     live = ~memoized
     n_read = max((i + 1 for i, m in enumerate(memoized) if not m), default=0)
@@ -243,7 +252,8 @@ def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
 # Story: each Monte-Carlo generator serves one call, so cost draws stop at
 # the last row that is read: the generator advances by n_read x n_mc
 # normals, and not at all when every row is memoized. The rows that are
-# read are still exp(mu + sd z) with the z of the full block.
+# read are still exp(mu + sd z) with the z of the full block, and every
+# row is written, the trailing memoized ones that draw nothing included.
 @pytest.mark.parametrize(
     "memoized",
     [
@@ -358,7 +368,7 @@ def _flat_world(n=5):
 def _score(method, eta, n_mc=50):
     space, xs, objective, stages, total = _flat_world()
     costs = {"eeipu": stages, "carbo": total, "eips": total, "ei": ()}[method]
-    rngs = [np.random.default_rng([5, k]) for k in range(len(costs))]
+    rngs = rng_table([np.random.default_rng([5, k]) for k in range(len(costs))])
     deltas = np.array([0, 1, 2, 0, 1])
     return score_candidates(
         method, ModelSet(objective, costs), space, xs, deltas, -1.0, eta, 0.01, n_mc, rngs
@@ -388,20 +398,22 @@ def test_from_suffix_draws_assembles_matrix():
     assert np.all(totals[2] < 4.0 + 3 * epsilon) and np.all(totals[0] > 8.0)
 
     ei = score_candidates(
-        "ei", ModelSet(objective, ()), space, xs, deltas, -1.0, 1.0, epsilon, n_mc, []
+        "ei", ModelSet(objective, ()), space, xs, deltas, -1.0, 1.0, epsilon, n_mc, rng_table([])
     )
     scored = score_candidates(
-        "eeipu", ModelSet(objective, stages), space, xs, deltas, -1.0, 1.0, epsilon, n_mc, rngs()
+        "eeipu", ModelSet(objective, stages), space, xs, deltas, -1.0, 1.0, epsilon, n_mc,
+        rng_table(rngs()),
     )
     assert np.array_equal(scored, ei * np.mean(1.0 / totals, axis=-1))
 
     memoized = deltas >= 1
     seg = METHODS["eeipu"].segments(3)[0]
+    cols = xn[:, seg.columns(space)]
     first = _segment_draws(
-        stages[0], xn[:, seg.columns(space)], memoized, epsilon, n_mc, rngs()[0]
+        stages[0], cols, memoized, epsilon, n_mc, rngs()[0], np.empty((5, n_mc))
     )
     plain = _segment_draws(
-        stages[0], xn[:, seg.columns(space)], np.zeros(5, dtype=bool), epsilon, n_mc, rngs()[0]
+        stages[0], cols, np.zeros(5, dtype=bool), epsilon, n_mc, rngs()[0], np.empty((5, n_mc))
     )
     assert np.all(first[memoized] == epsilon)
     assert np.array_equal(first[~memoized], plain[~memoized])
@@ -438,3 +450,55 @@ def test_method_table():
     assert segments["ei"] == ()
     assert [m for m in METHODS if METHODS[m].memo_aware] == ["eeipu"]
     assert [m for m in METHODS if METHODS[m].cools] == ["eeipu", "carbo"]
+
+
+def _block_world(rows=6):
+    """A synth3 batch of three blocks of ``rows`` candidates, an objective
+    model, per-stage and total-cost models that vary over the space, and
+    deltas whose middle block ends in memoized tails: fully memoized rows
+    after the last row any segment draws for."""
+    space = synthetic_suite("synth3").search_space()
+    rng = np.random.default_rng(12)
+    xs = space.uniform(rng, 3 * rows)
+    train = space.normalize(space.uniform(rng, 12))
+
+    def model(cols, scale):
+        x = train[:, cols]
+        y = scale * np.sin(4.0 * x).sum(axis=1)
+        return build_model(x, y, KernelParams(np.full(x.shape[1], 0.4), 1.0, 1e-3))
+
+    objective = model(slice(None), 1.0)
+    stages = tuple(model(space.stage_slice(k), 0.3) for k in (1, 2, 3))
+    total = (model(slice(None), 0.5),)
+    deltas = np.concatenate([
+        np.zeros(rows, dtype=int),
+        [0, 2, 1, 3, 3, 3][:rows],
+        [1, 0, 2, 0, 3, 0][:rows],
+    ])
+    return space, xs, deltas, objective, {"eeipu": stages, "carbo": total, "eips": total, "ei": ()}
+
+
+# Story: a step scores its restarts' batches in one call, as equal blocks
+# with a (segment, block) table of generators. Block b of that call has the
+# bits of a call on block b alone with block b's generators, for every
+# method, also when a block ends in memoized rows that draw nothing and the
+# reused buffers hold the previous block's draws.
+@pytest.mark.parametrize("method", list(METHODS))
+def test_block_scorer_matches_per_block_calls(method):
+    space, xs, deltas, objective, costs = _block_world()
+    models = ModelSet(objective, costs[method])
+    n_seg, n_mc = len(costs[method]), 40
+
+    def gens(blocks):
+        return [np.random.default_rng([7, s, b]) for s in range(n_seg) for b in blocks]
+
+    args = (method, models, space)
+    one_call = score_candidates(
+        *args, xs, deltas, 0.1, 0.7, 0.01, n_mc, rng_table(gens(range(3)), n_blocks=3)
+    )
+    per_block = [
+        score_candidates(*args, xs[rows], deltas[rows], 0.1, 0.7, 0.01, n_mc, rng_table(gens([b])))
+        for b, rows in enumerate(np.split(np.arange(len(xs)), 3))
+    ]
+    assert one_call.tobytes() == np.concatenate(per_block).tobytes()
+    assert np.all(one_call > 0.0)

@@ -270,7 +270,7 @@ def test_ablate_epsilon_prints_a_verdict_per_method(tmp_path, capsys):
     out = tmp_path / "abl"
     code = main(
         ["ablate", "epsilon", "--pipeline", "synth3", "--methods", "eeipu,ei",
-         "--seed", "2", "--out", str(out), *_TINY_FLAGS]
+         "--seed", "2", "--out", str(out), *_TINY_FLAGS, "--repeats", "2"]
     )
     assert code == 0
     verdicts = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epsilon sweep")]
@@ -280,6 +280,7 @@ def test_ablate_epsilon_prints_a_verdict_per_method(tmp_path, capsys):
         method = line.split(":")[0].removeprefix("epsilon sweep, ")
         means = [float(r[4]) for r in rows if r[2] == method]
         assert len(means) == 6
+        assert "2x pooled se = 0 " not in line
         spread = float(line.split("mean best = ")[1].split(",")[0])
         assert spread == pytest.approx(max(means) - min(means), rel=1e-5, abs=1e-9)
 
@@ -470,3 +471,27 @@ def test_report_on_empty_dir_exits_2(tmp_path, capsys):
 def test_report_on_missing_dir_exits_2(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nope")]) == 2
     capsys.readouterr()
+
+
+# Story: the epsilon sweep's verdict weighs the spread of level means
+# against the variance pooled over repeats. One repeat per level pools
+# none, so every spread would read SENSITIVE: the sweep is refused as a
+# usage error (exit 2) before any stage runs or any output is written.
+@pytest.mark.parametrize("repeats", [[], ["--repeats", "1"]], ids=["default", "one"])
+def test_ablate_epsilon_with_one_repeat_exits_2(tmp_path, capsys, repeats):
+    marker = tmp_path / "ran"
+    pipe = tmp_path / "touch.json"
+    stage = {
+        "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]],
+        "command": f"touch {marker} && echo objective=1.0",
+    }
+    pipe.write_text(json.dumps({"name": "touch", "stages": [stage]}))
+    out = tmp_path / "out"
+    code = main(
+        ["ablate", "epsilon", "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS,
+         *repeats]
+    )
+    assert code == 2
+    assert "ablate epsilon needs --repeats >= 2, got 1" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not out.exists()

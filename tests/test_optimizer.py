@@ -40,6 +40,8 @@ from pipetune.optimizer import (
 )
 from pipetune.pipeline import BENCHMARKS, PipelineSpec, StageSpec, default_stage_cost, synthetic_suite
 
+from conftest import rng_table
+
 TINY = dict(n0=3, m=24, n_mc=40, restarts=2, total_budget=50.0)
 
 
@@ -526,7 +528,7 @@ def test_score_candidates_memoization_gate():
     eta, eps, n_mc, f_best = 0.6, 0.01, 400, -1.0
     scores = score_candidates(
         "eeipu", models, space, xs, deltas, f_best, eta, eps, n_mc,
-        [derived_rng(9, 104, k) for k in range(3)],
+        rng_table([derived_rng(9, 104, k) for k in range(3)]),
     )
 
     # replay: identical streams, hand-built estimator
@@ -565,13 +567,39 @@ def test_score_candidates_ei_is_cost_blind():
     )
     models = ModelSet(objective=objective)
     scores = score_candidates(
-        "ei", models, space, xs, np.zeros(4, dtype=int), 1.0, 0.5, 0.01, 10, []
+        "ei", models, space, xs, np.zeros(4, dtype=int), 1.0, 0.5, 0.01, 10, rng_table([])
     )
     import pipetune.gp as gp
     from pipetune.acquisition import expected_improvement_batch
 
     mean, var = gp.posterior_mean_var(objective, space.normalize(xs))
     assert np.array_equal(scores, expected_improvement_batch(mean, var, 1.0))
+
+
+# Story: a step scores every restart's batch in one call, passed by
+# position as benchmark tracers read it: the candidates third (restarts x m
+# rows), n_mc eighth, and ninth the (cost segments x restarts) generator
+# table, whose length is the number of cost models drawn from. A change to
+# this layout fails here rather than in a traced benchmark run.
+@pytest.mark.parametrize(
+    "method, n_segments", [("eeipu", 3), ("eips", 1), ("carbo", 1), ("ei", 0)]
+)
+def test_step_scores_once_in_the_traced_layout(tmp_path, monkeypatch, method, n_segments):
+    state = init_state(
+        RunConfig(method=method, n0=3, m=16, n_mc=30, restarts=2), synthetic_suite("synth3"),
+        tmp_path,
+    )
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return score_candidates(*args)
+
+    monkeypatch.setattr(optimizer, "score_candidates", recorded)
+    step(state)
+    (args,) = calls
+    assert len(args[3]) == 2 * 16 and args[8] == 30
+    assert len(args[9]) == n_segments and args[9].shape == (n_segments, 2)
 
 
 # ---------------------------------------------------------------------------
