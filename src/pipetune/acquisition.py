@@ -220,8 +220,8 @@ def _segment_draws(
     the rows up to the last one not memoized (n_read rows): they are the
     leading values of the full (candidates, n_mc) block, and the generator
     advances by n_read x n_mc normals, none when every row is memoized.
-    Those rows become log costs in place, and only the live ones are
-    exponentiated; every other row is memoized and set to epsilon. The
+    Those rows become costs in place, exponentiated whole without a mask
+    (a masked exp is slower); then every memoized row is set to epsilon. The
     posterior still covers all of ``xn``: on a subset of rows the mean's
     matrix product rounds differently in its last bits, which would move
     scores and traces."""
@@ -232,7 +232,7 @@ def _segment_draws(
     rng.standard_normal(out=read)
     read *= np.sqrt(var[:n_read])[:, None]
     read += mu[:n_read, None]
-    np.exp(read, out=read, where=live[:n_read, None])
+    np.exp(read, out=read)
     out[memoized] = epsilon
     return out
 

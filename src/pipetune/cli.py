@@ -198,8 +198,9 @@ def _build_jobs(
     args, out_dir: Path, overrides: dict | None = None
 ) -> list[tuple[RunConfig, str, str]]:
     """One (config, trace path, cache root) per method and repeat; every
-    config is checked by RunConfig, and --repeats and --jobs are checked,
-    before any job runs."""
+    config is checked by RunConfig, and --repeats, --jobs and the method
+    names are checked, before any job runs. A method named twice is
+    refused: its jobs would share one trace path and one cache root."""
     for flag in ("repeats", "jobs"):
         if getattr(args, flag) < 1:
             raise InvalidArgumentError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -211,6 +212,8 @@ def _build_jobs(
             raise InvalidArgumentError(
                 f"unknown method {m!r}; choose from {', '.join(METHODS)}"
             )
+        if methods.count(m) > 1:
+            raise InvalidArgumentError(f"method {m!r} is named more than once in --methods")
     # the run flags carry RunConfig's field names as their dest
     flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "method"}
     jobs = []
@@ -248,9 +251,10 @@ def _report(paths: list, out_dir: Path) -> int:
 
 def cmd_run(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
-    return _report(_run_jobs(pipeline, _build_jobs(args, out_dir), args.jobs), out_dir)
+    jobs = _build_jobs(args, out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return _report(_run_jobs(pipeline, jobs, args.jobs), out_dir)
 
 
 def cmd_ablate(args) -> int:
@@ -258,15 +262,17 @@ def cmd_ablate(args) -> int:
         # its verdict pools the spread of repeats, which one run has none of
         raise InvalidArgumentError(f"ablate epsilon needs --repeats >= 2, got {args.repeats}")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
     field_name, levels = ABLATION_LEVELS[args.kind]
-
-    level_rows: list[tuple[str, list[SummaryRow]]] = []
+    # every level's jobs are built, and so checked, before any runs
+    level_jobs = []
     for level in levels:
         level_dir = out_dir / f"{args.kind}_{level}"
+        level_jobs.append((level, level_dir, _build_jobs(args, level_dir, {field_name: level})))
+
+    level_rows: list[tuple[str, list[SummaryRow]]] = []
+    for level, level_dir, jobs in level_jobs:
         level_dir.mkdir(parents=True, exist_ok=True)
-        jobs = _build_jobs(args, level_dir, {field_name: level})
         paths = _run_jobs(pipeline, jobs, args.jobs)
         rows = summarize([read_trace(p) for p in paths])
         write_summary_csv(rows, level_dir / "summary.csv")

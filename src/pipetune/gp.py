@@ -61,17 +61,20 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class GPModel:
-    """A fitted GP: normalized inputs and the Cholesky factorization used
-    for posterior inference.
+    """A fitted GP: normalized inputs and the inverse of the Cholesky factor
+    L of K + noise I, which posterior inference multiplies by.
 
+    ``chol_inv`` is L^-1, computed once per model by ``np.linalg.inv``
+    (whose pivoting can leave rounding-level values above the diagonal),
+    so a posterior is matrix products with no triangular or LU solve.
     ``target_transform`` is the (shift, scale) pair that undoes the
-    internal standardization of the targets to z; ``alpha`` solves
-    (K + noise I) alpha = z.
+    internal standardization of the targets to z; ``alpha`` is
+    (K + noise I)^-1 z = L^-T L^-1 z.
     """
 
     inputs: np.ndarray
     params: KernelParams
-    chol: np.ndarray
+    chol_inv: np.ndarray
     alpha: np.ndarray
     target_transform: tuple[float, float]
 
@@ -205,8 +208,9 @@ def _as_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     """Condition on inputs x (n, dim) and targets y (n,) with explicitly
-    chosen hyperparameters — no fitting: the Cholesky factor of
-    K + noise I and alpha = (K + noise I)^-1 z for the standardized z.
+    chosen hyperparameters — no fitting: the inverse L^-1 of the Cholesky
+    factor of K + noise I (jittered if need be), taken once here, and
+    alpha = L^-T L^-1 z for the standardized z.
     ``fit`` calls it with the hyperparameters it chose."""
     x, y = _as_xy(x, y)
     if x.shape[1] != params.dim:
@@ -216,12 +220,12 @@ def build_model(x: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     z, shift, scale = _standardize(y)
     k = _cross_cov(x, x, params.lengthscales, params.output_scale)
     k += params.noise_variance * np.eye(x.shape[0])
-    chol = _chol_with_jitter(k)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, z))
+    chol_inv = np.linalg.inv(_chol_with_jitter(k))
+    alpha = chol_inv.T @ (chol_inv @ z)
     return GPModel(
         inputs=x,
         params=params,
-        chol=chol,
+        chol_inv=chol_inv,
         alpha=alpha,
         target_transform=(shift, scale),
     )
@@ -394,7 +398,11 @@ def fit(
 
 def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and (latent, noise-free) variance at each query row,
-    de-standardized to original target units.  Variance is clamped at 0."""
+    de-standardized to original target units.  Variance is clamped at 0.
+
+    Two matrix products against the model's fixed arrays: the mean is
+    k* alpha and the variance output_scale - |k* L^-T|^2 per row, where
+    k* is the (queries, n) cross-covariance."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != model.dim:
         raise InvalidArgumentError(
@@ -404,7 +412,7 @@ def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray,
         queries, model.inputs, model.params.lengthscales, model.params.output_scale
     )
     mean_std = k_star @ model.alpha
-    v = np.linalg.solve(model.chol, k_star.T)
-    var_std = np.maximum(model.params.output_scale - np.sum(v * v, axis=0), 0.0)
+    v = k_star @ model.chol_inv.T
+    var_std = np.maximum(model.params.output_scale - np.sum(v * v, axis=1), 0.0)
     shift, scale = model.target_transform
     return shift + scale * mean_std, scale * scale * var_std

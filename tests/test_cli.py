@@ -380,6 +380,32 @@ def test_out_of_range_repeats_and_jobs_exit_2(tmp_path, capsys, command, flag, v
     assert not list(out.glob("**/*.csv"))
 
 
+# Story: a method named twice would run one trace twice, into one trace
+# path and one cache root, and report it as two repeats with a zero spread.
+# run and ablate refuse it as a usage error (exit 2) before any stage runs
+# or any output directory is made.
+@pytest.mark.parametrize("command", [["run"], ["ablate", "eta"]])
+@pytest.mark.parametrize("methods", ["ei,ei", "eeipu,ei, eeipu"])
+def test_duplicate_method_exits_2(tmp_path, capsys, command, methods):
+    marker = tmp_path / "ran"
+    pipe = tmp_path / "touch.json"
+    stage = {
+        "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]],
+        "command": f"touch {marker} && echo objective=1.0",
+    }
+    pipe.write_text(json.dumps({"name": "touch", "stages": [stage]}))
+    out = tmp_path / "out"
+    code = main(
+        [*command, "--pipeline-file", str(pipe), "--methods", methods, "--out", str(out),
+         *_TINY_FLAGS]
+    )
+    assert code == 2
+    duplicate = methods.split(",")[0]
+    assert f"method {duplicate!r} is named more than once" in capsys.readouterr().err
+    assert not marker.exists()
+    assert not out.exists()
+
+
 # Story: a pipeline file with a misspelled stage kind is refused with the
 # usage exit code; the stage does not run as an external one.
 def test_malformed_pipeline_file_exits_2(tmp_path, capsys):

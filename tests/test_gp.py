@@ -2,8 +2,10 @@
 
 Posterior math is checked against a dense-inverse oracle written
 independently inside the tests (a scalar Matern-5/2 kernel and
-np.linalg.inv rather than the module's vectorized Cholesky path), and the
-marginal likelihood against the textbook determinant formula.
+np.linalg.inv of the whole covariance rather than the module's inverse
+Cholesky factor), against scipy's cho_factor / cho_solve where the
+covariance is ill-conditioned, and the marginal likelihood against the
+textbook determinant formula.
 """
 
 import math
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from pipetune import gp
 from pipetune.acquisition import _segment_draws
@@ -164,6 +167,67 @@ def test_posterior_matches_dense_oracle():
         o_mean, o_var = _dense_oracle(x, y, params, queries)
         assert np.allclose(mean, o_mean, atol=1e-8)
         assert np.allclose(var, o_var, atol=1e-8)
+
+
+def _ill_conditioned_data(n=55, dim=7, duplicates=0):
+    """n points in the unit cube with a smooth target; the last
+    ``duplicates`` rows repeat the first ones exactly."""
+    rng = np.random.default_rng(3)
+    x = rng.uniform(size=(n, dim))
+    if duplicates:
+        x[n - duplicates :] = x[:duplicates]
+    return x, np.sin(3.0 * x).sum(axis=1), rng.uniform(size=(256, dim))
+
+
+# Story: the posterior multiplies by L^-1 instead of solving against L. In
+# the regime fitted models reach, noise at its 1e-6 bound and long
+# lengthscales over 55 points in 7-D, cond(K) is at least 1e8, and the
+# mean and variance still agree with a float64 cho_factor / cho_solve
+# oracle, far inside the cond(K) x eps bound of either.
+def test_posterior_matches_cho_solve_when_ill_conditioned():
+    x, y, queries = _ill_conditioned_data()
+    params = _params([16.0, 8.0, 32.0, 16.0, 64.0, 16.0, 24.0], scale=20.0, noise=1e-6)
+    gram = _cross_cov(x, x, params.lengthscales, params.output_scale)
+    gram += params.noise_variance * np.eye(len(x))
+    assert np.linalg.cond(gram) >= 1e8
+
+    model = build_model(x, y, params)
+    mean, var = posterior_mean_var(model, queries)
+
+    shift, scale = model.target_transform
+    factor = cho_factor(gram, lower=True)
+    k_star = _cross_cov(queries, x, params.lengthscales, params.output_scale)
+    o_mean = shift + scale * (k_star @ cho_solve(factor, (y - shift) / scale))
+    quad = np.einsum("ij,ji->i", k_star, cho_solve(factor, k_star.T))
+    o_var = scale * scale * np.maximum(params.output_scale - quad, 0.0)
+    assert np.max(np.abs(mean - o_mean)) <= 1e-7 * np.max(np.abs(o_mean))
+    assert np.max(np.abs(var - o_var)) <= 1e-12 * scale * scale * params.output_scale
+
+
+# Story: when the plain Cholesky fails and the factor is taken with jitter,
+# the inverse factor still gives a finite mean and a variance in
+# [0, scale^2 output_scale], at the training points and away from them.
+def test_posterior_after_jitter_is_finite_and_bounded(monkeypatch):
+    x, y, queries = _ill_conditioned_data(duplicates=27)
+    params = _params(np.full(7, 16.0), scale=20.0, noise=1e-16)
+    cholesky = np.linalg.cholesky
+    calls = []
+
+    def refuse_unjittered(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse_unjittered)
+    model = build_model(x, y, params)
+    monkeypatch.undo()
+    assert len(calls) >= 2
+
+    mean, var = posterior_mean_var(model, np.vstack([queries, x]))
+    scale = model.target_transform[1]
+    assert np.all(np.isfinite(mean))
+    assert np.all((var >= 0.0) & (var <= scale * scale * params.output_scale))
 
 
 # Story: the returned variance is the latent (noise-free) one: far from the
