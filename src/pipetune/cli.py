@@ -199,14 +199,17 @@ def _build_jobs(
 ) -> list[tuple[RunConfig, str, str]]:
     """One (config, trace path, cache root) per method and repeat; every
     config is checked by RunConfig, and --repeats, --jobs and the method
-    names are checked, before any job runs. A method named twice is
-    refused: its jobs would share one trace path and one cache root."""
+    names are checked, before any job runs. An empty method list is
+    refused, and so is a method named twice: its jobs would share one
+    trace path and one cache root."""
     for flag in ("repeats", "jobs"):
         if getattr(args, flag) < 1:
             raise InvalidArgumentError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     overrides = overrides or {}
     cache_base = Path(os.environ.get(CACHE_ROOT_ENV, out_dir / "cache"))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise InvalidArgumentError(f"--methods names no method: {args.methods!r}")
     for m in methods:
         if m not in METHODS:
             raise InvalidArgumentError(

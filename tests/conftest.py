@@ -3,13 +3,17 @@ scalar kernel oracle shared by the GP tests, and the generator table that
 ``score_candidates`` takes.
 
 The five-seed benchmark comparisons are expensive (a couple of minutes in
-total), so each family of runs executes once per session and is shared by
-every criterion that reads it.  All runs are fully seeded: re-executing a
-fixture always reproduces the same traces.
+total), so each family of runs executes once per session, in a pool of
+worker processes, and is shared by every criterion that reads it.  All
+runs are fully seeded: re-executing a fixture always reproduces the same
+traces, whichever process runs them.
 """
 
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,13 +63,28 @@ def _benchmark_run(method, seed, cache_root, **overrides):
     return run(config, synthetic_suite("synth3"), cache_root=cache_root)
 
 
+def _benchmark_runs(jobs):
+    """{key: trace} for {key: (method, seed, cache_root, overrides)}, run in
+    at most two spawned worker processes, and no more than there are cores.
+    The pool is shut down before this returns, so no worker outlives the
+    fixture that built its traces (criterion 14 times an idle process)."""
+    workers = min(2, os.cpu_count() or 1)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        futures = {
+            key: pool.submit(_benchmark_run, method, seed, root, **overrides)
+            for key, (method, seed, root, overrides) in jobs.items()
+        }
+        return {key: future.result() for key, future in futures.items()}
+
+
 def paired_runs(root):
     """{(method, seed): trace} for the memoizing-vs-plain-EI comparison."""
-    return {
-        (method, seed): _benchmark_run(method, seed, root / f"{method}_{seed}")
+    return _benchmark_runs({
+        (method, seed): (method, seed, root / f"{method}_{seed}", {})
         for method in ("eeipu", "ei")
         for seed in SEEDS
-    }
+    })
 
 
 @pytest.fixture(scope="session")
@@ -77,10 +96,10 @@ def paired_traces(tmp_path_factory):
 def expdecay_traces(tmp_path_factory):
     """{seed: trace} for the memoizing method under exponential cooling."""
     root = tmp_path_factory.mktemp("acc_expdecay")
-    return {
-        seed: _benchmark_run("eeipu", seed, root / str(seed), eta_schedule="exp_decay")
+    return _benchmark_runs({
+        seed: ("eeipu", seed, root / str(seed), {"eta_schedule": "exp_decay"})
         for seed in SEEDS
-    }
+    })
 
 
 @pytest.fixture(scope="session")
@@ -88,13 +107,11 @@ def epsilon_traces(tmp_path_factory, paired_traces):
     """{epsilon: [trace per seed]}.  The 0.01 level is the paired runs'
     default, so those traces are reused rather than recomputed."""
     root = tmp_path_factory.mktemp("acc_eps")
-    sweep = {}
-    for eps in EPSILON_LEVELS:
-        if eps == 0.01:
-            sweep[eps] = [paired_traces[("eeipu", s)] for s in SEEDS]
-        else:
-            sweep[eps] = [
-                _benchmark_run("eeipu", s, root / f"{eps}_{s}", epsilon=eps)
-                for s in SEEDS
-            ]
-    return sweep
+    runs = _benchmark_runs({
+        (eps, s): ("eeipu", s, root / f"{eps}_{s}", {"epsilon": eps})
+        for eps in EPSILON_LEVELS
+        if eps != 0.01
+        for s in SEEDS
+    })
+    runs.update({(0.01, s): paired_traces[("eeipu", s)] for s in SEEDS})
+    return {eps: [runs[(eps, s)] for s in SEEDS] for eps in EPSILON_LEVELS}

@@ -406,6 +406,21 @@ def test_duplicate_method_exits_2(tmp_path, capsys, command, methods):
     assert not out.exists()
 
 
+# Story: a method list with no name in it (only commas or blanks) is a
+# usage error, exit 2, before any output directory is made.
+@pytest.mark.parametrize("command", [["run"], ["ablate", "eta"]])
+@pytest.mark.parametrize("methods", [",", "", " , "])
+def test_empty_method_list_exits_2(tmp_path, capsys, command, methods):
+    out = tmp_path / "out"
+    code = main(
+        [*command, "--pipeline", "synth3", "--methods", methods, "--out", str(out),
+         *_TINY_FLAGS]
+    )
+    assert code == 2
+    assert "--methods names no method" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Story: a pipeline file with a misspelled stage kind is refused with the
 # usage exit code; the stage does not run as an external one.
 def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
