@@ -149,7 +149,6 @@ def _segment_draws(
     xn: np.ndarray,
     memoized: np.ndarray,
     epsilon: float,
-    n_mc: int,
     rng: np.random.Generator,
     out: np.ndarray,
 ) -> np.ndarray:
@@ -221,7 +220,7 @@ def score_candidates(
         for s, (seg, model) in enumerate(zip(segments, models.costs, strict=True)):
             cols, memoized = xn[:, seg.columns(space)], block_deltas >= seg.last
             out = spare if s else totals
-            _segment_draws(model, cols, memoized, epsilon, n_mc, mc_rngs[s, b], out)
+            _segment_draws(model, cols, memoized, epsilon, mc_rngs[s, b], out)
             if s:
                 totals += spare
         inverse_cost.append(expected_inverse_cost(totals))

@@ -1,6 +1,9 @@
 """Session-scoped fixtures for the end-to-end acceptance criteria, the
-scalar kernel oracle shared by the GP tests, and the generator table that
-``score_candidates`` takes.
+generator table that ``score_candidates`` takes, and the one home of each
+test oracle that a module test and an acceptance criterion share: a scalar
+Matern-5/2 kernel and the dense-inverse GP posterior built on it
+(``tests/test_gp.py``, criterion 2), and a brute-force prefix pool
+(``tests/test_cache.py``, criterion 6).
 
 The five-seed benchmark comparisons are expensive (a couple of minutes in
 total), so each family of runs executes once per session, in a pool of
@@ -48,6 +51,69 @@ def matern52(a, b, params):
     r = math.sqrt(sum(((ai - bi) / ls) ** 2 for ai, bi, ls in zip(a, b, params.lengthscales)))
     s5r = math.sqrt(5.0) * r
     return params.output_scale * (1.0 + s5r + 5.0 * r * r / 3.0) * math.exp(-s5r)
+
+
+def dense_posterior(x, y, params, queries):
+    """Posterior mean and latent variance at ``queries`` through an explicit
+    inverse of the whole covariance, with the z-scoring convention that
+    pipetune.gp documents, in place of its inverse Cholesky factor."""
+    shift, scale = float(np.mean(y)), float(np.std(y))
+    if scale < 1e-12:
+        scale = 1.0
+    z = (np.asarray(y) - shift) / scale
+
+    def k(a, b):
+        return np.array([[matern52(ai, bi, params) for bi in b] for ai in a])
+
+    gram = k(x, x) + params.noise_variance * np.eye(len(x))
+    inv = np.linalg.inv(gram)
+    ks = k(queries, x)
+    mean = ks @ inv @ z
+    prior = np.array([matern52(q, q, params) for q in queries])
+    var = prior - np.einsum("ij,jk,ik->i", ks, inv, ks)
+    return shift + scale * mean, scale * scale * np.maximum(var, 0.0)
+
+
+class ReferencePool:
+    """Brute-force model of the prefix pool, written apart from
+    pipetune.cache: {widest cached prefix: (best objective, insertion
+    order)} over ``capacity`` distinct prefixes. A kept prefix offered
+    again keeps its place and its best objective. A new one enters while
+    there is room, and otherwise only by beating the worst kept objective
+    strictly; it evicts that one, the latest inserted among ties."""
+
+    def __init__(self, capacity, stage_dims, deltas):
+        self.capacity = capacity
+        self.widths = {d: sum(stage_dims[:d]) for d in deltas}  # leading values per depth
+        self.items: dict[tuple, tuple[float, int]] = {}
+        self.counter = 0
+
+    def offer(self, x, objective):
+        key = tuple(float(v) for v in x[: max(self.widths.values())])
+        if key in self.items:
+            best, order = self.items[key]
+            if objective > best:
+                self.items[key] = (objective, order)
+            return
+        if len(self.items) >= self.capacity:
+            worst = min(self.items, key=lambda k: (self.items[k][0], -self.items[k][1]))
+            if not objective > self.items[worst][0]:
+                return
+            del self.items[worst]
+        self.items[key] = (objective, self.counter)
+        self.counter += 1
+
+    def sources(self):
+        """[(prefix, objective)] in insertion order."""
+        return [(k, obj) for k, (obj, _) in sorted(self.items.items(), key=lambda i: i[1][1])]
+
+    def expected_delta(self, x):
+        """The deepest depth whose leading values of ``x`` some kept prefix
+        shares; 0 when none does."""
+        return max(
+            (d for d, w in self.widths.items() if any(k[:w] == tuple(x[:w]) for k in self.items)),
+            default=0,
+        )
 
 
 def rng_table(generators, n_blocks=1):

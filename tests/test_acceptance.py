@@ -34,7 +34,7 @@ from pipetune.gp import KernelParams, build_model, posterior_mean_var
 from pipetune.optimizer import RunConfig, derived_rng, run, write_trace
 from pipetune.pipeline import Observation, synthetic_suite
 
-from conftest import SEEDS, matern52, rng_table
+from conftest import SEEDS, ReferencePool, dense_posterior, rng_table
 
 
 RESULTS: list[str] = []
@@ -80,25 +80,6 @@ def test_criterion_01_ei_matches_mc_oracle():
 # 2. GP posterior exactness
 
 
-def _dense_oracle(x, y, params, queries):
-    shift, scale = float(np.mean(y)), float(np.std(y))
-    if scale < 1e-12:
-        scale = 1.0
-    z = (np.asarray(y) - shift) / scale
-
-    def k(a, b):
-        return np.array([[matern52(ai, bi, params) for bi in b] for ai in a])
-
-    gram = k(x, x) + params.noise_variance * np.eye(len(x))
-    inv = np.linalg.inv(gram)
-    ks = k(queries, x)
-    mean = ks @ inv @ z
-    var = np.array(
-        [matern52(q, q, params) for q in queries]
-    ) - np.einsum("ij,jk,ik->i", ks, inv, ks)
-    return shift + scale * mean, scale * scale * np.maximum(var, 0.0)
-
-
 def test_criterion_02_gp_exactness():
     # (a) near-noiseless interpolation of three training points
     params3 = KernelParams(
@@ -124,7 +105,7 @@ def test_criterion_02_gp_exactness():
         queries = rng.uniform(0.0, 1.0, size=(6, 3))
         model = build_model(x, y, params)
         mean, var = posterior_mean_var(model, queries)
-        omean, ovar = _dense_oracle(x, y, params, queries)
+        omean, ovar = dense_posterior(x, y, params, queries)
         oracle_err = max(
             oracle_err,
             float(np.max(np.abs(mean - omean))),
@@ -267,43 +248,12 @@ def test_criterion_05_eta_schedules():
 # 6. cache invariants under randomized operations
 
 
-class _ReferencePool:
-    """Brute-force model: {widest prefix values: (objective, order)} with
-    the same in-place-update / strict-eviction / latest-tie rules."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.items: dict[tuple, tuple[float, int]] = {}
-        self.counter = 0
-
-    def offer(self, key, objective):
-        if key in self.items:
-            obj, order = self.items[key]
-            if objective > obj:
-                self.items[key] = (objective, order)
-            return
-        if len(self.items) >= self.capacity:
-            worst_key = min(self.items, key=lambda k: (self.items[k][0], -self.items[k][1]))
-            if not objective > self.items[worst_key][0]:
-                return
-            del self.items[worst_key]
-        self.items[key] = (objective, self.counter)
-        self.counter += 1
-
-    def expected_delta(self, vals):
-        if any(k == vals[:3] for k in self.items):
-            return 2
-        if any(k[:2] == vals[:2] for k in self.items):
-            return 1
-        return 0
-
-
 def test_criterion_06_cache_randomized_invariants():
     stage_dims = (2, 1, 2)
     capacity = 5
     n_stages = len(stage_dims)
     pool = empty_pool(stage_dims, capacity, "all")
-    ref = _ReferencePool(capacity)
+    ref = ReferencePool(capacity, stage_dims, (1, 2))
     rng = np.random.default_rng(61)
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -316,14 +266,14 @@ def test_criterion_06_cache_randomized_invariants():
                 x=x, y=y, stage_costs=(1.0, 1.0, 1.0), memo_delta=0
             )
             pool = update_pool(pool, obs)
-            ref.offer(tuple(float(v) for v in x[:3]), y)
+            ref.offer(x, y)
 
             # mirror image: retained sources == reference's top-Q map
             got = {
                 max(s.entries, key=lambda e: e.delta).values: s.objective
                 for s in pool.sources
             }
-            want = {k: obj for k, (obj, _) in ref.items.items()}
+            want = dict(ref.sources())
             assert got == want
             # whole sources: every retained source carries all policy deltas
             assert all(
@@ -338,7 +288,7 @@ def test_criterion_06_cache_randomized_invariants():
             assert res.delta == ref.expected_delta(vals)
             if res.delta:
                 # the match is the candidate's own leading values
-                width = (2, 3)[res.delta - 1]
+                width = ref.widths[res.delta]
                 assert PrefixEntry(vals[:width], res.delta) in pool.distinct_entries()
         checked_ops += 1
     _check(

@@ -248,10 +248,10 @@ def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
     no row of an earlier block survives in a reused buffer."""
     rng = np.random.default_rng(seed)
     buffer = np.empty((len(xn), n_mc))
-    draws = _segment_draws(model, xn, memoized, epsilon, n_mc, rng, buffer)
+    draws = _segment_draws(model, xn, memoized, epsilon, rng, buffer)
     assert draws is buffer
     stale = np.full((len(xn), n_mc), np.nan)
-    _segment_draws(model, xn, memoized, epsilon, n_mc, np.random.default_rng(seed), stale)
+    _segment_draws(model, xn, memoized, epsilon, np.random.default_rng(seed), stale)
     assert stale.tobytes() == draws.tobytes()
 
     live = ~memoized
@@ -428,10 +428,10 @@ def test_from_suffix_draws_assembles_matrix():
     seg = METHODS["eeipu"].segments(3)[0]
     cols = xn[:, seg.columns(space)]
     first = _segment_draws(
-        stages[0], cols, memoized, epsilon, n_mc, rngs()[0], np.empty((5, n_mc))
+        stages[0], cols, memoized, epsilon, rngs()[0], np.empty((5, n_mc))
     )
     plain = _segment_draws(
-        stages[0], cols, np.zeros(5, dtype=bool), epsilon, n_mc, rngs()[0], np.empty((5, n_mc))
+        stages[0], cols, np.zeros(5, dtype=bool), epsilon, rngs()[0], np.empty((5, n_mc))
     )
     assert np.all(first[memoized] == epsilon)
     assert np.array_equal(first[~memoized], plain[~memoized])

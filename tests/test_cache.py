@@ -1,10 +1,11 @@
 """Unit tests for the prefix memo-cache: pool ranking/eviction semantics,
 prefix policies, exact-match lookup, and the content-addressed disk store.
 
-The randomized-operations tests drive the pool against a brute-force
-reference model (a plain dict of best-objective-per-prefix with explicit
-insertion counters) to check the top-Q semantics hold under arbitrary
-interleavings, for every prefix policy and 2-6 stages.
+The randomized-operations tests drive the pool against the brute-force
+ReferencePool that tests/conftest.py shares with acceptance criterion 6 (a
+plain dict of best-objective-per-prefix with explicit insertion counters)
+to check the top-Q semantics hold under arbitrary interleavings, for every
+prefix policy and 2-6 stages.
 """
 
 import errno
@@ -27,6 +28,8 @@ from pipetune.cache import (
 )
 from pipetune.errors import InvalidArgumentError, StorageError
 from pipetune.pipeline import Observation
+
+from conftest import ReferencePool
 
 
 def _obs(x, y):
@@ -217,67 +220,32 @@ def test_lookup_longest_exact_match():
 # randomized invariants against a reference model
 
 
-class _Reference:
-    """Brute-force top-Q-distinct-prefixes bookkeeping."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.items = {}  # prefix key -> (objective, insertion order)
-        self.counter = 0
-
-    def offer(self, key, y):
-        if key in self.items:
-            old_y, order = self.items[key]
-            if y > old_y:
-                self.items[key] = (y, order)
-            return
-        if len(self.items) < self.capacity:
-            self.items[key] = (y, self.counter)
-            self.counter += 1
-            return
-        worst_key = min(self.items, key=lambda k: (self.items[k][0], -self.items[k][1]))
-        if y > self.items[worst_key][0]:
-            del self.items[worst_key]
-            self.items[key] = (y, self.counter)
-            self.counter += 1
-
-    def in_order(self):
-        """Keys by insertion counter."""
-        return sorted(self.items, key=lambda k: self.items[k][1])
-
-
 # Story: a thousand random offers must keep the pool identical to the
-# reference model and within its entry bound. (The acceptance suite repeats
-# this at ten thousand operations.)
+# reference model and within its entry bound, and each lookup at the
+# reference's depth. (The acceptance suite repeats this at ten thousand
+# operations.)
 def test_randomized_updates_match_reference():
     rng = np.random.default_rng(42)
     capacity = 4
     pool = _pool(capacity)
-    ref = _Reference(capacity)
+    ref = ReferencePool(capacity, STAGE_DIMS, (1, 2))
     grid = [float(v) for v in range(3)]
 
     for _ in range(1000):
         x = np.array([rng.choice(grid) for _ in range(5)])
         y = float(np.round(rng.normal(), 3))
         pool = update_pool(pool, _obs(x, y))
-        ref.offer(tuple(x[:3]), y)
+        ref.offer(x, y)
 
         got = {
             tuple(max(s.entries, key=lambda e: e.delta).values): s.objective
             for s in pool.sources
         }
-        want = {k: v[0] for k, v in ref.items.items()}
-        assert got == want
+        assert got == dict(ref.sources())
         assert len(_entries(pool)) <= capacity * (len(STAGE_DIMS) - 1)
 
         probe = np.array([rng.choice(grid) for _ in range(5)])
-        hit = lookup(pool, probe)
-        match_deltas = [
-            e.delta
-            for e in _entries(pool)
-            if tuple(probe[: len(e.values)]) == e.values
-        ]
-        assert hit.delta == (max(match_deltas) if match_deltas else 0)
+        assert lookup(pool, probe).delta == ref.expected_delta(probe)
 
 
 # Story: for every policy and 2-6 stages, with objectives coarse enough to
@@ -293,10 +261,8 @@ def test_randomized_updates_match_reference():
 def test_pool_matches_reference_for_every_policy(data, stage_dims, policy, capacity):
     dim = sum(stage_dims)
     deltas = _policy_deltas(policy, len(stage_dims))
-    widths = {d: sum(stage_dims[:d]) for d in deltas}
-    key_width = widths[max(deltas)]
     pool = empty_pool(stage_dims, capacity, policy)
-    ref = _Reference(capacity)
+    ref = ReferencePool(capacity, stage_dims, deltas)
     point = st.lists(st.sampled_from((0.0, 1.0)), min_size=dim, max_size=dim)
     seen = []
 
@@ -309,25 +275,14 @@ def test_pool_matches_reference_for_every_policy(data, stage_dims, policy, capac
         if data.draw(st.booleans(), label="update"):
             y = data.draw(st.integers(-2, 2), label="y") / 2
             pool = update_pool(pool, _obs(x, y))
-            ref.offer(tuple(x[:key_width]), y)
+            ref.offer(x, y)
             seen.append(x)
-            assert [s.entries[-1].values for s in pool.sources] == ref.in_order()
-            assert [s.objective for s in pool.sources] == [
-                ref.items[k][0] for k in ref.in_order()
-            ]
+            assert [(s.entries[-1].values, s.objective) for s in pool.sources] == ref.sources()
             assert all(
                 [e.delta for e in s.entries] == list(deltas) for s in pool.sources
             )
         else:
-            want = max(
-                (
-                    d
-                    for d in deltas
-                    if any(k[: widths[d]] == tuple(x[: widths[d]]) for k in ref.items)
-                ),
-                default=0,
-            )
-            assert lookup(pool, x).delta == want
+            assert lookup(pool, x).delta == ref.expected_delta(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,25 @@
-"""Pinned golden traces: one short seeded run per method, compared byte for
-byte against the files in tests/golden/, plus the sha256 of every trace
-of the acceptance gate's paired eeipu-vs-ei runs (criteria 8-13).
+"""Pinned golden traces, compared byte for byte against the files in
+tests/golden/: one short seeded run per method, and the acceptance gate's
+paired eeipu-vs-ei runs for seeds 0-4 (criteria 8-13), named
+``paired_<method>_<seed>``.
 
 Each golden is a trace CSV plus its JSON sidecar. Byte-level floats can
 move between numpy, scipy or BLAS builds, so the environment that wrote
 the files is recorded in tests/golden/ENV.json and named in the failure
 message next to the current one.
 
-A change that alters traces on purpose regenerates the files with
+A change that alters traces on purpose regenerates all 15 goldens with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md. Before it overwrites a golden CSV, the script
-prints the columns that changed and the largest relative change in each,
-and how many paired hashes changed, so a regeneration that moves only the
-scores reads as such.
+and says why in CHANGES.md. Before it overwrites any file, the script
+prints for each golden the CSV columns that changed, with the largest
+relative change in each, and whether the sidecar changed, so a
+regeneration that moves only the scores reads as such, at the acceptance
+config too.
 """
 
 import csv
-import hashlib
 import json
 import platform
 import shutil
@@ -34,9 +35,6 @@ from pipetune.pipeline import synthetic_suite
 from conftest import paired_runs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-# sha256 of each paired acceptance trace's CSV, keyed "<method>_<seed>"
-PAIRED_HASHES = GOLDEN_DIR / "paired_traces.json"
 
 # criterion 7's seed-9 config with a budget that lets eeipu reuse prefixes
 CONFIG = dict(seed=9, n0=3, m=16, n_mc=30, restarts=2, total_budget=150.0)
@@ -72,13 +70,30 @@ def write_golden(name: str, out_dir: Path, cache_root: Path) -> Path:
     return path
 
 
-def paired_trace_hashes(traces: dict, out_dir: Path) -> dict[str, str]:
-    hashes = {}
+def write_paired(traces: dict, out_dir: Path) -> list[Path]:
+    """Writes each paired acceptance trace as ``paired_<method>_<seed>.csv``."""
+    paths = []
     for (method, seed), trace in sorted(traces.items()):
-        path = out_dir / f"{method}_{seed}.csv"
+        path = out_dir / f"paired_{method}_{seed}.csv"
         write_trace(trace, path)
-        hashes[f"{method}_{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return hashes
+        paths.append(path)
+    return paths
+
+
+def assert_matches_goldens(paths: list[Path]) -> None:
+    """Each trace CSV in ``paths`` and its sidecar equal, byte for byte, the
+    golden files of the same names."""
+    differing = [
+        file.name
+        for path in paths
+        for file in (path, path.with_suffix(".json"))
+        if file.read_bytes() != (GOLDEN_DIR / file.name).read_bytes()
+    ]
+    recorded = json.loads((GOLDEN_DIR / "ENV.json").read_text(encoding="utf-8"))
+    assert not differing, (
+        f"{differing} differ from the golden files; "
+        f"recorded environment {recorded}, current environment {environment()}"
+    )
 
 
 def column_changes(old: Path, new: Path) -> dict[str, float]:
@@ -121,29 +136,14 @@ def test_column_changes_reports_changed_columns_only(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_golden_trace_is_byte_identical(name, tmp_path):
-    path = write_golden(name, tmp_path, tmp_path / "cache")
-    recorded = json.loads((GOLDEN_DIR / "ENV.json").read_text(encoding="utf-8"))
-    for suffix in (".csv", ".json"):
-        got = path.with_suffix(suffix).read_bytes()
-        want = (GOLDEN_DIR / f"{name}{suffix}").read_bytes()
-        assert got == want, (
-            f"{name}{suffix} differs from the golden file; "
-            f"recorded environment {recorded}, current environment {environment()}"
-        )
+    assert_matches_goldens([write_golden(name, tmp_path, tmp_path / "cache")])
 
 
 # Story: the acceptance config's traces (m=256, n_mc=500, restarts=10) are
 # pinned byte for byte, so a change that only claims speed cannot move
 # criteria 8-13 unnoticed. Reuses the session fixture: no extra runs.
 def test_paired_acceptance_traces_are_byte_identical(paired_traces, tmp_path):
-    got = paired_trace_hashes(paired_traces, tmp_path)
-    want = json.loads(PAIRED_HASHES.read_text(encoding="utf-8"))
-    recorded = json.loads((GOLDEN_DIR / "ENV.json").read_text(encoding="utf-8"))
-    differing = sorted(k for k in want if got.get(k) != want[k])
-    assert got == want, (
-        f"paired acceptance traces {differing} differ from {PAIRED_HASHES.name}; "
-        f"recorded environment {recorded}, current environment {environment()}"
-    )
+    assert_matches_goldens(write_paired(paired_traces, tmp_path))
 
 
 if __name__ == "__main__":
@@ -151,24 +151,22 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in GOLDENS:
-            path = write_golden(name, Path(tmp), Path(tmp) / name)
+        tmp = Path(tmp)
+        paths = [write_golden(name, tmp, tmp / name) for name in GOLDENS]
+        paths += write_paired(paired_runs(tmp / "runs"), tmp)
+        for path in paths:
             golden = GOLDEN_DIR / path.name
-            if golden.exists():
-                changes = column_changes(golden, path)
-                listed = ", ".join(f"{c} (max rel {r:.3g})" for c, r in changes.items())
-                print(f"{path.name}: {listed or 'unchanged'}")
-            for suffix in (".csv", ".json"):
-                shutil.copyfile(path.with_suffix(suffix), GOLDEN_DIR / f"{name}{suffix}")
-        paired = paired_runs(Path(tmp) / "runs")
-        hashes = paired_trace_hashes(paired, Path(tmp) / "paired")
-    if PAIRED_HASHES.exists():
-        before = json.loads(PAIRED_HASHES.read_text(encoding="utf-8"))
-        changed = sorted(k for k in hashes if before.get(k) != hashes[k])
-        print(f"{PAIRED_HASHES.name}: {len(changed)} of {len(hashes)} changed {changed}")
-    PAIRED_HASHES.write_text(
-        json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+            if not golden.exists():
+                print(f"{path.name}: new")
+                continue
+            listed = [f"{c} (max rel {r:.3g})" for c, r in column_changes(golden, path).items()]
+            sidecar = path.with_suffix(".json")
+            if sidecar.read_bytes() != (GOLDEN_DIR / sidecar.name).read_bytes():
+                listed.append("sidecar")
+            print(f"{path.name}: {', '.join(listed) or 'unchanged'}")
+        for path in paths:
+            for file in (path, path.with_suffix(".json")):
+                shutil.copyfile(file, GOLDEN_DIR / file.name)
     (GOLDEN_DIR / "ENV.json").write_text(
         json.dumps(environment(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

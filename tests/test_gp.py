@@ -1,9 +1,9 @@
 """Unit tests for the Matern-5/2 Gaussian-process module.
 
-Posterior math is checked against a dense-inverse oracle written
-independently inside the tests (a scalar Matern-5/2 kernel and
-np.linalg.inv of the whole covariance rather than the module's inverse
-Cholesky factor), against scipy's cho_factor / cho_solve where the
+Posterior math is checked against the dense-inverse oracle that
+tests/conftest.py shares with acceptance criterion 2 (a scalar Matern-5/2
+kernel and np.linalg.inv of the whole covariance rather than the module's
+inverse Cholesky factor), against scipy's cho_factor / cho_solve where the
 covariance is ill-conditioned, and the marginal likelihood against the
 textbook determinant formula.
 """
@@ -38,7 +38,7 @@ from pipetune.gp import (
     posterior_mean_var,
 )
 
-from conftest import matern52
+from conftest import dense_posterior, matern52
 
 
 def _params(ls, scale=1.0, noise=1e-6):
@@ -58,27 +58,6 @@ def _k(a, b, params):
         params.output_scale,
     )
     return float(k[0, 0])
-
-
-def _dense_oracle(x, y, params, queries):
-    """Posterior mean/latent variance via an explicit matrix inverse, with
-    the same z-scoring convention the module documents."""
-    shift, scale = float(np.mean(y)), float(np.std(y))
-    if scale < 1e-12:
-        scale = 1.0
-    z = (y - shift) / scale
-
-    def k(a, b):
-        return np.array([[matern52(ai, bi, params) for bi in b] for ai in a])
-
-    gram = k(x, x) + params.noise_variance * np.eye(len(x))
-    inv = np.linalg.inv(gram)
-    ks = k(queries, x)
-    mean = ks @ inv @ z
-    var = np.array(
-        [matern52(q, q, params) for q in queries]
-    ) - np.einsum("ij,jk,ik->i", ks, inv, ks)
-    return shift + scale * mean, scale * scale * np.maximum(var, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +143,7 @@ def test_posterior_matches_dense_oracle():
         queries = rng.uniform(size=(6, 3))
         model = build_model(x, y, params)
         mean, var = posterior_mean_var(model, queries)
-        o_mean, o_var = _dense_oracle(x, y, params, queries)
+        o_mean, o_var = dense_posterior(x, y, params, queries)
         assert np.allclose(mean, o_mean, atol=1e-8)
         assert np.allclose(var, o_var, atol=1e-8)
 
@@ -263,10 +242,10 @@ def test_sample_determinism_and_count():
     xn = np.array([[50.0], [0.5]])
     unmemoized = np.zeros(2, dtype=bool)
     a = _segment_draws(
-        model, xn, unmemoized, 0.25, 1000, np.random.default_rng(9), np.empty((2, 1000))
+        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 1000))
     )
     b = _segment_draws(
-        model, xn, unmemoized, 0.25, 1000, np.random.default_rng(9), np.empty((2, 1000))
+        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 1000))
     )
     assert np.array_equal(a, b)
     assert a.shape == (2, 1000)

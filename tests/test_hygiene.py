@@ -211,6 +211,56 @@ def test_unread_member_scan_sees_both_cases():
     assert _unread_members([tree]) == ["Pool.all_entries", "Pool.width"]
 
 
+def _unused_parameters(tree: ast.Module) -> list[str]:
+    """Each parameter of a function that its body never reads, as
+    ``function.parameter``; ``self``, ``cls``, ``*args`` and ``**kwargs``
+    are skipped. A read inside a nested function counts."""
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        skipped = read | {"self", "cls"}
+        unused += [f"{node.name}.{a.arg}" for a in params if a.arg not in skipped]
+    return sorted(unused)
+
+
+# Story: a parameter that the body never reads makes every caller compute
+# and pass a value that changes nothing, and hides what the function
+# depends on.
+def test_no_unused_parameters():
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _unused_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not unused, f"parameters no body reads: {', '.join(unused)}"
+
+
+# Story: the scan finds an unused positional and keyword-only parameter,
+# counts a read inside a nested function, and skips self, cls, *args and
+# **kwargs.
+def test_unused_parameter_scan_sees_both_cases():
+    tree = ast.parse(
+        "def f(a, b, *args, c, d=1, **kwargs):\n"
+        "    def inner():\n"
+        "        return c\n"
+        "    return a + inner()\n"
+        "class P:\n"
+        "    def m(self, x):\n"
+        "        return x\n"
+        "    @classmethod\n"
+        "    def make(cls, y): ...\n"
+    )
+    assert _unused_parameters(tree) == ["f.b", "f.d", "make.y"]
+
+
 # Story: the runtime needs numpy alone. No module imports scipy, and a
 # fresh interpreter that imports the library and the CLI, then runs a short
 # eeipu trace (warmup, GP fits, scoring, memoized stages), has loaded no
