@@ -22,6 +22,7 @@ import numpy as np
 from . import gp
 from .candidates import SearchSpace
 from .errors import InvalidArgumentError, NumericalFailureError
+from .floats import ordered_sum
 
 ETA_SCHEDULES = ("budget", "constant", "exp_decay")
 
@@ -46,7 +47,7 @@ class Segment:
         return slice(space.prefix_width(self.first - 1), space.prefix_width(self.last))
 
     def cost(self, stage_costs: Sequence[float]) -> float:
-        return sum(stage_costs[self.first - 1 : self.last])
+        return ordered_sum(stage_costs[self.first - 1 : self.last])
 
 
 @dataclass(frozen=True)

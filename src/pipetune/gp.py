@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError, NumericalFailureError
+from .floats import ordered_sum
 
 # Hyperparameter search bounds, in normalized-input units.
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
@@ -97,12 +98,12 @@ def _cross_cov(
     the result is the B stacked matrices, shape (B, len(xa), len(xb))."""
     ls = lengthscales[..., None, :]
     sa = xa / ls
-    na = np.sum(sa**2, axis=-1)
+    na = np.add.reduce(sa * sa, axis=-1)
     if xb is xa:
         sb, nb = sa, na
     else:
         sb = xb / ls
-        nb = np.sum(sb**2, axis=-1)
+        nb = np.add.reduce(sb * sb, axis=-1)
     # 2.0 * sa is a fresh buffer, so the product stays a gemm even when sb is sa
     # (numpy would run syrk for sa @ sa', which rounds differently)
     sq = na[..., :, None] + nb[..., None, :] - 2.0 * sa @ np.swapaxes(sb, -1, -2)
@@ -160,7 +161,10 @@ def _lml_values(
     ``[[K + noise I, z], [z', c]]``, so that one Cholesky factor holds both
     terms: its leading n diagonal entries give log|K + noise I|, and its
     last row is w = L^-1 z, with z' (K + noise I)^-1 z = |w|^2. Each
-    member's value depends on its own matrix alone, not on the batch."""
+    member's value depends on its own matrix alone, not on the batch.
+
+    The values come straight from one stacked Cholesky that factors every
+    member; only where it fails is each member factored with jitter alone."""
     n, batch = x.shape[0], len(output_scale)
     k = np.empty((batch, n + 1, n + 1))
     k[:, :n, :n] = _cross_cov(x, x, lengthscales, output_scale)
@@ -169,23 +173,25 @@ def _lml_values(
     k[:, n, :n] = k[:, :n, n] = z
     k[:, n, n] = _BORDER
     try:
-        chols = np.linalg.cholesky(k)
-        factored = np.arange(batch)
+        return _bordered_lml(np.linalg.cholesky(k))
     except np.linalg.LinAlgError:
-        chols, factored = k, []
-        for i, k_noisy in enumerate(k):
-            try:
-                chols[i] = _chol_with_jitter(k_noisy)
-                factored.append(i)
-            except NumericalFailureError:
-                pass
-    chols = chols[factored]
-    w = chols[:, n, :n]
-    log_dets = np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)[:, :n]), axis=1)
-    values = np.full(batch, -np.inf)
-    w_sq = (w[:, None, :] @ w[:, :, None]).ravel()  # one dot product per member
-    values[factored] = -0.5 * w_sq - log_dets - 0.5 * n * _LOG_2PI
+        values = np.full(batch, -np.inf)
+    for i, k_noisy in enumerate(k):
+        try:
+            values[i] = _bordered_lml(_chol_with_jitter(k_noisy)[None])[0]
+        except NumericalFailureError:
+            pass
     return values
+
+
+def _bordered_lml(chols: np.ndarray) -> np.ndarray:
+    """``_lml_values`` from the stacked factors of the bordered covariances."""
+    batch, n = chols.shape[0], chols.shape[1] - 1
+    w = chols[:, n, :n]
+    # the leading n diagonal entries, as a strided view
+    log_dets = np.add.reduce(np.log(chols.reshape(batch, -1)[:, : n * (n + 2) : n + 2]), axis=1)
+    w_sq = (w[:, None, :] @ w[:, :, None]).ravel()  # one dot product per member
+    return -0.5 * w_sq - log_dets - 0.5 * n * _LOG_2PI
 
 
 def _as_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,19 +270,16 @@ OUTPUT_SCALE_PRIOR = (2.0, 0.15)  # Gamma(shape, rate)
 NOISE_PRIOR = (math.log(1e-4), 2.0)  # LogNormal(mean, sd) on the variance
 
 
-def _gamma_term(value: float, prior: tuple[float, float]) -> float:
-    shape, rate = prior
-    return (shape - 1.0) * math.log(value) - rate * value
-
-
 def log_prior(
     lengthscales: Sequence[float], output_scale: float, noise_variance: float
 ) -> float:
     """Unnormalized log hyperprior density at positive natural-scale
     hyperparameters, given as plain floats; the lengthscale terms are
     summed first, in order."""
-    total = sum(_gamma_term(ls, LENGTHSCALE_PRIOR) for ls in lengthscales)
-    total += _gamma_term(output_scale, OUTPUT_SCALE_PRIOR)
+    shape, rate = LENGTHSCALE_PRIOR
+    total = ordered_sum([(shape - 1.0) * math.log(ls) - rate * ls for ls in lengthscales])
+    shape, rate = OUTPUT_SCALE_PRIOR
+    total += (shape - 1.0) * math.log(output_scale) - rate * output_scale
     mean, sd = NOISE_PRIOR
     log_noise = math.log(noise_variance)
     total += -log_noise - (log_noise - mean) ** 2 / (2.0 * sd * sd)
@@ -303,13 +306,14 @@ def fit(
     (round, coordinate) the up and down trials of every restart still
     running are scored as one stacked batch (one stacked Cholesky), and
     where a restart's up trial wins, its down trial from the new point in a
-    second, retry batch. Each restart caches its values by the bytes of
-    the log-parameter vector, because the ascent often returns to a point
-    it has scored; ``log_prior`` runs once per distinct vector. Trial
-    vectors are clipped to the bounds and exponentiated as one block, so
-    no ``KernelParams`` is built until the winner's. The result
-    is the one the restarts would reach one after another: the best final
-    value wins, ties going to the earlier start.
+    second, retry batch. The ascent's state is plain Python: per restart,
+    a point (a tuple of log parameters, clipped in the one coordinate a
+    trial moves), a value and a step size, in lists. Each restart caches its
+    values by point, because the ascent often returns to a point it has
+    scored; ``log_prior`` runs once per distinct point, and numpy sees only
+    the block of new points, exponentiated and scored by ``_lml_values``.
+    The result is the one the restarts would reach one after another: the
+    best final value wins, ties going to the earlier start.
 
     Parameters
     ----------
@@ -344,56 +348,57 @@ def fit(
         jiggle = rng.uniform(-1.5, 1.5, size=dim + 2)
         starts.append(np.clip(base + jiggle, lo, hi))
 
-    seen: list[dict[bytes, float]] = [{} for _ in starts]
+    seen: list[dict[tuple[float, ...], float]] = [{} for _ in starts]
 
-    def objective(rows: np.ndarray, log_thetas: np.ndarray) -> np.ndarray:
+    def objective(rows: list[int], log_thetas: list[tuple[float, ...]]) -> list[float]:
         """Penalized LML of restart ``rows[i]`` at ``log_thetas[i]``."""
-        keys = [t.tobytes() for t in log_thetas]
-        fresh = [i for i, (r, key) in enumerate(zip(rows, keys)) if key not in seen[r]]
+        fresh = [i for i, (r, t) in enumerate(zip(rows, log_thetas)) if t not in seen[r]]
         if fresh:
-            theta = np.exp(log_thetas[fresh])
+            theta = np.exp([log_thetas[i] for i in fresh])
             lmls = _lml_values(x, z, theta[:, :dim], theta[:, dim], theta[:, dim + 1])
             for i, (*ls, scale, noise), lml in zip(fresh, theta.tolist(), lmls.tolist()):
                 # a module global, so that a wrapper installed on it sees every call
-                seen[rows[i]][keys[i]] = lml + log_prior(ls, scale, noise)
-        return np.array([seen[r][key] for r, key in zip(rows, keys)])
+                seen[rows[i]][log_thetas[i]] = lml + log_prior(ls, scale, noise)
+        return [seen[r][t] for r, t in zip(rows, log_thetas)]
 
-    thetas = np.array(starts)
-    active = np.arange(len(starts))
+    thetas = [tuple(start.tolist()) for start in starts]
+    active = list(range(len(starts)))
     vals = objective(active, thetas)
-    steps = np.ones(len(starts))
+    steps = [1.0] * len(starts)
+    lo, hi = lo.tolist(), hi.tolist()
     for _ in range(max_rounds):
-        improved = np.zeros(len(starts), dtype=bool)
+        improved = set()
         for coord in range(dim + 2):
             # every running restart's up and down trials as one batch; where
             # the up trial wins, the down trial is made again from the new
             # point, in a second batch, as the one-restart ascent makes it
-            rows = np.concatenate([active, active])
-            deltas = np.concatenate([steps[active], -steps[active]])
-            n_up = active.size
-            while rows.size:
-                trials = thetas[rows]
-                trials[:, coord] += deltas
-                np.clip(trials, lo, hi, out=trials)
-                trial_vals = objective(rows, trials)
-                better = trial_vals > vals[rows] + 1e-12
-                up_won = better[:n_up]
-                better[n_up : 2 * n_up] &= ~up_won
-                moved = rows[better]
-                thetas[moved] = trials[better]
-                vals[moved] = trial_vals[better]
-                improved[moved] = True
-                rows = rows[:n_up][up_won]
-                deltas, n_up = -steps[rows], 0
-        steps[active[~improved[active]]] *= 0.5
-        active = active[steps[active] >= 0.05]
-        if not active.size:
+            rows = active + active
+            deltas = [steps[r] for r in active] + [-steps[r] for r in active]
+            n_up = len(active)
+            while rows:
+                # only the moved coordinate can leave its bounds
+                trials = [
+                    t[:coord] + (min(max(t[coord] + d, lo[coord]), hi[coord]),) + t[coord + 1 :]
+                    for t, d in zip([thetas[r] for r in rows], deltas)
+                ]
+                moved = {}  # restart: the index of its winning trial
+                for i, (r, trial, value) in enumerate(zip(rows, trials, objective(rows, trials))):
+                    # up trials come first: a restart an up trial moved drops its down trial
+                    if r not in moved and value > vals[r] + 1e-12:
+                        thetas[r], vals[r], moved[r] = trial, value, i
+                improved.update(moved)
+                rows = [r for r, i in moved.items() if i < n_up]
+                deltas, n_up = [-steps[r] for r in rows], 0
+        for r in set(active) - improved:
+            steps[r] *= 0.5
+        active = [r for r in active if steps[r] >= 0.05]
+        if not active:
             break
 
     best = int(np.argmax(vals))  # the first of equal values: the earlier start
-    if not np.isfinite(vals[best]):
+    if not math.isfinite(vals[best]):
         raise NumericalFailureError("likelihood not finite at any candidate")
-    return build_model(x, y, _theta_to_params(thetas[best], dim))
+    return build_model(x, y, _theta_to_params(np.array(thetas[best]), dim))
 
 
 def posterior_mean_var(model: GPModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -70,7 +70,7 @@ def _seed_sequence(seed: int, tags: tuple[int, ...]) -> np.random.SeedSequence:
 
 def derived_rng(seed: int, *tags: int) -> np.random.Generator:
     """Independent generator for one (seed, purpose, ...) combination."""
-    return np.random.default_rng(_seed_sequence(seed, tags))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, tags)))
 
 
 def derived_int(seed: int, *tags: int) -> int:

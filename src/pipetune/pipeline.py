@@ -33,6 +33,7 @@ from .errors import (
     StageExecutionError,
     StorageError,
 )
+from .floats import ordered_sum
 
 logger = logging.getLogger("pipetune.pipeline")
 
@@ -234,7 +235,7 @@ class Observation:
 
     @property
     def executed_cost(self) -> float:
-        return float(sum(self.stage_costs))
+        return float(ordered_sum(self.stage_costs))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from pipetune.acquisition import Segment
 from pipetune.cache import PREFIX_POLICIES, StageOutputStore, empty_pool, update_pool
 from pipetune.errors import (
     InvalidArgumentError,
@@ -25,6 +26,7 @@ from pipetune.errors import (
     StageExecutionError,
     StorageError,
 )
+from pipetune.floats import ordered_sum
 from pipetune.pipeline import (
     BENCHMARKS,
     NOISE_STD,
@@ -717,3 +719,17 @@ def test_observation_executed_cost_skips_memoized():
         x=np.zeros(2), y=1.0, stage_costs=(0.0, 2.5, 3.5), memo_delta=1
     )
     assert obs.executed_cost == 6.0
+
+
+# Story: the float sums that feed traces (an observation's executed cost,
+# which gives `consumed`, and a segment's cost, which gives the log-cost
+# targets) add left to right with no compensation on every interpreter.
+# From Python 3.12 the built-in sum() of floats is compensated and gives
+# 1.0 here, which would move trace bytes with the Python version.
+def test_trace_sums_add_left_to_right():
+    values = (1e16, 1.0, -1e16)
+    assert ordered_sum(values) == 0.0
+    assert ordered_sum(iter(values)) == 0.0
+    assert Segment(1, 3).cost(values) == 0.0
+    obs = Observation(x=np.zeros(3), y=0.0, stage_costs=values, memo_delta=0)
+    assert obs.executed_cost == 0.0
