@@ -1,11 +1,12 @@
 """Prefix memo-cache: keeps every non-complete prefix of the top-Q
 observations by objective, with their stage outputs persisted to an
 on-disk store addressed by (stage, prefix values), and answers exact
-prefix lookups.  Only this module turns a prefix into a storage address.
+prefix lookups.  A cached prefix is its (depth, values) address, and only
+this module turns a prefix into one.
 
-The store holds exactly the blobs of the pool's distinct entries: an
+The store holds exactly the blobs of the pool's distinct addresses: an
 output is written when the pool admits its prefix and deleted when the
-last entry with its address leaves the pool (``StageOutputStore.commit``).
+last source with its address leaves the pool (``StageOutputStore.commit``).
 
 Lookups use exact float equality on purpose: candidates reuse prefixes
 by copying stored values verbatim, so anything short of an exact match
@@ -18,6 +19,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -36,27 +38,13 @@ _HEADER = struct.Struct(">4sBQ")
 
 
 @dataclass(frozen=True)
-class PrefixEntry:
-    """One cached prefix: the first ``delta`` stages' hyperparameters of a
-    source observation."""
-
-    values: tuple[float, ...]
-    delta: int
-
-    def __post_init__(self):
-        if self.delta < 1:
-            raise InvalidArgumentError("prefix delta must be >= 1")
-        if not self.values:
-            raise InvalidArgumentError("prefix values must be nonempty")
-
-
-@dataclass(frozen=True)
 class _Source:
-    """All prefixes contributed by one observation, in ascending delta;
+    """One observation's place in the pool: its rank objective and its
+    widest cached prefix, from which every shallower address is cut;
     evicted as a unit."""
 
     objective: float
-    entries: tuple[PrefixEntry, ...]
+    key: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -71,18 +59,24 @@ class PrefixPool:
     sources: tuple[_Source, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "stage_dims", tuple(int(d) for d in self.stage_dims))
         if self.capacity < 0:
             raise InvalidArgumentError("capacity must be nonnegative")
         if any(d < 1 for d in self.stage_dims):
             raise InvalidArgumentError("stage dims must be positive")
-        # a pool is frozen, so its deltas, entries and their (delta, values)
+        # a pool is frozen, so its deltas, prefix widths and (delta, values)
         # addresses are computed once (this also refuses unknown policies)
         deltas = _policy_deltas(self.policy, len(self.stage_dims))
-        memo = self.capacity > 0 and len(self.stage_dims) > 1
-        distinct = tuple(dict.fromkeys(e for src in self.sources for e in src.entries))
-        object.__setattr__(self, "_deltas", deltas if memo else ())
+        if not (self.capacity > 0 and len(self.stage_dims) > 1):
+            deltas = ()
+        widths = tuple(accumulate(self.stage_dims, initial=0))
+        distinct = tuple(
+            dict.fromkeys((d, src.key[: widths[d]]) for src in self.sources for d in deltas)
+        )
+        object.__setattr__(self, "_deltas", deltas)
+        object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_distinct", distinct)
-        object.__setattr__(self, "_addresses", frozenset((e.delta, e.values) for e in distinct))
+        object.__setattr__(self, "_addresses", frozenset(distinct))
 
     @property
     def deltas(self) -> tuple[int, ...]:
@@ -91,12 +85,12 @@ class PrefixPool:
         memoized."""
         return self._deltas
 
-    def distinct_entries(self) -> tuple[PrefixEntry, ...]:
-        """Every cached prefix (not the empty one) in insertion, then
-        ascending delta order, duplicate (delta, values) pairs collapsed to
-        the first occurrence.  Two sources can share a short prefix while
-        differing later; identical values address identical stored outputs,
-        so the duplicates carry no extra information."""
+    def distinct_entries(self) -> tuple[tuple[int, tuple[float, ...]], ...]:
+        """Every cached prefix (not the empty one) as its (delta, values)
+        address, in insertion, then ascending delta order, duplicates
+        collapsed to the first occurrence.  Two sources can share a short
+        prefix while differing later; identical values address identical
+        stored outputs, so the duplicates carry no extra information."""
         return self._distinct
 
 
@@ -106,12 +100,6 @@ class LookupResult:
     prefix matched (run everything)."""
 
     delta: int
-
-
-def empty_pool(stage_dims: Sequence[int], capacity: int, policy: str) -> PrefixPool:
-    return PrefixPool(
-        stage_dims=tuple(int(d) for d in stage_dims), capacity=capacity, policy=policy
-    )
 
 
 def _policy_deltas(policy: str, n_stages: int) -> tuple[int, ...]:
@@ -139,16 +127,13 @@ def update_pool(pool: PrefixPool, obs: "Observation") -> PrefixPool:
     """
     if not pool.deltas:
         return pool
-    x = np.asarray(obs.x, dtype=float)
-    y = float(obs.y)
-    # sources are keyed by their widest prefix, the last entry
-    key = tuple(float(v) for v in x[: sum(pool.stage_dims[: pool.deltas[-1]])])
+    key = obs.x[: pool._widths[pool.deltas[-1]]]
     sources = list(pool.sources)
     for i, src in enumerate(sources):
-        if src.entries[-1].values == key:
+        if src.key == key:
             if not obs.y > src.objective:
                 return pool
-            sources[i] = _Source(objective=y, entries=src.entries)
+            sources[i] = _Source(objective=float(obs.y), key=key)
             return replace(pool, sources=tuple(sources))
 
     if len(sources) >= pool.capacity:
@@ -157,20 +142,16 @@ def update_pool(pool: PrefixPool, obs: "Observation") -> PrefixPool:
         if not obs.y > worst.objective:
             return pool
         sources.remove(worst)
-    entries = tuple(
-        PrefixEntry(values=key[: sum(pool.stage_dims[:delta])], delta=delta)
-        for delta in pool.deltas
-    )
-    sources.append(_Source(objective=y, entries=entries))
+    sources.append(_Source(objective=float(obs.y), key=key))
     return replace(pool, sources=tuple(sources))
 
 
 def lookup(pool: PrefixPool, stage_values: Sequence[float]) -> LookupResult:
-    """The deepest pool depth at which ``stage_values``' prefix is an
-    entry's address exactly; the empty prefix always matches, delta 0."""
+    """The deepest pool depth at which ``stage_values``' prefix is a cached
+    address exactly; the empty prefix always matches, delta 0."""
     vals = tuple(float(v) for v in stage_values)
     for delta in reversed(pool.deltas):
-        if (delta, vals[: sum(pool.stage_dims[:delta])]) in pool._addresses:
+        if (delta, vals[: pool._widths[delta]]) in pool._addresses:
             return LookupResult(delta=delta)
     return LookupResult(delta=0)
 
@@ -249,12 +230,12 @@ class StageOutputStore:
         deleted, so ``before`` still resolves everywhere it did."""
         kept = after._addresses
         for depth, payload in obs.outputs:
-            values = tuple(float(v) for v in obs.x[: sum(after.stage_dims[:depth])])
+            values = obs.x[: after._widths[depth]]
             if (depth, values) in kept:
                 self.store_output(depth, values, payload)
-        for entry in before.distinct_entries():
-            if (entry.delta, entry.values) not in kept:
-                path = self._path(self.handle_for(entry.delta, entry.values))
+        for address in before.distinct_entries():
+            if address not in kept:
+                path = self._path(self.handle_for(*address))
                 try:
                     path.unlink(missing_ok=True)
                 except OSError as exc:
@@ -263,10 +244,7 @@ class StageOutputStore:
     def resolve(self, stage_index: int, key_values: Sequence[float]) -> bytes:
         """The payload stored under these key values; StorageError when it
         is missing or damaged."""
-        return self._read(self._path(self.handle_for(stage_index, key_values)))
-
-    def _read(self, path: Path) -> bytes:
-        """The payload of a verified blob; StorageError otherwise."""
+        path = self._path(self.handle_for(stage_index, key_values))
         try:
             blob = path.read_bytes()
         except OSError as exc:

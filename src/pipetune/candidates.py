@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .errors import InvalidArgumentError
 class SearchSpace:
     """Stage-segmented box domain: per-stage dimension counts plus global
     lower/upper bounds, lower < upper elementwise, held as read-only copies
-    so that one space can be shared."""
+    so that one space can be shared. The prefix widths are summed from the
+    stage dims once, when the space is built."""
 
     stage_dims: tuple[int, ...]
     lower: np.ndarray
@@ -34,7 +36,8 @@ class SearchSpace:
         object.__setattr__(self, "stage_dims", tuple(int(d) for d in self.stage_dims))
         if any(d < 1 for d in self.stage_dims):
             raise InvalidArgumentError("stage dims must be positive")
-        d = sum(self.stage_dims)
+        object.__setattr__(self, "_widths", tuple(accumulate(self.stage_dims, initial=0)))
+        d = self.dim
         if lower.shape != (d,) or upper.shape != (d,):
             raise InvalidArgumentError(f"bounds must have shape ({d},)")
         if not np.all(lower < upper):
@@ -46,7 +49,7 @@ class SearchSpace:
 
     @property
     def dim(self) -> int:
-        return int(sum(self.stage_dims))
+        return self._widths[-1]
 
     @property
     def n_stages(self) -> int:
@@ -56,13 +59,12 @@ class SearchSpace:
         """Column slice of stage ``stage_index`` (1-based) in the x vector."""
         if not 1 <= stage_index <= self.n_stages:
             raise InvalidArgumentError(f"stage index {stage_index} out of range")
-        start = int(sum(self.stage_dims[: stage_index - 1]))
-        return slice(start, start + self.stage_dims[stage_index - 1])
+        return slice(self._widths[stage_index - 1], self._widths[stage_index])
 
     def prefix_width(self, delta: int) -> int:
         if not 0 <= delta <= self.n_stages:
             raise InvalidArgumentError(f"delta {delta} out of range")
-        return int(sum(self.stage_dims[:delta]))
+        return self._widths[delta]
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
@@ -124,24 +126,24 @@ def generate(
     matrix of points and the M prefix depths they can reuse (0 means
     nothing memoized; x[:prefix width] matches the source prefix exactly).
 
-    Groups are the empty prefix plus every cached prefix entry; each gets
+    Groups are the empty prefix plus every cached prefix address; each gets
     b_size = floor(M / N) candidates and the remainder goes to the empty
     group. Prefix coordinates are copied verbatim so later lookups hit.
     """
-    entries = pool.distinct_entries()
-    n_groups = 1 + len(entries)
+    addresses = pool.distinct_entries()
+    n_groups = 1 + len(addresses)
     if m < n_groups:
         raise InvalidArgumentError(
             f"M={m} smaller than the {n_groups} prefix groups"
         )
     b_size = m // n_groups
-    first = m - b_size * len(entries)  # the empty group takes the remainder
+    first = m - b_size * len(addresses)  # the empty group takes the remainder
 
     # one draw for the batch: Generator.random fills row-major from one
     # stream, so group-by-group draws would give these same values
     xs = space.uniform(rng, m)
-    for i, entry in enumerate(entries):
+    for i, (_, values) in enumerate(addresses):
         start = first + i * b_size
-        xs[start : start + b_size, : len(entry.values)] = entry.values
-    deltas = np.repeat([0, *(e.delta for e in entries)], [first] + [b_size] * len(entries))
+        xs[start : start + b_size, : len(values)] = values
+    deltas = np.repeat([0, *(d for d, _ in addresses)], [first] + [b_size] * len(addresses))
     return xs, deltas

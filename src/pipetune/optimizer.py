@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gp
 from .acquisition import ETA_SCHEDULES, METHODS, ModelSet, cooling_eta, score_candidates
-from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, empty_pool, update_pool
+from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, update_pool
 from .candidates import SearchSpace, generate, scrambled_halton
 from .errors import (
     InsufficientDataError,
@@ -225,7 +225,7 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
     """
     space = pipeline.search_space()
     capacity = config.q if METHODS[config.method].memo_aware else 0
-    pool = empty_pool(space.stage_dims, capacity, config.prefix_policy)
+    pool = PrefixPool(space.stage_dims, capacity, config.prefix_policy)
     groups = 1 + capacity * len(pool.deltas)
     if config.m < groups:
         raise InvalidArgumentError(
@@ -275,7 +275,7 @@ def _evaluate(state: OptState, x: np.ndarray, score: float, eta: float) -> Obser
             best_y=max(best, obs.y),
             score=score,
             stage_costs=obs.stage_costs,
-            x=tuple(float(v) for v in obs.x),
+            x=obs.x,
         )
     )
     return obs
@@ -323,8 +323,7 @@ def step(state: OptState) -> Observation:
         chosen = int(derived_rng(cfg.seed, _TAG_TIE, iteration).integers(len(xs)))
     else:
         chosen = int(np.argmax(scores))
-    # a copy, so the observation does not keep the whole batch alive
-    return _evaluate(state, xs[chosen].copy(), float(scores[chosen]), eta)
+    return _evaluate(state, xs[chosen], float(scores[chosen]), eta)
 
 
 def run(

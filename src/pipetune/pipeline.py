@@ -222,16 +222,21 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class Observation:
-    """One full pipeline evaluation: memoized stages carry cost 0.0 here
-    (they consumed nothing); the acquisition layer models them as epsilon.
-    ``outputs`` holds the (depth, payload) of each executed stage at a pool
-    depth, for the store to keep if the pool admits that prefix."""
+    """One full pipeline evaluation: ``x`` becomes a tuple of Python floats
+    once, here, and the pool, the store and the trace row slice it.
+    Memoized stages carry cost 0.0 (they consumed nothing); the acquisition
+    layer models them as epsilon. ``outputs`` holds the (depth, payload) of
+    each executed stage at a pool depth, for the store to keep if the pool
+    admits that prefix."""
 
-    x: np.ndarray
+    x: tuple[float, ...]
     y: float
     stage_costs: tuple[float, ...]
     memo_delta: int
     outputs: tuple[tuple[int, bytes], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(np.asarray(self.x, dtype=float).tolist()))
 
     @property
     def executed_cost(self) -> float:

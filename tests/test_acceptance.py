@@ -22,13 +22,7 @@ from pipetune.acquisition import (
     expected_inverse_cost,
     score_candidates,
 )
-from pipetune.cache import (
-    PrefixEntry,
-    StageOutputStore,
-    empty_pool,
-    lookup,
-    update_pool,
-)
+from pipetune.cache import PrefixPool, StageOutputStore, lookup, update_pool
 from pipetune.cli import _improvement_flags, epsilon_insensitive
 from pipetune.gp import KernelParams, build_model, posterior_mean_var
 from pipetune.optimizer import RunConfig, derived_rng, run, write_trace
@@ -252,7 +246,7 @@ def test_criterion_06_cache_randomized_invariants():
     stage_dims = (2, 1, 2)
     capacity = 5
     n_stages = len(stage_dims)
-    pool = empty_pool(stage_dims, capacity, "all")
+    pool = PrefixPool(stage_dims, capacity, "all")
     ref = ReferencePool(capacity, stage_dims, (1, 2))
     rng = np.random.default_rng(61)
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -269,19 +263,16 @@ def test_criterion_06_cache_randomized_invariants():
             ref.offer(x, y)
 
             # mirror image: retained sources == reference's top-Q map
-            got = {
-                max(s.entries, key=lambda e: e.delta).values: s.objective
-                for s in pool.sources
-            }
+            got = {s.key: s.objective for s in pool.sources}
             want = dict(ref.sources())
             assert got == want
-            # whole sources: every retained source carries all policy deltas
-            assert all(
-                sorted(e.delta for e in s.entries) == list(range(1, n_stages))
-                for s in pool.sources
-            )
+            # whole sources: every retained source is cached at all policy deltas
+            addresses = pool.distinct_entries()
+            assert set(addresses) == {
+                (d, s.key[: ref.widths[d]]) for s in pool.sources for d in range(1, n_stages)
+            }
             # entry bound
-            assert sum(len(s.entries) for s in pool.sources) <= capacity * (n_stages - 1) + 1
+            assert len(addresses) <= capacity * (n_stages - 1) + 1
         else:
             vals = tuple(float(v) for v in rng.choice(grid, size=5))
             res = lookup(pool, vals)
@@ -289,7 +280,7 @@ def test_criterion_06_cache_randomized_invariants():
             if res.delta:
                 # the match is the candidate's own leading values
                 width = ref.widths[res.delta]
-                assert PrefixEntry(vals[:width], res.delta) in pool.distinct_entries()
+                assert (res.delta, vals[:width]) in pool.distinct_entries()
         checked_ops += 1
     _check(
         6,
@@ -440,7 +431,7 @@ def test_criterion_14_cache_overhead(tmp_path):
     timings = []
     for rep in range(5):
         store = StageOutputStore(tmp_path / f"store{rep}")
-        pool = empty_pool((2, 1, 2), 5, "all")
+        pool = PrefixPool((2, 1, 2), 5, "all")
         start = time.perf_counter()
         for _ in range(100):
             x = rng.uniform(0.0, 1.0, size=5)

@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 from pipetune.cache import (
     LookupResult,
     PREFIX_POLICIES,
-    PrefixEntry,
+    PrefixPool,
     StageOutputStore,
     _policy_deltas,
-    empty_pool,
     lookup,
     update_pool,
 )
@@ -43,19 +42,21 @@ STAGE_DIMS = (2, 1, 2)  # 3 stages, 5 dims total
 
 
 def _pool(capacity, policy="all"):
-    return empty_pool(STAGE_DIMS, capacity, policy)
+    return PrefixPool(STAGE_DIMS, capacity, policy)
 
 
 def _entries(pool):
-    """Every source's entries, duplicates kept, in insertion order."""
-    return tuple(e for s in pool.sources for e in s.entries)
+    """Every source's (delta, values) addresses, duplicates kept, in
+    insertion order, cut from its key at the policy's widths."""
+    widths = {1: 2, 2: 3}  # leading values per depth of STAGE_DIMS
+    return tuple((d, s.key[: widths[d]]) for s in pool.sources for d in pool.deltas)
 
 
 # ---------------------------------------------------------------------------
 # pool basics
 
 
-def test_empty_pool_defaults():
+def test_new_pool_defaults():
     pool = _pool(5)
     assert pool.sources == ()
     assert _entries(pool) == ()
@@ -67,13 +68,9 @@ def test_pool_validation():
     with pytest.raises(InvalidArgumentError):
         _pool(-1)
     with pytest.raises(InvalidArgumentError):
-        empty_pool((2, 0, 1), 5, "all")
+        PrefixPool((2, 0, 1), 5, "all")
     with pytest.raises(InvalidArgumentError):
         _pool(5, "last")
-    with pytest.raises(InvalidArgumentError):
-        PrefixEntry(values=(1.0,), delta=0)
-    with pytest.raises(InvalidArgumentError):
-        PrefixEntry(values=(), delta=1)
 
 
 def test_policy_deltas():
@@ -92,24 +89,22 @@ def test_policy_deltas():
 # update semantics
 
 
-# Story: under the "all" policy each source contributes one entry per
-# non-complete prefix length, with values sliced at stage boundaries.
+# Story: under the "all" policy each source contributes one address per
+# non-complete prefix length, with values sliced at stage boundaries, and
+# is keyed by its widest prefix.
 def test_update_inserts_all_prefixes():
     pool = update_pool(_pool(2), _obs([1, 2, 3, 4, 5], 10.0))
-    entries = _entries(pool)
-    assert entries == (
-        PrefixEntry(values=(1.0, 2.0), delta=1),
-        PrefixEntry(values=(1.0, 2.0, 3.0), delta=2),
-    )
+    assert pool.sources[0].key == (1.0, 2.0, 3.0)
+    assert pool.distinct_entries() == ((1, (1.0, 2.0)), (2, (1.0, 2.0, 3.0)))
     assert pool.sources[0].objective == 10.0
 
 
 # Story: the pool applies the policy it was created with.
 def test_update_respects_policy():
     first = update_pool(_pool(5, "first"), _obs([1, 2, 3, 4, 5], 1.0))
-    assert [e.delta for e in _entries(first)] == [1]
+    assert first.distinct_entries() == ((1, (1.0, 2.0)),)
     mean = update_pool(_pool(5, "mean"), _obs([1, 2, 3, 4, 5], 1.0))
-    assert [e.delta for e in _entries(mean)] == [2]
+    assert mean.distinct_entries() == ((2, (1.0, 2.0, 3.0)),)
 
 
 # Story: at capacity, a strictly better observation evicts the worst source
@@ -126,7 +121,7 @@ def test_eviction_requires_strictly_better():
     # strictly better: worst source (y=1) evicted with all its entries
     better = update_pool(pool, _obs([3, 3, 3, 3, 3], 1.5))
     assert [s.objective for s in better.sources] == [2.0, 1.5]
-    assert all(e.values[:2] != (1.0, 1.0) for e in _entries(better))
+    assert all(values[:2] != (1.0, 1.0) for _, values in _entries(better))
 
 
 # Story: among equal-objective sources the later insertion is evicted first,
@@ -136,7 +131,7 @@ def test_eviction_tie_breaks_by_insertion_order():
     pool = update_pool(pool, _obs([1, 1, 1, 1, 1], 5.0))
     pool = update_pool(pool, _obs([2, 2, 2, 2, 2], 5.0))
     pool = update_pool(pool, _obs([3, 3, 3, 3, 3], 6.0))
-    assert [s.entries[0].values for s in pool.sources] == [(1.0, 1.0), (3.0, 3.0)]
+    assert [s.key[:2] for s in pool.sources] == [(1.0, 1.0), (3.0, 3.0)]
 
 
 # Story: re-observing an already-cached prefix (a memoized candidate that
@@ -163,25 +158,21 @@ def test_distinct_entries_collapses_shared_short_prefix():
     assert len(_entries(pool)) == 4
     distinct = pool.distinct_entries()
     assert len(distinct) == 3  # shared delta-1 (1,2) appears once
-    assert sum(1 for e in distinct if e.delta == 1) == 1
+    assert sum(1 for delta, _ in distinct if delta == 1) == 1
 
 
-# Story: a pool computes its entries once, when it is built; update_pool
-# returns a new pool, whose entries show the source it admitted or evicted,
-# and leaves the old pool's as they were.
+# Story: a pool computes its addresses once, when it is built; update_pool
+# returns a new pool, whose addresses show the source it admitted or
+# evicted, and leaves the old pool's as they were.
 def test_entries_follow_admission_and_eviction():
     empty = _pool(1)
     first = update_pool(empty, _obs([1, 2, 3, 4, 5], 1.0))
     second = update_pool(first, _obs([6, 7, 8, 9, 9], 2.0))
     assert _entries(empty) == empty.distinct_entries() == ()
-    assert [(e.delta, e.values) for e in first.distinct_entries()] == [
-        (1, (1.0, 2.0)), (2, (1.0, 2.0, 3.0))
-    ]
-    assert [(e.delta, e.values) for e in second.distinct_entries()] == [
-        (1, (6.0, 7.0)), (2, (6.0, 7.0, 8.0))
-    ]
+    assert first.distinct_entries() == ((1, (1.0, 2.0)), (2, (1.0, 2.0, 3.0)))
+    assert second.distinct_entries() == ((1, (6.0, 7.0)), (2, (6.0, 7.0, 8.0)))
     assert _entries(second) == second.distinct_entries()
-    assert first.distinct_entries()[0].values == (1.0, 2.0)
+    assert first.distinct_entries()[0] == (1, (1.0, 2.0))
 
 
 # Story: a pool without capacity, or over a one-stage pipeline, caches no
@@ -192,14 +183,14 @@ def test_update_validation_and_noops():
         zero = _pool(0, policy)
         assert zero.deltas == ()
         assert update_pool(zero, _obs([1, 2, 3, 4, 5], 1.0)) is zero
-        one = empty_pool((3,), 5, policy)
+        one = PrefixPool((3,), 5, policy)
         assert one.deltas == ()
         assert update_pool(one, _obs([1, 2, 3], 1.0)) is one
         assert lookup(one, [1.0, 2.0, 3.0]).delta == 0
     with pytest.raises(InvalidArgumentError):
         _pool(0, "last")
     with pytest.raises(InvalidArgumentError):
-        empty_pool((3,), 5, "last")
+        PrefixPool((3,), 5, "last")
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +228,7 @@ def test_randomized_updates_match_reference():
         pool = update_pool(pool, _obs(x, y))
         ref.offer(x, y)
 
-        got = {
-            tuple(max(s.entries, key=lambda e: e.delta).values): s.objective
-            for s in pool.sources
-        }
+        got = {s.key: s.objective for s in pool.sources}
         assert got == dict(ref.sources())
         assert len(_entries(pool)) <= capacity * (len(STAGE_DIMS) - 1)
 
@@ -261,7 +249,7 @@ def test_randomized_updates_match_reference():
 def test_pool_matches_reference_for_every_policy(data, stage_dims, policy, capacity):
     dim = sum(stage_dims)
     deltas = _policy_deltas(policy, len(stage_dims))
-    pool = empty_pool(stage_dims, capacity, policy)
+    pool = PrefixPool(stage_dims, capacity, policy)
     ref = ReferencePool(capacity, stage_dims, deltas)
     point = st.lists(st.sampled_from((0.0, 1.0)), min_size=dim, max_size=dim)
     seen = []
@@ -277,10 +265,11 @@ def test_pool_matches_reference_for_every_policy(data, stage_dims, policy, capac
             pool = update_pool(pool, _obs(x, y))
             ref.offer(x, y)
             seen.append(x)
-            assert [(s.entries[-1].values, s.objective) for s in pool.sources] == ref.sources()
-            assert all(
-                [e.delta for e in s.entries] == list(deltas) for s in pool.sources
-            )
+            assert [(s.key, s.objective) for s in pool.sources] == ref.sources()
+            # whole sources: each one is cached at every policy depth
+            assert set(pool.distinct_entries()) == {
+                (d, s.key[: ref.widths[d]]) for s in pool.sources for d in deltas
+            }
         else:
             assert lookup(pool, x).delta == ref.expected_delta(x)
 
@@ -382,7 +371,7 @@ def _blobs(root):
 # short prefix the admitted source shares with the evicted one stays.
 def test_eviction_keeps_a_blob_another_source_shares(tmp_path):
     store = StageOutputStore(tmp_path)
-    pool = empty_pool((2, 3, 2), 1, "all")
+    pool = PrefixPool((2, 3, 2), 1, "all")
     a = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     old = Observation(x=a, y=1.0, stage_costs=(1.0, 1.0, 1.0), memo_delta=0,
                       outputs=((1, b"a1"), (2, b"a2")))
@@ -405,7 +394,7 @@ def test_eviction_keeps_a_blob_another_source_shares(tmp_path):
 @pytest.mark.parametrize("capacity", [0, 1])
 def test_commit_writes_nothing_the_pool_does_not_admit(tmp_path, capacity):
     store = StageOutputStore(tmp_path)
-    pool = empty_pool((1, 1, 1), capacity, "all")
+    pool = PrefixPool((1, 1, 1), capacity, "all")
     outputs = ((1, b"p1"), (2, b"p2"))
     pool = _commit(store, pool, Observation(np.array([0.1, 0.2, 0.3]), 5.0, (1.0,) * 3, 0, outputs))
     before = _blobs(tmp_path)
@@ -420,7 +409,7 @@ def test_commit_writes_nothing_the_pool_does_not_admit(tmp_path, capacity):
 # commit still resolves.
 def test_failed_commit_deletes_nothing(tmp_path, monkeypatch):
     store = StageOutputStore(tmp_path)
-    pool = _commit(store, empty_pool((1, 1), 1, "all"),
+    pool = _commit(store, PrefixPool((1, 1), 1, "all"),
                    Observation(np.array([0.1, 0.2]), 1.0, (1.0, 1.0), 0, ((1, b"old"),)))
     better = Observation(np.array([0.3, 0.4]), 2.0, (1.0, 1.0), 0, ((1, b"new"),))
     after = update_pool(pool, better)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
-from pipetune.cache import empty_pool, update_pool
+from pipetune.cache import PrefixPool, update_pool
 from pipetune.candidates import SearchSpace, generate, scrambled_halton
 from pipetune.errors import InvalidArgumentError
 from pipetune.pipeline import Observation, synthetic_suite
@@ -105,9 +105,9 @@ def test_scrambled_halton_matches_scipy_bit_for_bit(d):
 
 
 # Story: with an empty pool every candidate is a fresh full-space draw.
-def test_generate_empty_pool():
+def test_generate_without_cached_prefixes():
     s = _space()
-    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = PrefixPool(s.stage_dims, 5, "all")
     xs, deltas = generate(pool, s, 16, np.random.default_rng(0))
     assert len(xs) == len(deltas) == 16
     assert np.all(deltas == 0)
@@ -118,7 +118,7 @@ def test_generate_empty_pool():
 # evenly as integer division allows, remainder to the fresh group.
 def test_generate_group_allocation():
     s = _space()
-    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = PrefixPool(s.stage_dims, 5, "all")
     pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0))
     # N = 1 empty + 2 entries = 3 groups; m=10 -> 3 each, remainder 1 to empty
     xs, deltas = generate(pool, s, 10, np.random.default_rng(1))
@@ -132,7 +132,7 @@ def test_generate_group_allocation():
 # drawn inside the box.
 def test_generate_prefix_copied_verbatim():
     s = _space()
-    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = PrefixPool(s.stage_dims, 5, "all")
     src = [0.123456789012345, 3.9999999, 0.777, 2.5, 2.5]
     pool = update_pool(pool, _obs(src, 1.0))
     xs, deltas = generate(pool, s, 30, np.random.default_rng(2))
@@ -148,7 +148,7 @@ def test_generate_prefix_copied_verbatim():
 # single group instead of wasting batch slots.
 def test_generate_uses_distinct_prefixes():
     s = _space()
-    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = PrefixPool(s.stage_dims, 5, "all")
     pool = update_pool(pool, _obs([0.5, 1.0, 0.2, 2.5, 2.5], 1.0))
     pool = update_pool(pool, _obs([0.5, 1.0, 0.8, 2.5, 2.5], 2.0))
     # 4 sources-entries but only 3 distinct: delta-1 shared, two delta-2
@@ -162,7 +162,7 @@ def test_generate_uses_distinct_prefixes():
 
 def test_generate_requires_enough_candidates():
     s = _space()
-    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = PrefixPool(s.stage_dims, 5, "all")
     pool = update_pool(pool, _obs([0.5, 1.0, 0.5, 2.5, 2.5], 1.0))
     with pytest.raises(InvalidArgumentError):
         generate(pool, s, 2, np.random.default_rng(0))  # 3 groups, m=2
@@ -170,7 +170,7 @@ def test_generate_requires_enough_candidates():
 
 def test_generate_deterministic_by_rng():
     s = _space()
-    pool = empty_pool(s.stage_dims, 5, "all")
+    pool = PrefixPool(s.stage_dims, 5, "all")
     xs_a, deltas_a = generate(pool, s, 12, np.random.default_rng(7))
     xs_b, deltas_b = generate(pool, s, 12, np.random.default_rng(7))
     assert np.array_equal(xs_a, xs_b) and np.array_equal(deltas_a, deltas_b)
@@ -178,21 +178,21 @@ def test_generate_deterministic_by_rng():
 
 def _per_group_oracle(pool, space, m, rng):
     """Candidate generation as one uniform draw per prefix group: the
-    empty group first with the remainder, then each distinct entry."""
-    entries = pool.distinct_entries()
-    b_size = m // (1 + len(entries))
-    xs = [space.uniform(rng, m - b_size * len(entries))]
+    empty group first with the remainder, then each distinct address."""
+    addresses = pool.distinct_entries()
+    b_size = m // (1 + len(addresses))
+    xs = [space.uniform(rng, m - b_size * len(addresses))]
     deltas = [np.zeros(len(xs[0]), dtype=int)]
-    for entry in entries:
+    for delta, values in addresses:
         draw = space.uniform(rng, b_size)
-        draw[:, : len(entry.values)] = np.asarray(entry.values, dtype=float)
+        draw[:, : len(values)] = np.asarray(values, dtype=float)
         xs.append(draw)
-        deltas.append(np.full(b_size, entry.delta))
+        deltas.append(np.full(b_size, delta))
     return np.concatenate(xs), np.concatenate(deltas)
 
 
 def _filled_pool(space, capacity, policy, n_obs, seed):
-    pool = empty_pool(space.stage_dims, capacity, policy)
+    pool = PrefixPool(space.stage_dims, capacity, policy)
     rng = np.random.default_rng(seed)
     for x in space.uniform(rng, n_obs):
         pool = update_pool(pool, _obs(x, rng.random()))

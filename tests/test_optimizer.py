@@ -38,7 +38,14 @@ from pipetune.optimizer import (
     trace_header,
     write_trace,
 )
-from pipetune.pipeline import BENCHMARKS, PipelineSpec, StageSpec, default_stage_cost, synthetic_suite
+from pipetune.pipeline import (
+    BENCHMARKS,
+    Observation,
+    PipelineSpec,
+    StageSpec,
+    default_stage_cost,
+    synthetic_suite,
+)
 
 from conftest import rng_table
 
@@ -167,6 +174,20 @@ def test_warmup_identical_across_methods(tmp_path):
         assert np.array_equal(base, pts), method
 
 
+# Story: an observation turns its configuration into Python floats once,
+# when it is built, and the step's trace row records that same tuple, so
+# neither the pool, the store nor the trace converts it again, and nothing
+# keeps the step's candidate batch alive.
+def test_observation_holds_x_once_as_python_floats(tmp_path):
+    x = np.array([0.25, 1.5, 3.0])
+    obs = Observation(x=x, y=1.0, stage_costs=(1.0,), memo_delta=0)
+    assert type(obs.x) is tuple and obs.x == tuple(x.tolist())
+    assert all(type(v) is float for v in obs.x)
+    state = init_state(_tiny_cfg("eeipu"), synthetic_suite("synth3"), tmp_path)
+    obs = step(state)
+    assert type(obs.x) is tuple and state.rows[-1].x is obs.x
+
+
 def test_warmup_rows_and_auto_budget(tmp_path):
     pipe = synthetic_suite("synth3")
     cfg = RunConfig(method="eeipu", n0=4, m=24, n_mc=40, restarts=2, seed=1)
@@ -229,11 +250,11 @@ def _blob_handles(root):
 
 
 def _pool_handles(state):
-    return {state.store.handle_for(e.delta, e.values) for e in state.pool.distinct_entries()}
+    return {state.store.handle_for(*address) for address in state.pool.distinct_entries()}
 
 
 # Story: after every evaluation the store holds exactly the blobs of the
-# pool's distinct entries, at most Q per policy depth, and no temporary
+# pool's distinct addresses, at most Q per policy depth, and no temporary
 # file, whatever mix of fresh points, shared prefixes and repeats the loop
 # evaluates.
 @pytest.mark.parametrize("policy", PREFIX_POLICIES)

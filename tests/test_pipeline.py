@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from pipetune.acquisition import Segment
-from pipetune.cache import PREFIX_POLICIES, StageOutputStore, empty_pool, update_pool
+from pipetune.cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, update_pool
 from pipetune.errors import (
     InvalidArgumentError,
     ProtocolError,
@@ -194,7 +194,7 @@ def test_keyed_noise_determinism():
 
 def test_run_validates_input(tmp_path):
     pipe = synthetic_suite("synth3")
-    pool = empty_pool(pipe.stage_dims, 5, "all")
+    pool = PrefixPool(pipe.stage_dims, 5, "all")
     store = StageOutputStore(tmp_path)
     with pytest.raises(InvalidArgumentError):
         run(pipe, np.zeros(3), pool, store)
@@ -207,7 +207,7 @@ def test_run_validates_input(tmp_path):
 # stage costs are the cost function on each stage's raw values.
 def test_run_composes_stage_objectives_and_costs(tmp_path):
     pipe = synthetic_suite("synth3")
-    pool = empty_pool(pipe.stage_dims, 5, "all")
+    pool = PrefixPool(pipe.stage_dims, 5, "all")
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     obs = run(pipe, x, pool, store)
@@ -243,7 +243,7 @@ def _evaluate(pipe, x, pool, store):
 def test_memoized_resume_is_bitwise_identical(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    pool = empty_pool(pipe.stage_dims, 5, "all")
+    pool = PrefixPool(pipe.stage_dims, 5, "all")
 
     src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     full, pool = _evaluate(pipe, src, pool, store)
@@ -257,7 +257,7 @@ def test_memoized_resume_is_bitwise_identical(tmp_path):
     assert memo.stage_costs[2] == default_stage_cost(probe[5:7])
 
     fresh_store = StageOutputStore(tmp_path / "fresh")
-    fresh = run(pipe, probe, empty_pool(pipe.stage_dims, 5, "all"), fresh_store)
+    fresh = run(pipe, probe, PrefixPool(pipe.stage_dims, 5, "all"), fresh_store)
     assert fresh.memo_delta == 0
     assert memo.y == fresh.y  # bitwise, not approx
 
@@ -273,7 +273,7 @@ def test_memoized_resume_is_bitwise_identical(tmp_path):
 @pytest.mark.parametrize("policy", PREFIX_POLICIES)
 def test_stage_outputs_stored_only_at_policy_depths(tmp_path, policy):
     pipe = synthetic_suite("synth5")
-    pool = empty_pool(pipe.stage_dims, 5, policy)
+    pool = PrefixPool(pipe.stage_dims, 5, policy)
     x = pipe.search_space().uniform(np.random.default_rng(4), 1)[0]
     _evaluate(pipe, x, pool, StageOutputStore(tmp_path))
     stored = sorted(blob.parent.name for blob in tmp_path.rglob("*.bin"))
@@ -286,7 +286,7 @@ def test_stage_outputs_stored_only_at_policy_depths(tmp_path, policy):
 def test_missing_blob_falls_back_to_full_run(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    pool = empty_pool(pipe.stage_dims, 5, "all")
+    pool = PrefixPool(pipe.stage_dims, 5, "all")
     src = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
     full, pool = _evaluate(pipe, src, pool, store)
 
@@ -307,14 +307,14 @@ def _cached_synth3(tmp_path):
     store, pool and the path of _SRC's stage-2 blob."""
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
-    _, pool = _evaluate(pipe, _SRC, empty_pool(pipe.stage_dims, 5, "all"), store)
+    _, pool = _evaluate(pipe, _SRC, PrefixPool(pipe.stage_dims, 5, "all"), store)
     return pipe, store, pool, tmp_path / f"{store.handle_for(2, _SRC[:5])}.bin"
 
 
 def _fresh_y(pipe, x, tmp_path):
     """y of x evaluated from scratch, with no cache to serve any stage."""
     store = StageOutputStore(tmp_path / "fresh")
-    return run(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), store).y
+    return run(pipe, x, PrefixPool(pipe.stage_dims, 0, "all"), store).y
 
 
 # Story: a damaged stage-2 blob is served from the longest prefix that still
@@ -392,7 +392,7 @@ def test_no_blobs_without_pool_capacity(tmp_path):
     pipe = synthetic_suite("synth3")
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    obs, _ = _evaluate(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), store)
+    obs, _ = _evaluate(pipe, x, PrefixPool(pipe.stage_dims, 0, "all"), store)
     assert obs.memo_delta == 0
     assert obs.outputs == ()
     assert not list(tmp_path.rglob("*.bin"))
@@ -403,7 +403,7 @@ def test_output_handles_are_content_addressed(tmp_path):
     space = pipe.search_space()
     store = StageOutputStore(tmp_path)
     x = np.array([2.0, 3.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-    _evaluate(pipe, x, empty_pool(pipe.stage_dims, 5, "all"), store)
+    _evaluate(pipe, x, PrefixPool(pipe.stage_dims, 5, "all"), store)
     # stage k's output, the partial objective sum, is addressed by x's first
     # k stages' values alone
     partial = 0.0
@@ -462,7 +462,7 @@ def _external_pipeline(tmp_path, final_cmd=None):
 def test_external_pipeline_end_to_end(tmp_path):
     pipe = _external_pipeline(tmp_path)
     store = StageOutputStore(tmp_path / "cache")
-    obs = run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims, 5, "all"), store)
+    obs = run(pipe, np.array([3.0, 4.0]), PrefixPool(pipe.stage_dims, 5, "all"), store)
     assert obs.y == pytest.approx(10.0)  # 2*3 + 4
     assert obs.memo_delta == 0
     assert all(c > 0.0 for c in obs.stage_costs)
@@ -473,7 +473,7 @@ def test_external_pipeline_end_to_end(tmp_path):
 def test_external_memoized_resume(tmp_path):
     pipe = _external_pipeline(tmp_path)
     store = StageOutputStore(tmp_path / "cache")
-    pool = empty_pool(pipe.stage_dims, 3, "all")
+    pool = PrefixPool(pipe.stage_dims, 3, "all")
     x = np.array([3.0, 4.0])
     obs, pool = _evaluate(pipe, x, pool, store)
 
@@ -507,7 +507,7 @@ def test_memoized_external_run_matches_fresh(tmp_path):
     )
     pipe = PipelineSpec(name="side", stages=stages, noise_std=0.0)
     store = StageOutputStore(tmp_path / "cache")
-    pool = empty_pool(pipe.stage_dims, 3, "all")
+    pool = PrefixPool(pipe.stage_dims, 3, "all")
     x = np.array([0.5, 0.5])
     fresh, pool = _evaluate(pipe, x, pool, store)
     memo = run(pipe, x, pool, store)
@@ -524,7 +524,7 @@ def test_external_pipeline_file_applies_keyed_noise(tmp_path):
     pipe = load_pipeline_file(path)
     x = np.array([3.0])
     ys = [
-        run(pipe, x, empty_pool(pipe.stage_dims, 0, "all"), StageOutputStore(tmp_path / c)).y
+        run(pipe, x, PrefixPool(pipe.stage_dims, 0, "all"), StageOutputStore(tmp_path / c)).y
         for c in ("a", "b")
     ]
     assert _keyed_noise(x, 0.5) != 0.0
@@ -536,7 +536,7 @@ def test_external_failure_raises_with_stage_index(tmp_path):
     pipe = _external_pipeline(tmp_path, final_cmd=fail)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(StageExecutionError) as err:
-        run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims, 5, "all"), store)
+        run(pipe, np.array([3.0, 4.0]), PrefixPool(pipe.stage_dims, 5, "all"), store)
     assert err.value.stage_index == 2
 
 
@@ -557,7 +557,7 @@ def test_external_timeout(tmp_path):
     pipe = PipelineSpec(name="slow1", stages=stages, noise_std=0.0)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(StageExecutionError) as err:
-        run(pipe, np.array([0.5]), empty_pool(pipe.stage_dims, 5, "all"), store)
+        run(pipe, np.array([0.5]), PrefixPool(pipe.stage_dims, 5, "all"), store)
     assert err.value.output == "epoch 1\n"
 
 
@@ -585,7 +585,7 @@ def test_external_timeout_kills_the_stage_process_group(tmp_path):
     pipe = PipelineSpec(name="spawn1", stages=stages, noise_std=0.0)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(StageExecutionError):
-        run(pipe, np.array([0.5]), empty_pool(pipe.stage_dims, 5, "all"), store)
+        run(pipe, np.array([0.5]), PrefixPool(pipe.stage_dims, 5, "all"), store)
     pid = int(pid_file.read_text())
     # a killed grandchild lingers as a zombie until its new parent reaps it;
     # wait for that, but well short of the 5 s it would sleep if it lived
@@ -605,7 +605,7 @@ def test_protocol_error_without_objective_line(tmp_path):
     pipe = _external_pipeline(tmp_path, final_cmd=quiet)
     store = StageOutputStore(tmp_path / "cache")
     with pytest.raises(ProtocolError):
-        run(pipe, np.array([3.0, 4.0]), empty_pool(pipe.stage_dims, 5, "all"), store)
+        run(pipe, np.array([3.0, 4.0]), PrefixPool(pipe.stage_dims, 5, "all"), store)
 
 
 def test_parse_objective_contract():
