@@ -164,7 +164,7 @@ class StageOutputStore:
     Layout: ``<root>/stage_<k>/<hex sha256 of key values>.bin``; each blob is
     a 4-byte magic, a version byte, an 8-byte big-endian payload length, then
     the payload. Identical keys share one record. ``commit`` keeps the store
-    equal to a prefix pool's entries: it writes what the pool admits and
+    equal to a prefix pool's addresses: it writes what the pool admits and
     deletes what it evicts, so nothing else is written.
     """
 
@@ -179,7 +179,7 @@ class StageOutputStore:
         """Delete the blobs and partial writes of this layout, the
         ``stage_<k>/*.bin`` and ``*.tmp`` files, and nothing else under the
         root, so that a run starting in a root an earlier run used holds
-        only what it writes itself and holds exactly its pool's entries.
+        only what it writes itself and holds exactly its pool's addresses.
         One directory listing on an empty root."""
         for path in self.root.glob("stage_*/*"):
             if path.suffix in (".bin", ".tmp"):
@@ -221,13 +221,13 @@ class StageOutputStore:
         return handle
 
     def commit(self, before: PrefixPool, after: PrefixPool, obs: "Observation") -> None:
-        """Move the store from ``before``'s entries to ``after``'s, where
+        """Move the store from ``before``'s addresses to ``after``'s, where
         ``after`` is ``update_pool(before, obs)``: store each output of
-        ``obs`` whose (depth, prefix) is an entry of ``after`` (an admitted
+        ``obs`` whose (depth, prefix) is an address of ``after`` (an admitted
         prefix, or one whose damaged blob this evaluation reran), then delete
-        the blob of every entry of ``before`` that no entry of ``after``
-        shares.  A write that fails raises StorageError before anything is
-        deleted, so ``before`` still resolves everywhere it did."""
+        the blob of every address of ``before`` that ``after`` lacks.  A
+        write that fails raises StorageError before anything is deleted, so
+        ``before`` still resolves everywhere it did."""
         kept = after._addresses
         for depth, payload in obs.outputs:
             values = obs.x[: after._widths[depth]]

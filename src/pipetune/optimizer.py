@@ -33,6 +33,7 @@ from .errors import (
     NumericalFailureError,
     TraceParseError,
 )
+from .floats import is_integer, is_real
 from .pipeline import Observation, PipelineSpec
 from .pipeline import run as run_pipeline
 
@@ -78,14 +79,6 @@ def derived_int(seed: int, *tags: int) -> int:
     return int(_seed_sequence(seed, tags).generate_state(1)[0])
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass
 class RunConfig:
     """Resolved knobs for one tuning run."""
@@ -106,7 +99,7 @@ class RunConfig:
         if self.method not in METHODS:
             raise InvalidArgumentError(f"unknown method: {self.method!r}")
         for name in ("n0", "m", "n_mc", "restarts", "q", "seed"):
-            if not _is_integer(getattr(self, name)):
+            if not is_integer(getattr(self, name)):
                 raise InvalidArgumentError(f"{name} must be an integer")
         if self.n0 < 2:
             raise InvalidArgumentError("n0 must be >= 2")
@@ -114,7 +107,7 @@ class RunConfig:
             raise InvalidArgumentError("m, n_mc, and restarts must be >= 1")
         if self.q < 0:
             raise InvalidArgumentError("q must be >= 0")
-        if not (_is_real(self.epsilon) and self.epsilon > 0.0):
+        if not (is_real(self.epsilon) and self.epsilon > 0.0):
             raise InvalidArgumentError("epsilon must be a positive number")
         if self.eta_schedule not in ETA_SCHEDULES:
             raise InvalidArgumentError(f"unknown eta schedule: {self.eta_schedule!r}")
@@ -123,7 +116,7 @@ class RunConfig:
         if self.seed < 0:
             raise InvalidArgumentError("seed must be nonnegative")
         budget = self.total_budget
-        if budget != "auto" and not (_is_real(budget) and 0.0 < budget < math.inf):
+        if budget != "auto" and not (is_real(budget) and 0.0 < budget < math.inf):
             raise InvalidArgumentError("total_budget must be a positive finite number, or 'auto'")
 
     def to_dict(self) -> dict:

@@ -33,7 +33,7 @@ from .errors import (
     StageExecutionError,
     StorageError,
 )
-from .floats import ordered_sum
+from .floats import is_integer, is_real, ordered_sum
 
 logger = logging.getLogger("pipetune.pipeline")
 
@@ -167,18 +167,20 @@ class StageSpec:
     timeout: float = 300.0
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
+        if not (is_integer(self.dim) and self.dim >= 1):
             raise InvalidArgumentError(f"stage dim must be an integer >= 1, got {self.dim!r}")
         if len(self.bounds) != self.dim:
             raise InvalidArgumentError("bounds count must match stage dim")
-        if any(not lo < hi for lo, hi in self.bounds):
-            raise InvalidArgumentError("require lo < hi per bound")
+        if any(not -math.inf < lo < hi < math.inf for lo, hi in self.bounds):
+            raise InvalidArgumentError(f"require finite lo < hi per bound, got {self.bounds!r}")
+        if not (is_real(self.timeout) and 0.0 < self.timeout < math.inf):
+            raise InvalidArgumentError(f"timeout must be finite seconds > 0, got {self.timeout!r}")
         if self.kind == "synthetic":
             if self.objective_fn is None or self.cost_fn is None:
                 raise InvalidArgumentError("synthetic stage needs objective and cost")
         elif self.kind == "external":
-            if not self.command:
-                raise InvalidArgumentError("external stage needs a command template")
+            if not (isinstance(self.command, str) and self.command.strip()):
+                raise InvalidArgumentError(f"stage needs a command string, got {self.command!r}")
         else:
             raise InvalidArgumentError(f"unknown stage kind: {self.kind!r}")
 
@@ -193,7 +195,7 @@ class PipelineSpec:
         if not self.stages:
             raise InvalidArgumentError("pipeline needs at least one stage")
         noise = self.noise_std
-        if not (isinstance(noise, (int, float)) and 0.0 <= noise < math.inf):
+        if not (is_real(noise) and 0.0 <= noise < math.inf):
             raise InvalidArgumentError(f"noise_std must be a finite number >= 0, got {noise!r}")
         kinds = sorted({s.kind for s in self.stages})
         if len(kinds) > 1:
@@ -443,7 +445,7 @@ def _file_stage(k: int, item: dict) -> StageSpec:
         bounds=tuple((float(lo), float(hi)) for lo, hi in item["bounds"]),
         kind=kind,
         command=item["command"],
-        timeout=float(item.get("timeout", 300.0)),
+        timeout=item.get("timeout", 300.0),
     )
 
 

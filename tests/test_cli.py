@@ -436,6 +436,42 @@ def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
     assert not list(out.glob("**/*.csv"))
 
 
+# Story: a pipeline file whose stage cannot run (a command that is not a
+# string, a timeout that is not a finite number of seconds above 0, an
+# unbounded box, a boolean noise level) is refused with the usage exit
+# code before any stage command runs or any output directory is made.
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"command": 5},
+        {"timeout": math.nan},
+        {"timeout": 0},
+        {"timeout": -1},
+        {"bounds": [[-math.inf, math.inf]]},
+        {"noise_std": True},
+    ],
+    ids=["command-number", "timeout-nan", "timeout-zero", "timeout-negative",
+         "bounds-infinite", "noise-bool"],
+)
+def test_unrunnable_pipeline_file_exits_2(tmp_path, capsys, change):
+    marker = tmp_path / "ran"
+    stage = {
+        "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]],
+        "command": f"touch {marker}",
+    }
+    doc = {"name": "unrunnable", "stages": [stage]}
+    (doc if "noise_std" in change else stage).update(change)
+    pipe = tmp_path / "unrunnable.json"
+    pipe.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["run", "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not marker.exists()
+    assert not out.exists()
+
+
 # Story: a stage that fails is a runtime error, exit 1 with one error line,
 # whether the jobs run in this process or in a process pool, whose workers
 # hand the error back to the parent pickled.

@@ -286,13 +286,17 @@ def test_lml_matches_dense_formula():
 
 def _params_log_prior(params):
     """Oracle: the hyperprior written on KernelParams, as the module had it
-    before fitting passed plain floats."""
+    before fitting passed plain floats. The lengthscale terms are added
+    left to right in a plain loop: from Python 3.12 the built-in sum() of
+    floats is compensated and would move the last bits."""
 
     def gamma_term(value, prior):
         shape, rate = prior
         return (shape - 1.0) * math.log(value) - rate * value
 
-    total = sum(gamma_term(float(ls), gp.LENGTHSCALE_PRIOR) for ls in params.lengthscales)
+    total = 0.0
+    for ls in params.lengthscales:
+        total += gamma_term(float(ls), gp.LENGTHSCALE_PRIOR)
     total += gamma_term(params.output_scale, gp.OUTPUT_SCALE_PRIOR)
     mean, sd = gp.NOISE_PRIOR
     log_noise = math.log(params.noise_variance)

@@ -211,6 +211,69 @@ def test_unread_member_scan_sees_both_cases():
     assert _unread_members([tree]) == ["Pool.all_entries", "Pool.width"]
 
 
+def _module_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public function and class defined at a module's top level,
+    with its line number."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _unread_definitions(trees: list[ast.Module]) -> list[str]:
+    """The public module-level functions and classes of these modules that
+    none of them reads: by name (an import binds the name, so its uses
+    count), as a module attribute, or through ``__all__``."""
+    read = set()
+    for tree in trees:
+        read |= _used_names(tree)
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return sorted(
+        name for tree in trees for name in _module_definitions(tree) if name not in read
+    )
+
+
+# Story: a public function or class that no module of the package reads is
+# a helper kept for the tests alone (a constructor wrapper that the code no
+# longer calls), so the tests check code the optimizer never runs.
+def test_no_unread_module_functions():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    unread = _unread_definitions(trees)
+    assert not unread, f"module functions and classes no module reads: {', '.join(unread)}"
+
+
+# Story: the scan finds a function and a class never read, counts a call, a
+# read through a module attribute and an ``__all__`` entry, and skips
+# private and nested definitions.
+def test_unread_definition_scan_sees_both_cases():
+    tree = ast.parse(
+        "from . import gp\n"
+        "__all__ = ['exported']\n"
+        "def exported(): ...\n"
+        "def called(): ...\n"
+        "def empty_pool(): ...\n"
+        "def _private(): ...\n"
+        "class Unread:\n"
+        "    def method(self): ...\n"
+        "class Built: ...\n"
+        "def f():\n"
+        "    def nested(): ...\n"
+        "    gp.fit()\n"
+        "    return called(), Built()\n"
+        "def fit(): ...\n"
+    )
+    assert set(_module_definitions(tree)) == {
+        "exported", "called", "empty_pool", "Unread", "Built", "f", "fit"
+    }
+    assert _unread_definitions([tree]) == ["Unread", "empty_pool", "f"]
+
+
 def _unused_parameters(tree: ast.Module) -> list[str]:
     """Each parameter of a function that its body never reads, as
     ``function.parameter``; ``self``, ``cls``, ``*args`` and ``**kwargs``

@@ -682,9 +682,11 @@ _EXTERNAL = {
 }
 
 
-# Story: a file that does not match the schema is refused with a usage error
-# naming what is wrong, never a raw KeyError or a stage run of a misspelled
-# kind.
+# Story: a file that does not match the schema, or names a stage that
+# cannot run (a command that is not a string, a timeout that is not a
+# finite number of seconds above 0, an unbounded box), is refused with a
+# usage error naming what is wrong, never a raw error from inside a stage
+# or a stage run of a misspelled kind.
 @pytest.mark.parametrize(
     "doc, match",
     [
@@ -700,11 +702,23 @@ _EXTERNAL = {
         ({"stages": [{**_EXTERNAL, "bounds": [[0.0]]}]}, "stage 1"),
         ({"noise_std": "0.1", "stages": [_EXTERNAL]}, "noise_std"),
         ({"noise_std": -0.1, "stages": [_EXTERNAL]}, "noise_std"),
+        ({"noise_std": True, "stages": [_EXTERNAL]}, "noise_std"),
+        ({"stages": [{**_EXTERNAL, "command": 5}]}, "a command string"),
+        ({"stages": [{**_EXTERNAL, "command": "  "}]}, "a command string"),
+        ({"stages": [{**_EXTERNAL, "timeout": math.nan}]}, "timeout"),
+        ({"stages": [{**_EXTERNAL, "timeout": 0}]}, "timeout"),
+        ({"stages": [{**_EXTERNAL, "timeout": -1}]}, "timeout"),
+        ({"stages": [{**_EXTERNAL, "timeout": math.inf}]}, "timeout"),
+        ({"stages": [{**_EXTERNAL, "timeout": "30"}]}, "timeout"),
+        ({"stages": [{**_EXTERNAL, "bounds": [[-math.inf, math.inf]]}]}, "finite"),
+        ({"stages": [{**_EXTERNAL, "bounds": [[0.0, math.nan]]}]}, "finite"),
     ],
     ids=[
         "no-command", "no-dim", "no-bounds", "list-doc",
         "stages-not-list", "dim-string", "dim-float", "unknown-kind", "short-bound",
-        "noise-string", "noise-negative",
+        "noise-string", "noise-negative", "noise-bool", "command-number", "command-blank",
+        "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
+        "timeout-string", "bounds-infinite", "bounds-nan",
     ],
 )
 def test_load_pipeline_file_refuses_malformed(tmp_path, doc, match):
