@@ -257,7 +257,7 @@ def test_unread_definition_scan_sees_both_cases():
         "__all__ = ['exported']\n"
         "def exported(): ...\n"
         "def called(): ...\n"
-        "def empty_pool(): ...\n"
+        "def wrapper(): ...\n"
         "def _private(): ...\n"
         "class Unread:\n"
         "    def method(self): ...\n"
@@ -269,9 +269,9 @@ def test_unread_definition_scan_sees_both_cases():
         "def fit(): ...\n"
     )
     assert set(_module_definitions(tree)) == {
-        "exported", "called", "empty_pool", "Unread", "Built", "f", "fit"
+        "exported", "called", "wrapper", "Unread", "Built", "f", "fit"
     }
-    assert _unread_definitions([tree]) == ["Unread", "empty_pool", "f"]
+    assert _unread_definitions([tree]) == ["Unread", "f", "wrapper"]
 
 
 def _unused_parameters(tree: ast.Module) -> list[str]:
