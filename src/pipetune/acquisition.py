@@ -4,8 +4,11 @@ expected inverse cost E[1/C], with memoized stages costed at epsilon.
 Tuning methods differ only in data, kept in ``METHODS``: which cost
 segments they model with log-cost GPs, and whether they cool the cost
 term. A segment is a run of consecutive stages under one model; its
-draws are exponentiated Gaussians, and a total-cost draw is the sum of
-the segments' draws. EI's normal CDF is libm's erfc, element by element.
+draws are exponentiated Gaussians in antithetic pairs, exp(mu + sd z) and
+exp(mu - sd z), so each (segment, block) generator advances by
+ceil(n_mc / 2) normals per row it reads, and a total-cost draw is the sum
+of the segments' draws. EI's normal CDF is libm's erfc, element by
+element.
 
 Scoring is pure; the optimizer loop owns every piece of state (budget,
 cooling factor, models).
@@ -151,28 +154,36 @@ def _segment_draws(
     memoized: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
+    normals: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
     """Fills ``out``, a (candidates, n_mc) buffer whose old contents are
     never read, with cost draws from a log-cost posterior, and returns it;
     memoized candidates cost epsilon in every draw.
 
-    ``rng`` is consumed by this call alone, so normals are drawn only for
-    the rows up to the last one not memoized (n_read rows): they are the
-    leading values of the full (candidates, n_mc) block, and the generator
-    advances by n_read x n_mc normals, none when every row is memoized.
-    Those rows become costs in place, exponentiated whole without a mask
-    (a masked exp is slower); then every memoized row is set to epsilon. The
-    posterior still covers all of ``xn``: on a subset of rows the mean's
-    matrix product rounds differently in its last bits, which would move
-    scores and traces."""
+    The draws come in antithetic pairs. ``normals`` is a (candidates,
+    ceil(n_mc / 2)) scratch buffer: row i draws its normals z there, and
+    its n_mc costs are exp(mu_i + sd_i z) for every z, followed by
+    exp(mu_i - sd_i z) for the first floor(n_mc / 2) of them, so with odd
+    n_mc the last normal of a row goes unpaired. ``rng`` is consumed by
+    this call alone, so normals are drawn only for the rows up to the last
+    one not memoized (n_read rows): they are the leading values of the
+    full (candidates, ceil(n_mc / 2)) block, and the generator advances by
+    n_read x ceil(n_mc / 2) normals, none when every row is memoized.
+    Those rows are exponentiated whole without a mask (a masked exp is
+    slower); then every memoized row is set to epsilon. The posterior
+    still covers all of ``xn``: on a subset of rows the mean's matrix
+    product rounds differently in its last bits, which would move scores
+    and traces."""
     mu, var = gp.posterior_mean_var(model, xn)
     live = ~memoized
     n_read = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
-    read = out[:n_read]
-    rng.standard_normal(out=read)
-    read *= np.sqrt(var[:n_read])[:, None]
-    read += mu[:n_read, None]
+    half = normals.shape[1]
+    z, read, mu = normals[:n_read], out[:n_read], mu[:n_read, None]
+    rng.standard_normal(out=z)
+    z *= np.sqrt(var[:n_read])[:, None]
+    np.add(z, mu, out=read[:, :half])
+    np.subtract(mu, z[:, : out.shape[1] - half], out=read[:, half:])
     np.exp(read, out=read)
     out[memoized] = epsilon
     return out
@@ -200,8 +211,11 @@ def score_candidates(
     epsilon in every segment that ends at or before stage delta. Every
     posterior, of the objective and of the costs, is computed on a whole
     block, so a candidate's score depends neither on which others are
-    memoized nor on the other blocks. A block's draws go into two
-    (block rows, n_mc) buffers allocated once per call: the first segment
+    memoized nor on the other blocks. Cost draws come in antithetic pairs
+    (see ``_segment_draws``), so generator (s, b) advances by
+    ceil(n_mc / 2) normals per row it reads. A block's draws go into two
+    (block rows, n_mc) buffers and its normals into one (block rows,
+    ceil(n_mc / 2)) buffer, all allocated once per call: the first segment
     writes the totals, each later one the spare buffer, added in segment
     order. A cost-blind method scores plain EI.
     """
@@ -215,13 +229,15 @@ def score_candidates(
     segments = METHODS[method].segments(space.n_stages)
     if not segments:
         return ei
-    totals, spare = np.empty((len(blocks[0]), n_mc)), np.empty((len(blocks[0]), n_mc))
+    rows = len(blocks[0])
+    totals, spare = np.empty((rows, n_mc)), np.empty((rows, n_mc))
+    normals = np.empty((rows, -(-n_mc // 2)))
     inverse_cost = []
     for b, (xn, block_deltas) in enumerate(zip(blocks, np.split(np.asarray(deltas), n_blocks))):
         for s, (seg, model) in enumerate(zip(segments, models.costs, strict=True)):
             cols, memoized = xn[:, seg.columns(space)], block_deltas >= seg.last
             out = spare if s else totals
-            _segment_draws(model, cols, memoized, epsilon, mc_rngs[s, b], out)
+            _segment_draws(model, cols, memoized, epsilon, mc_rngs[s, b], normals, out)
             if s:
                 totals += spare
         inverse_cost.append(expected_inverse_cost(totals))

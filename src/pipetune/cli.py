@@ -353,7 +353,8 @@ def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
         "--raw-samples", dest="m", type=int, default=d.m, help="candidates per restart (M)"
     )
     p.add_argument(
-        "--mc-samples", dest="n_mc", type=int, default=d.n_mc, help="cost draws per candidate (D)"
+        "--mc-samples", dest="n_mc", type=int, default=d.n_mc,
+        help="cost draws per candidate (D), as antithetic pairs from ceil(D/2) normals",
     )
     p.add_argument(
         "--acq-restarts", dest="restarts", type=int, default=d.restarts,

@@ -439,10 +439,13 @@ def _file_stage(k: int, item: dict) -> StageSpec:
         if bench is None:
             raise InvalidArgumentError(f"unknown benchmark {item.get('function')!r}")
         return _benchmark_stage(item.get("name", f"s{k}_{bench.name}"), bench)
+    bounds = [(lo, hi) for lo, hi in item["bounds"]]
+    if not all(is_real(bound) for pair in bounds for bound in pair):
+        raise InvalidArgumentError(f"bounds must be pairs of numbers, got {item['bounds']!r}")
     return StageSpec(
         name=item.get("name", f"s{k}"),
         dim=item["dim"],
-        bounds=tuple((float(lo), float(hi)) for lo, hi in item["bounds"]),
+        bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
         kind=kind,
         command=item["command"],
         timeout=item.get("timeout", 300.0),

@@ -1,7 +1,8 @@
 """Session-scoped fixtures for the end-to-end acceptance criteria, the
-generator table that ``score_candidates`` takes, and the one home of each
-test oracle that a module test and an acceptance criterion share: a scalar
-Matern-5/2 kernel and the dense-inverse GP posterior built on it
+generator table that ``score_candidates`` takes and the antithetic normals
+its cost draws are built from, and the one home of each test oracle that
+a module test and an acceptance criterion share: a scalar Matern-5/2
+kernel and the dense-inverse GP posterior built on it
 (``tests/test_gp.py``, criterion 2), and a brute-force prefix pool
 (``tests/test_cache.py``, criterion 6).
 
@@ -114,6 +115,14 @@ class ReferencePool:
             (d for d, w in self.widths.items() if any(k[:w] == tuple(x[:w]) for k in self.items)),
             default=0,
         )
+
+
+def antithetic_normals(rng, rows, n_mc):
+    """The (rows, n_mc) normals that cost draws exponentiate, from a fresh
+    generator: ceil(n_mc / 2) drawn per row as one block, followed by the
+    negatives of the first floor(n_mc / 2) of each row."""
+    z = rng.standard_normal((rows, -(-n_mc // 2)))
+    return np.concatenate([z, -z[:, : n_mc // 2]], axis=1)
 
 
 def rng_table(generators, n_blocks=1):

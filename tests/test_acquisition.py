@@ -31,7 +31,7 @@ from pipetune.errors import InvalidArgumentError, NumericalFailureError
 from pipetune.gp import KernelParams, build_model, posterior_mean_var
 from pipetune.pipeline import synthetic_suite
 
-from conftest import rng_table
+from conftest import antithetic_normals, rng_table
 
 
 def _ei(mu, variance, f_best):
@@ -240,26 +240,32 @@ def test_inverse_cost_inverts_totals_in_place():
 
 def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
     """_segment_draws against a fresh twin generator: the generator advanced
-    by exactly n_read x n_mc normals (n_read = last live row + 1, 0 when all
-    rows are memoized), live rows are exp(mu + sd z) bit for bit with z from
-    the twin's full (rows, n_mc) block and mu, var from the full-batch
-    posterior, and memoized rows are epsilon. The draws fill the buffer
-    passed in, and a NaN-filled one ends with the bits of a fresh one, so
-    no row of an earlier block survives in a reused buffer."""
+    by exactly n_read x ceil(n_mc / 2) normals (n_read = last live row + 1,
+    0 when all rows are memoized), live rows are exp(mu + sd z) bit for bit
+    with z the twin's antithetic normals (``antithetic_normals``) and mu, var
+    from the full-batch posterior, and memoized rows are epsilon. The draws
+    fill the buffer passed in, and NaN-filled buffers end with the bits of
+    fresh ones, so no row of an earlier block survives in reused buffers."""
+    half = -(-n_mc // 2)
     rng = np.random.default_rng(seed)
     buffer = np.empty((len(xn), n_mc))
-    draws = _segment_draws(model, xn, memoized, epsilon, rng, buffer)
+    draws = _segment_draws(
+        model, xn, memoized, epsilon, rng, np.empty((len(xn), half)), buffer
+    )
     assert draws is buffer
     stale = np.full((len(xn), n_mc), np.nan)
-    _segment_draws(model, xn, memoized, epsilon, np.random.default_rng(seed), stale)
+    _segment_draws(
+        model, xn, memoized, epsilon, np.random.default_rng(seed),
+        np.full((len(xn), half), np.nan), stale,
+    )
     assert stale.tobytes() == draws.tobytes()
 
     live = ~memoized
     n_read = max((i + 1 for i, m in enumerate(memoized) if not m), default=0)
     advanced = np.random.default_rng(seed)
-    advanced.standard_normal((n_read, n_mc))
+    advanced.standard_normal((n_read, half))
     assert rng.bit_generator.state == advanced.bit_generator.state
-    z = np.random.default_rng(seed).standard_normal((len(xn), n_mc))
+    z = antithetic_normals(np.random.default_rng(seed), len(xn), n_mc)
     mu, var = posterior_mean_var(model, xn)
     want = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
     assert draws.shape == (len(xn), n_mc)
@@ -268,10 +274,11 @@ def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
 
 
 # Story: each Monte-Carlo generator serves one call, so cost draws stop at
-# the last row that is read: the generator advances by n_read x n_mc
-# normals, and not at all when every row is memoized. The rows that are
-# read are still exp(mu + sd z) with the z of the full block, and every
-# row is written, the trailing memoized ones that draw nothing included.
+# the last row that is read: the generator advances by n_read x
+# ceil(n_mc / 2) normals, and not at all when every row is memoized. The
+# rows that are read are still exp(mu + sd z) with the antithetic z of the
+# full block, and every row is written, the trailing memoized ones that
+# draw nothing included.
 @pytest.mark.parametrize(
     "memoized",
     [
@@ -316,6 +323,91 @@ def test_segment_draws_match_full_block_property(data, rows, n_mc, seed):
     memoized = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
     xn = np.random.default_rng(seed).uniform(size=(rows, 3))
     _check_segment_draws(_DRAWS_MODEL, xn, memoized, n_mc, seed)
+
+
+# Story: with an odd n_mc the last normal of each row has no mirror: the
+# generator still advances by n_read x ceil(n_mc / 2) normals, column
+# ceil(n_mc / 2) - 1 (the last +z column; the only column at n_mc = 1)
+# holds exp(mu + sd z) of the row's last normal, and the mirrored columns
+# that follow it hold exp(mu - sd z) of the normals before it alone.
+@pytest.mark.parametrize("n_mc", [1, 7])
+def test_segment_draws_odd_n_mc_leaves_last_normal_unpaired(n_mc):
+    half = -(-n_mc // 2)
+    xn = np.random.default_rng(2).uniform(size=(6, 3))
+    memoized = np.array([False, True, False, True, True, True])
+    rng = np.random.default_rng(4)
+    draws = _segment_draws(
+        _DRAWS_MODEL, xn, memoized, 0.01, rng, np.empty((6, half)), np.empty((6, n_mc))
+    )
+    advanced = np.random.default_rng(4)
+    advanced.standard_normal(3 * half)
+    assert rng.bit_generator.state == advanced.bit_generator.state
+
+    live = ~memoized
+    z = np.random.default_rng(4).standard_normal((6, half))
+    mu, var = posterior_mean_var(_DRAWS_MODEL, xn)
+    mu, sd = mu[:, None], np.sqrt(var)[:, None]
+    assert np.array_equal(draws[live, half - 1], np.exp(mu + sd * z)[live, -1])
+    mirrored = np.exp(mu - sd * z[:, : n_mc // 2])
+    assert np.array_equal(draws[live, half:], mirrored[live])
+    assert draws.shape == (6, n_mc) and np.all(draws[memoized] == 0.01)
+
+
+def _one_segment_model(mu, sigma):
+    """A log-cost model whose posterior at ``_FAR`` is N(mu, sigma^2): two
+    training points far away, targets mu -+ 1 (shift mu, scale 1) and the
+    output scale sigma^2."""
+    x = np.array([[0.0], [0.1]])
+    return build_model(x, [mu - 1.0, mu + 1.0], KernelParams(np.array([0.01]), sigma**2, 1e-6))
+
+
+_FAR = np.array([[1.0e3]])
+
+
+# Story: for one log-normal segment (eips, carbo) E[1/C] has the closed
+# form exp(-mu + sigma^2 / 2). Fed the antithetic draws, the estimator the
+# scorer runs lands within 4 standard errors of it from sigma 0.1 to 2; a
+# pair's mean is one independent sample, so the error is taken over pairs.
+@pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0])
+def test_antithetic_inverse_cost_matches_closed_form(sigma):
+    n_mc, mu = 200_000, 0.3
+    model = _one_segment_model(mu, sigma)
+    post_mu, post_var = posterior_mean_var(model, _FAR)
+    assert post_mu[0] == pytest.approx(mu) and post_var[0] == pytest.approx(sigma**2)
+    draws = _segment_draws(
+        model, _FAR, np.zeros(1, dtype=bool), 0.01, np.random.default_rng(17),
+        np.empty((1, n_mc // 2)), np.empty((1, n_mc)),
+    )
+    pairs = 0.5 * (1.0 / draws[0, : n_mc // 2] + 1.0 / draws[0, n_mc // 2 :])
+    se = np.std(pairs) / math.sqrt(len(pairs))
+    estimate = float(expected_inverse_cost(draws)[0])
+    closed = math.exp(-post_mu[0] + post_var[0] / 2.0)
+    assert abs(estimate - closed) <= 4.0 * se
+
+
+# Story: 1/C falls as the normal rises, so pairing z with -z can only
+# lower the variance of E[1/C] at the same n_mc. At sigma = 1 and n_mc =
+# 500, 200 seeded antithetic estimates spread no wider than 200 plain
+# Monte-Carlo estimates of 500 independent normals each.
+def test_antithetic_estimates_spread_no_wider_than_plain_monte_carlo():
+    n_mc, seeds = 500, range(200)
+    model = _one_segment_model(0.3, 1.0)
+    mu, var = posterior_mean_var(model, _FAR)
+    live = np.zeros(1, dtype=bool)
+    antithetic = [
+        expected_inverse_cost(_segment_draws(
+            model, _FAR, live, 0.01, np.random.default_rng([23, s]),
+            np.empty((1, n_mc // 2)), np.empty((1, n_mc)),
+        ))[0]
+        for s in seeds
+    ]
+    plain = [
+        expected_inverse_cost(np.exp(
+            mu[0] + math.sqrt(var[0]) * np.random.default_rng([29, s]).standard_normal(n_mc)
+        ))
+        for s in seeds
+    ]
+    assert np.std(antithetic) <= np.std(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +486,9 @@ def _score(method, eta, n_mc=50):
 
 
 # Story: a candidate with a memoized prefix of delta stages costs epsilon in
-# each of those stages and its own posterior draws in the rest; the scorer
-# sums the assembled stage rows into E[1/C]. The assembly is rebuilt here
-# from the posterior moments and generators seeded alike.
+# each of those stages and its own antithetic posterior draws in the rest;
+# the scorer sums the assembled stage rows into E[1/C]. The assembly is
+# rebuilt here from the posterior moments and generators seeded alike.
 def test_from_suffix_draws_assembles_matrix():
     space, xs, objective, stages, _ = _flat_world()
     xn = space.normalize(xs)
@@ -409,11 +501,12 @@ def test_from_suffix_draws_assembles_matrix():
     totals = 0.0
     for seg, model, rng in zip(METHODS["eeipu"].segments(3), stages, rngs()):
         mean, var = posterior_mean_var(model, xn[:, seg.columns(space)])
-        draws = np.exp(mean[:, None] + np.sqrt(var)[:, None] * rng.standard_normal((5, n_mc)))
+        draws = np.exp(mean[:, None] + np.sqrt(var)[:, None] * antithetic_normals(rng, 5, n_mc))
         assert draws.shape == (5, n_mc)
         draws[deltas >= seg.last] = epsilon
         totals = totals + draws
-    assert np.all(totals[2] < 4.0 + 3 * epsilon) and np.all(totals[0] > 8.0)
+    # row 2: two memoized stages at epsilon, stage 3 within 10% of its cost 4
+    assert np.all(totals[2] < 2 * epsilon + 1.1 * 4.0) and np.all(totals[0] > 8.0)
 
     ei = score_candidates(
         "ei", ModelSet(objective, ()), space, xs, deltas, -1.0, 1.0, epsilon, n_mc, rng_table([])
@@ -428,10 +521,12 @@ def test_from_suffix_draws_assembles_matrix():
     seg = METHODS["eeipu"].segments(3)[0]
     cols = xn[:, seg.columns(space)]
     first = _segment_draws(
-        stages[0], cols, memoized, epsilon, rngs()[0], np.empty((5, n_mc))
+        stages[0], cols, memoized, epsilon, rngs()[0], np.empty((5, n_mc // 2)),
+        np.empty((5, n_mc)),
     )
     plain = _segment_draws(
-        stages[0], cols, np.zeros(5, dtype=bool), epsilon, rngs()[0], np.empty((5, n_mc))
+        stages[0], cols, np.zeros(5, dtype=bool), epsilon, rngs()[0],
+        np.empty((5, n_mc // 2)), np.empty((5, n_mc)),
     )
     assert np.all(first[memoized] == epsilon)
     assert np.array_equal(first[~memoized], plain[~memoized])
@@ -453,6 +548,14 @@ def test_eips_and_carbo_scores():
     assert np.array_equal(_score("eips", 1.0), _score("carbo", 1.0))
     assert np.array_equal(_score("carbo", 0.0), _score("ei", 0.0))
     assert not METHODS["eips"].cools and METHODS["carbo"].cools
+
+
+# Story: at n_mc = 1 a row draws one normal and has no mirrored column;
+# every cost-aware method still scores each candidate.
+@pytest.mark.parametrize("method", ["eeipu", "eips", "carbo"])
+def test_score_candidates_with_one_cost_draw(method):
+    scores = _score(method, 1.0, n_mc=1)
+    assert scores.shape == (5,) and np.all(np.isfinite(scores)) and np.all(scores > 0.0)
 
 
 # Story: the table is the only place methods differ: which cost segments

@@ -438,7 +438,8 @@ def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
 
 # Story: a pipeline file whose stage cannot run (a command that is not a
 # string, a timeout that is not a finite number of seconds above 0, an
-# unbounded box, a boolean noise level) is refused with the usage exit
+# unbounded box, a bound that is a string, a boolean or null, a boolean
+# noise level) is refused with the usage exit
 # code before any stage command runs or any output directory is made.
 @pytest.mark.parametrize(
     "change",
@@ -448,10 +449,13 @@ def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
         {"timeout": 0},
         {"timeout": -1},
         {"bounds": [[-math.inf, math.inf]]},
+        {"bounds": [["0", 1.0]]},
+        {"bounds": [[0.0, True]]},
+        {"bounds": [[None, 1.0]]},
         {"noise_std": True},
     ],
     ids=["command-number", "timeout-nan", "timeout-zero", "timeout-negative",
-         "bounds-infinite", "noise-bool"],
+         "bounds-infinite", "bounds-string", "bounds-bool", "bounds-null", "noise-bool"],
 )
 def test_unrunnable_pipeline_file_exits_2(tmp_path, capsys, change):
     marker = tmp_path / "ran"

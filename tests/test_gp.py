@@ -242,10 +242,12 @@ def test_sample_determinism_and_count():
     xn = np.array([[50.0], [0.5]])
     unmemoized = np.zeros(2, dtype=bool)
     a = _segment_draws(
-        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 1000))
+        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 500)),
+        np.empty((2, 1000)),
     )
     b = _segment_draws(
-        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 1000))
+        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 500)),
+        np.empty((2, 1000)),
     )
     assert np.array_equal(a, b)
     assert a.shape == (2, 1000)

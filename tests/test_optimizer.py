@@ -47,7 +47,7 @@ from pipetune.pipeline import (
     synthetic_suite,
 )
 
-from conftest import rng_table
+from conftest import antithetic_normals, rng_table
 
 TINY = dict(n0=3, m=24, n_mc=40, restarts=2, total_budget=50.0)
 
@@ -526,8 +526,9 @@ def _constant_cost_model(dim, cost):
 
 
 # Story: the scorer replaces the first delta stage draws with epsilon before
-# summing: replaying the same Monte-Carlo streams reproduces the score
-# exactly, and a constant-cost world matches the closed form.
+# summing: replaying the same Monte-Carlo streams as antithetic normals
+# reproduces the score exactly, and a constant-cost world matches the
+# closed form.
 def test_score_candidates_memoization_gate():
     pipe = synthetic_suite("synth3")
     space = pipe.search_space()
@@ -562,7 +563,7 @@ def test_score_candidates_memoization_gate():
     totals = np.zeros((6, n_mc))
     for k in range(1, 4):
         mu, v = gp.posterior_mean_var(models.costs[k - 1], xn[:, space.stage_slice(k)])
-        z = derived_rng(9, 104, k - 1).standard_normal((6, n_mc))
+        z = antithetic_normals(derived_rng(9, 104, k - 1), 6, n_mc)
         draws = np.exp(mu[:, None] + np.sqrt(v)[:, None] * z)
         draws[deltas >= k] = eps
         totals += draws

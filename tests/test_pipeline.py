@@ -684,7 +684,8 @@ _EXTERNAL = {
 
 # Story: a file that does not match the schema, or names a stage that
 # cannot run (a command that is not a string, a timeout that is not a
-# finite number of seconds above 0, an unbounded box), is refused with a
+# finite number of seconds above 0, an unbounded box, a bound that is a
+# string, a boolean or null rather than a number), is refused with a
 # usage error naming what is wrong, never a raw error from inside a stage
 # or a stage run of a misspelled kind.
 @pytest.mark.parametrize(
@@ -712,13 +713,17 @@ _EXTERNAL = {
         ({"stages": [{**_EXTERNAL, "timeout": "30"}]}, "timeout"),
         ({"stages": [{**_EXTERNAL, "bounds": [[-math.inf, math.inf]]}]}, "finite"),
         ({"stages": [{**_EXTERNAL, "bounds": [[0.0, math.nan]]}]}, "finite"),
+        ({"stages": [{**_EXTERNAL, "bounds": [["0", 1.0]]}]}, "pairs of numbers"),
+        ({"stages": [{**_EXTERNAL, "bounds": [[0.0, True]]}]}, "pairs of numbers"),
+        ({"stages": [{**_EXTERNAL, "bounds": [[None, 1.0]]}]}, "pairs of numbers"),
     ],
     ids=[
         "no-command", "no-dim", "no-bounds", "list-doc",
         "stages-not-list", "dim-string", "dim-float", "unknown-kind", "short-bound",
         "noise-string", "noise-negative", "noise-bool", "command-number", "command-blank",
         "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
-        "timeout-string", "bounds-infinite", "bounds-nan",
+        "timeout-string", "bounds-infinite", "bounds-nan", "bounds-string",
+        "bounds-bool", "bounds-null",
     ],
 )
 def test_load_pipeline_file_refuses_malformed(tmp_path, doc, match):
