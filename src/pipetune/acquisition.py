@@ -2,13 +2,14 @@
 expected inverse cost E[1/C], with memoized stages costed at epsilon.
 
 Tuning methods differ only in data, kept in ``METHODS``: which cost
-segments they model with log-cost GPs, and whether they cool the cost
-term. A segment is a run of consecutive stages under one model; its
-draws are exponentiated Gaussians in antithetic pairs, exp(mu + sd z) and
-exp(mu - sd z), so each (segment, block) generator advances by
-ceil(n_mc / 2) normals per row it reads, and a total-cost draw is the sum
-of the segments' draws. EI's normal CDF is libm's erfc, element by
-element.
+segments they model with log-cost GPs. The cost term is cooled exactly
+when a method has cost segments; EI per second is ``carbo`` under the
+``constant`` eta schedule. A segment is a run of consecutive stages under
+one model; its draws are exponentiated Gaussians in antithetic pairs,
+exp(mu + sd z) and exp(mu - sd z), so each (segment, block) generator
+advances by ceil(n_mc / 2) normals per row it reads, and a total-cost
+draw is the sum of the segments' draws. EI's normal CDF is libm's erfc,
+element by element.
 
 Scoring is pure; the optimizer loop owns every piece of state (budget,
 cooling factor, models).
@@ -61,7 +62,6 @@ class Method:
     it keeps a prefix pool and costs cached stages at epsilon)."""
 
     cost_segments: str
-    cools: bool
 
     @property
     def memo_aware(self) -> bool:
@@ -76,11 +76,9 @@ class Method:
 
 
 METHODS = {
-    "eeipu": Method(cost_segments="stages", cools=True),
-    "ei": Method(cost_segments="none", cools=False),
-    # EI per unit cost is CArBO's score with the exponent held at 1
-    "eips": Method(cost_segments="total", cools=False),
-    "carbo": Method(cost_segments="total", cools=True),
+    "eeipu": Method(cost_segments="stages"),
+    "ei": Method(cost_segments="none"),
+    "carbo": Method(cost_segments="total"),
 }
 
 

@@ -69,7 +69,8 @@ def _improvement_flags(trace: RunTrace) -> list[tuple[bool, bool]]:
 
 def summarize(traces: list[RunTrace]) -> list[SummaryRow]:
     """One row per (pipeline, method), averaged over that group's runs.
-    Memoized-improvement percentage pools improvement counts across runs."""
+    Memoized-improvement percentage pools improvement counts across runs.
+    A group whose configs differ in any key but ``seed`` is refused."""
     groups: dict[tuple[str, str], list[RunTrace]] = {}
     for t in traces:
         key = (t.pipeline_name, str(t.config.get("method", "unknown")))
@@ -77,6 +78,14 @@ def summarize(traces: list[RunTrace]) -> list[SummaryRow]:
 
     rows = []
     for (pipeline, method), group in sorted(groups.items()):
+        first = group[0].config
+        keys = {k for t in group for k in t.config} - {"seed"}
+        differing = sorted(k for k in keys if any(t.config.get(k) != first.get(k) for t in group))
+        if differing:
+            raise InvalidArgumentError(
+                f"{method} traces of {pipeline} differ in {', '.join(differing)}; "
+                "report each config from its own directory"
+            )
         bests = [t.best_y for t in group]
         n = len(bests)
         mean_best = sum(bests) / n
@@ -85,12 +94,9 @@ def summarize(traces: list[RunTrace]) -> list[SummaryRow]:
             if n > 1
             else 0.0
         )
-        improvements = 0
-        memo_improvements = 0
-        for t in group:
-            for improved, with_memo in _improvement_flags(t):
-                improvements += int(improved)
-                memo_improvements += int(with_memo)
+        flags = [flag for t in group for flag in _improvement_flags(t)]
+        improvements = sum(improved for improved, _ in flags)
+        memo_improvements = sum(with_memo for _, with_memo in flags)
         rows.append(
             SummaryRow(
                 pipeline=pipeline,
@@ -310,11 +316,7 @@ def cmd_report(args) -> int:
     results_dir = Path(args.results_dir)
     if not results_dir.is_dir():
         raise InvalidArgumentError(f"not a directory: {results_dir}")
-    paths = sorted(
-        p
-        for p in results_dir.glob("*.csv")
-        if p.name not in _SPECIAL_CSVS
-    )
+    paths = sorted(p for p in results_dir.glob("*.csv") if p.name not in _SPECIAL_CSVS)
     if not paths:
         raise InvalidArgumentError(f"no trace CSVs found in {results_dir}")
     return _report(paths, results_dir)

@@ -3,8 +3,8 @@
 candidate generation, scoring, and trace persistence.
 
 Methods are rows of ``acquisition.METHODS``: ``eeipu`` (per-stage cost
-models, memoization aware, cooled), ``ei`` (cost-blind), ``eips`` (one
-total-cost model), ``carbo`` (one total-cost model, cooled).
+models, memoization aware), ``ei`` (cost-blind) and ``carbo`` (one
+total-cost model). Eta is cooled exactly when a method has cost segments.
 
 Every random draw is derived from (seed, purpose tag, iteration, ...)
 via SeedSequence, so warmup points and candidate batches are identical
@@ -277,12 +277,12 @@ def _evaluate(state: OptState, x: np.ndarray, score: float, eta: float) -> Obser
 def step(state: OptState) -> Observation:
     """One model-guided iteration: fit, generate, score, evaluate, update."""
     cfg = state.config
-    method = METHODS[cfg.method]
     iteration = len(state.rows) + 1
+    segments = METHODS[cfg.method].segments(state.space.n_stages)
 
-    # the trace records the exponent applied, which stays 1 without cooling
+    # the trace records the exponent applied, which stays 1 without cost segments
     eta = state.rows[-1].eta
-    if method.cools:
+    if segments:
         eta = cooling_eta(cfg.eta_schedule, state.total_budget, state.consumed, eta)
 
     try:
@@ -303,7 +303,6 @@ def step(state: OptState) -> Observation:
     ]
     xs, deltas = (np.concatenate(parts) for parts in zip(*batches))
     # one generator per (cost segment, restart), each serving one block
-    segments = method.segments(state.space.n_stages)
     mc_rngs = np.empty((len(segments), cfg.restarts), dtype=object)
     for s, r in np.ndindex(mc_rngs.shape):
         mc_rngs[s, r] = derived_rng(cfg.seed, _TAG_MC, iteration, segments[s].index, r)

@@ -38,6 +38,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 SEEDS = (0, 1, 2, 3, 4)
 
+# the memoizing method and plain EI, compared at each seed by criteria 8-13
+PAIRED_METHODS = ("eeipu", "ei")
+
 # Benchmark configuration pinned by the acceptance criteria: the 3-stage
 # synthetic suite, 5 warmup points, auto budget (5x warmup cost), 256
 # candidates per batch, 500 cost draws per candidate.
@@ -157,7 +160,7 @@ def paired_runs(root):
     """{(method, seed): trace} for the memoizing-vs-plain-EI comparison."""
     return _benchmark_runs({
         (method, seed): (method, seed, root / f"{method}_{seed}", {})
-        for method in ("eeipu", "ei")
+        for method in PAIRED_METHODS
         for seed in SEEDS
     })
 

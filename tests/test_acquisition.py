@@ -29,6 +29,7 @@ from pipetune.acquisition import (
 )
 from pipetune.errors import InvalidArgumentError, NumericalFailureError
 from pipetune.gp import KernelParams, build_model, posterior_mean_var
+from pipetune.optimizer import RunConfig, init_state, step
 from pipetune.pipeline import synthetic_suite
 
 from conftest import antithetic_normals, rng_table
@@ -364,7 +365,7 @@ def _one_segment_model(mu, sigma):
 _FAR = np.array([[1.0e3]])
 
 
-# Story: for one log-normal segment (eips, carbo) E[1/C] has the closed
+# Story: for one log-normal segment (carbo) E[1/C] has the closed
 # form exp(-mu + sigma^2 / 2). Fed the antithetic draws, the estimator the
 # scorer runs lands within 4 standard errors of it from sigma 0.1 to 2; a
 # pair's mean is one independent sample, so the error is taken over pairs.
@@ -477,7 +478,7 @@ def _flat_world(n=5):
 
 def _score(method, eta, n_mc=50):
     space, xs, objective, stages, total = _flat_world()
-    costs = {"eeipu": stages, "carbo": total, "eips": total, "ei": ()}[method]
+    costs = {"eeipu": stages, "carbo": total, "ei": ()}[method]
     rngs = rng_table([np.random.default_rng([5, k]) for k in range(len(costs))])
     deltas = np.array([0, 1, 2, 0, 1])
     return score_candidates(
@@ -542,35 +543,44 @@ def test_eeipu_score_algebra_and_endpoints():
     assert np.allclose(_score("eeipu", 0.5), ei * np.sqrt(inv), rtol=1e-15, atol=0.0)
 
 
-# Story: eips is carbo with the exponent held at 1; at eta=0 carbo is
-# plain EI.
-def test_eips_and_carbo_scores():
-    assert np.array_equal(_score("eips", 1.0), _score("carbo", 1.0))
-    assert np.array_equal(_score("carbo", 0.0), _score("ei", 0.0))
-    assert not METHODS["eips"].cools and METHODS["carbo"].cools
+# Story: carbo at eta=1 is EI per unit cost (EIPS), EI times its one
+# total-cost model's E[1/C]; at eta=0 it is plain EI.
+def test_carbo_scores():
+    ei = _score("ei", 0.0)
+    assert np.array_equal(_score("carbo", 0.0), ei)
+    assert np.allclose(_score("carbo", 1.0), ei / 9.0, rtol=0.01, atol=0.0)
 
 
 # Story: at n_mc = 1 a row draws one normal and has no mirrored column;
 # every cost-aware method still scores each candidate.
-@pytest.mark.parametrize("method", ["eeipu", "eips", "carbo"])
+@pytest.mark.parametrize("method", ["eeipu", "carbo"])
 def test_score_candidates_with_one_cost_draw(method):
     scores = _score(method, 1.0, n_mc=1)
     assert scores.shape == (5,) and np.all(np.isfinite(scores)) and np.all(scores > 0.0)
 
 
 # Story: the table is the only place methods differ: which cost segments
-# they model and whether they cool; per-stage segments mean memo aware.
-def test_method_table():
-    assert list(METHODS) == ["eeipu", "ei", "eips", "carbo"]
+# they model; per-stage segments mean memo aware, and any segment means
+# cooled. No two rows are the same data, so a baseline cannot return under
+# a second name.
+def test_method_table(tmp_path):
+    assert list(METHODS) == ["eeipu", "ei", "carbo"]
+    assert len(set(METHODS.values())) == len(METHODS)
     segments = {m: METHODS[m].segments(3) for m in METHODS}
     assert [(s.first, s.last, s.index) for s in segments["eeipu"]] == [
         (1, 1, 0), (2, 2, 1), (3, 3, 2)
     ]
     assert [(s.first, s.last, s.index) for s in segments["carbo"]] == [(1, 3, 0)]
-    assert segments["eips"] == segments["carbo"]
     assert segments["ei"] == ()
     assert [m for m in METHODS if METHODS[m].memo_aware] == ["eeipu"]
-    assert [m for m in METHODS if METHODS[m].cools] == ["eeipu", "carbo"]
+    cooled = []
+    for m in METHODS:
+        cfg = RunConfig(method=m, n0=3, m=16, n_mc=30, restarts=2)
+        state = init_state(cfg, synthetic_suite("synth3"), tmp_path / m)
+        step(state)
+        if state.rows[-1].eta < 1.0:
+            cooled.append(m)
+    assert cooled == [m for m in METHODS if segments[m]] == ["eeipu", "carbo"]
 
 
 def _block_world(rows=6):
@@ -596,7 +606,7 @@ def _block_world(rows=6):
         [0, 2, 1, 3, 3, 3][:rows],
         [1, 0, 2, 0, 3, 0][:rows],
     ])
-    return space, xs, deltas, objective, {"eeipu": stages, "carbo": total, "eips": total, "ei": ()}
+    return space, xs, deltas, objective, {"eeipu": stages, "carbo": total, "ei": ()}
 
 
 # Story: a step scores its restarts' batches in one call, as equal blocks

@@ -18,6 +18,7 @@ from pipetune.cli import (
     write_curves_csv,
     write_summary_csv,
 )
+from pipetune.errors import InvalidArgumentError
 from pipetune.optimizer import RunConfig, RunTrace, TraceRow, read_trace
 
 
@@ -77,6 +78,24 @@ def test_summarize_matches_hand_computation():
     assert single.repeats == 1
     assert single.se_best == 0.0
     assert single.pct_improv_memo == 0.0
+
+
+# Story: one summary row averages the repeats of one config. Traces of one
+# (pipeline, method) whose configs differ in a key other than the seed
+# (EIPS and CArBO are both carbo, apart in eta_schedule) are refused,
+# naming every differing key, and a key one config lacks counts too.
+def test_summarize_refuses_mixed_configs_of_one_method():
+    rows = [_row(1, 0, 1.0, 1.0, 1.0)]
+    constant, budget = _trace("carbo", 0, rows), _trace("carbo", 1, rows)
+    constant.config.update(eta_schedule="constant", q=5)
+    budget.config.update(eta_schedule="budget", q=5)
+    with pytest.raises(InvalidArgumentError, match="toy differ in eta_schedule;"):
+        summarize([constant, budget])
+    del budget.config["q"]
+    with pytest.raises(InvalidArgumentError, match="differ in eta_schedule, q;"):
+        summarize([budget, constant])
+    budget.config.update(eta_schedule="constant", q=5)
+    assert summarize([constant, budget])[0].repeats == 2
 
 
 def test_improvement_flags_first_row_always_improves():
@@ -297,13 +316,17 @@ def test_bare_run_flags_build_the_default_config(tmp_path):
 # exit codes
 
 
+# Story: an unknown method, EIPS under its old name among them (it is
+# carbo under the constant schedule), exits 2 before any output is written.
 def test_unknown_method_is_usage_error(tmp_path, capsys):
-    code = main(
-        ["run", "--pipeline", "synth3", "--methods", "gradient",
-         "--out", str(tmp_path), *_TINY_FLAGS]
-    )
-    assert code == 2
-    assert "unknown method" in capsys.readouterr().err
+    for method in ("gradient", "eips"):
+        out = tmp_path / method
+        code = main(
+            ["run", "--pipeline", "synth3", "--methods", method, "--out", str(out), *_TINY_FLAGS]
+        )
+        assert code == 2
+        assert "unknown method" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # Story: --budget takes 'auto' or a finite number; anything else is a usage
@@ -542,6 +565,27 @@ def test_report_on_malformed_trace_exits_1(tmp_path, capsys):
     (tmp_path / "broken.csv").write_text("not,a,trace\n1,2,3\n")
     assert main(["report", str(tmp_path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Story: a directory holding an EIPS trace (carbo, constant schedule) and
+# a CArBO trace (carbo, budget schedule) would average two configs into one
+# carbo row; report refuses it with exit 2 and writes no summary.
+def test_report_on_mixed_configs_exits_2(tmp_path, capsys):
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    for seed, schedule in ((0, "constant"), (1, "budget")):
+        out = tmp_path / schedule
+        code = main(
+            ["run", "--pipeline", "synth3", "--methods", "carbo", "--seed", str(seed),
+             "--eta-schedule", schedule, "--out", str(out), *_TINY_FLAGS]
+        )
+        assert code == 0
+        for name in (f"synth3_carbo_s{seed}.csv", f"synth3_carbo_s{seed}.json"):
+            (mixed / name).write_bytes((out / name).read_bytes())
+    capsys.readouterr()
+    assert main(["report", str(mixed)]) == 2
+    assert "carbo traces of synth3 differ in eta_schedule" in capsys.readouterr().err
+    assert not (mixed / "summary.csv").exists() and not (mixed / "curves.csv").exists()
 
 
 def test_report_on_empty_dir_exits_2(tmp_path, capsys):

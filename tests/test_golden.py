@@ -13,10 +13,12 @@ A change that alters traces on purpose regenerates all 15 goldens with
     PYTHONPATH=src python tests/test_golden.py
 
 and says why in CHANGES.md. Before it overwrites any file, the script
-prints for each golden the CSV columns that changed, with the largest
-relative change in each, and whether the sidecar changed, so a
-regeneration that moves only the scores reads as such, at the acceptance
-config too.
+prints for each golden its old and new row counts, the first iteration
+whose x cells differ, the CSV columns that changed over the rows both
+traces have, with the largest relative change in each, and whether the
+sidecar changed, so a regeneration that moves only the scores reads as
+such, at the acceptance config too. It deletes any file of tests/golden/
+that it no longer writes, so tests/golden/ holds only compared files.
 """
 
 import csv
@@ -32,7 +34,7 @@ import scipy
 from pipetune.optimizer import RunConfig, run, write_trace
 from pipetune.pipeline import synthetic_suite
 
-from conftest import paired_runs
+from conftest import PAIRED_METHODS, SEEDS, paired_runs
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -42,8 +44,8 @@ CONFIG = dict(seed=9, n0=3, m=16, n_mc=30, restarts=2, total_budget=150.0)
 GOLDENS = {
     "eeipu": dict(method="eeipu"),
     "ei": dict(method="ei"),
-    "eips": dict(method="eips"),
     "carbo": dict(method="carbo"),
+    "carbo_constant": dict(method="carbo", eta_schedule="constant"),
     "eeipu_exp_decay": dict(method="eeipu", eta_schedule="exp_decay"),
 }
 
@@ -96,14 +98,40 @@ def assert_matches_goldens(paths: list[Path]) -> None:
     )
 
 
+def golden_files(stems) -> set[str]:
+    """The file names of tests/golden/: each stem's CSV and sidecar, and
+    ENV.json."""
+    return {f"{stem}{ext}" for stem in stems for ext in (".csv", ".json")} | {"ENV.json"}
+
+
+def _csv_rows(path: Path) -> list[list[str]]:
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def row_changes(old: Path, new: Path) -> str:
+    """Both traces' row counts, and the ``iter`` of the first row, among
+    the rows both have, whose x cells (the trailing ``x_*`` columns)
+    differ, or ``none``."""
+    rows_old, rows_new = _csv_rows(old), _csv_rows(new)
+    x_old, x_new = (
+        next(i for i, column in enumerate(rows[0]) if column.startswith("x_"))
+        for rows in (rows_old, rows_new)
+    )
+    first = next(
+        (a[0] for a, b in zip(rows_old[1:], rows_new[1:]) if a[x_old:] != b[x_new:]), "none"
+    )
+    return f"rows {len(rows_old) - 1} -> {len(rows_new) - 1}, first x change at iter {first}"
+
+
 def column_changes(old: Path, new: Path) -> dict[str, float]:
-    """{column: largest relative change} over the cells of two trace CSVs
-    that differ; nan for a column whose cells are not both numbers, and
-    for every column when the headers or row counts differ."""
-    with open(old, newline="") as f_old, open(new, newline="") as f_new:
-        rows_old, rows_new = list(csv.reader(f_old)), list(csv.reader(f_new))
+    """{column: largest relative change} over the differing cells of the
+    rows two trace CSVs both have, counted from the first; nan for a column
+    whose cells are not both numbers, and for every column when the
+    headers differ."""
+    rows_old, rows_new = _csv_rows(old), _csv_rows(new)
     header = rows_old[0]
-    if rows_new[0] != header or len(rows_new) != len(rows_old):
+    if rows_new[0] != header:
         return dict.fromkeys(dict.fromkeys(header + rows_new[0]), float("nan"))
     changes: dict[str, float] = {}
     for row_old, row_new in zip(rows_old[1:], rows_new[1:]):
@@ -130,8 +158,27 @@ def test_column_changes_reports_changed_columns_only(tmp_path):
     assert changes["score"] == pytest.approx(5e-7)
     assert np.isnan(changes["delta"])
     assert column_changes(old, old) == {}
-    new.write_text("iter,delta,score\n1,0,2.0\n")
-    assert all(np.isnan(v) for v in column_changes(old, new).values())
+    new.write_text("iter,delta,score\n1,0,2.5\n")
+    assert column_changes(old, new) == {"score": pytest.approx(0.2)}
+
+
+# Story: a regeneration that changes a trace's length still reads: the
+# report gives both row counts and the first iteration whose chosen x
+# moved, among the rows both traces have.
+def test_row_changes_reports_counts_and_first_moved_x(tmp_path):
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("iter,score,x_1,x_2\n1,2.0,0.5,0.5\n2,4.0,0.1,0.2\n3,1.0,0.3,0.3\n")
+    new.write_text("iter,score,x_1,x_2\n1,2.5,0.5,0.5\n2,4.0,0.1,0.9\n")
+    assert row_changes(old, new) == "rows 3 -> 2, first x change at iter 2"
+    assert row_changes(old, old) == "rows 3 -> 3, first x change at iter none"
+
+
+# Story: tests/golden/ holds exactly the files the golden tests compare,
+# so a golden that no test reads cannot linger after a rename.
+def test_golden_dir_holds_only_compared_files():
+    paired = [f"paired_{method}_{seed}" for method in PAIRED_METHODS for seed in SEEDS]
+    names = {p.name for p in GOLDEN_DIR.iterdir()}
+    assert names == golden_files([*GOLDENS, *paired])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
@@ -163,7 +210,11 @@ if __name__ == "__main__":
             sidecar = path.with_suffix(".json")
             if sidecar.read_bytes() != (GOLDEN_DIR / sidecar.name).read_bytes():
                 listed.append("sidecar")
-            print(f"{path.name}: {', '.join(listed) or 'unchanged'}")
+            print(f"{path.name}: {row_changes(golden, path)}; {', '.join(listed) or 'unchanged'}")
+        written = golden_files(path.stem for path in paths)
+        for stale in sorted(p for p in GOLDEN_DIR.iterdir() if p.name not in written):
+            print(f"{stale.name}: deleted")
+            stale.unlink()
         for path in paths:
             for file in (path, path.with_suffix(".json")):
                 shutil.copyfile(file, GOLDEN_DIR / file.name)

@@ -166,7 +166,7 @@ def test_derived_seeds_refuse_negative_values(values):
 def test_warmup_identical_across_methods(tmp_path):
     pipe = synthetic_suite("synth3")
     xs = {}
-    for method in ("eeipu", "ei", "eips", "carbo"):
+    for method in ("eeipu", "ei", "carbo"):
         state = init_state(_tiny_cfg(method), pipe, tmp_path / method)
         xs[method] = np.array([r.x for r in state.rows])
     base = xs["eeipu"]
@@ -208,7 +208,7 @@ def test_pool_capacity_by_method(tmp_path):
     eeipu = init_state(_tiny_cfg("eeipu", q=4), pipe, tmp_path / "a")
     assert eeipu.pool.capacity == 4
     assert 0 < len(eeipu.pool.sources) <= 4
-    for method in ("ei", "eips", "carbo"):
+    for method in ("ei", "carbo"):
         state = init_state(_tiny_cfg(method, q=4), pipe, tmp_path / method)
         assert state.pool.capacity == 0
         assert len(state.pool.sources) == 0
@@ -238,7 +238,7 @@ def test_m_below_reachable_groups_is_refused(tmp_path, monkeypatch):
 # a cache index.
 def test_only_pool_methods_write_blobs(tmp_path):
     pipe = synthetic_suite("synth3")
-    for method in ("eeipu", "ei", "eips", "carbo"):
+    for method in ("eeipu", "ei", "carbo"):
         root = tmp_path / method
         run(_tiny_cfg(method, total_budget=150.0), pipe, cache_root=root)
         assert bool(list(root.rglob("*.bin"))) == (method == "eeipu"), method
@@ -484,29 +484,31 @@ def test_fit_failure_fallback(tmp_path, monkeypatch):
 
 # Story: with one pipeline stage there is nothing to memoize, and the
 # cost-cooled score at eta=1 degenerates to EI-per-unit-cost: the memoizing
-# method and the single-cost-model baseline must pick identical points.
-def test_single_stage_eeipu_equals_eips(tmp_path):
+# method and the single-cost-model baseline, carbo under the constant
+# schedule, must pick identical points.
+def test_single_stage_eeipu_equals_carbo(tmp_path):
     pipe = _one_stage_pipeline()
     kw = dict(n0=3, m=16, n_mc=30, restarts=2, total_budget=40.0, eta_schedule="constant")
     a = run(RunConfig(method="eeipu", seed=7, **kw), pipe, cache_root=tmp_path / "a")
-    b = run(RunConfig(method="eips", seed=7, **kw), pipe, cache_root=tmp_path / "b")
+    b = run(RunConfig(method="carbo", seed=7, **kw), pipe, cache_root=tmp_path / "b")
     assert len(a.rows) == len(b.rows)
     for ra, rb in zip(a.rows, b.rows):
         assert ra.x == rb.x
         assert ra.y == rb.y
 
 
-# Story: eips is carbo with the exponent held at 1, so it retraces carbo
-# under the constant schedule, and its trace records eta=1 whatever the
-# schedule.
-def test_eips_is_carbo_without_cooling(tmp_path):
+# Story: eta is cooled only for a method with cost segments, so ei's trace
+# records eta=1 and is the same trace under every schedule, while carbo
+# under the budget schedule cools below 1 from its first step on.
+def test_only_methods_with_cost_segments_cool(tmp_path):
     pipe = synthetic_suite("synth3")
     kw = dict(total_budget=150.0)
-    carbo = run(_tiny_cfg("carbo", eta_schedule="constant", **kw), pipe, cache_root=tmp_path / "c")
-    assert len(carbo.post_warmup_rows()) >= 3
+    ei = run(_tiny_cfg("ei", eta_schedule="constant", **kw), pipe, cache_root=tmp_path / "c")
+    assert len(ei.post_warmup_rows()) >= 3 and all(r.eta == 1.0 for r in ei.rows)
     for schedule in ("budget", "exp_decay"):
-        eips = run(_tiny_cfg("eips", eta_schedule=schedule, **kw), pipe, cache_root=tmp_path / schedule)
-        assert eips.rows == carbo.rows
+        cfg = _tiny_cfg("ei", eta_schedule=schedule, **kw)
+        other = run(cfg, pipe, cache_root=tmp_path / schedule)
+        assert other.rows == ei.rows
     cooled = run(_tiny_cfg("carbo", **kw), pipe, cache_root=tmp_path / "b")
     assert all(r.eta < 1.0 for r in cooled.post_warmup_rows())
 
@@ -604,7 +606,7 @@ def test_score_candidates_ei_is_cost_blind():
 # table, whose length is the number of cost models drawn from. A change to
 # this layout fails here rather than in a traced benchmark run.
 @pytest.mark.parametrize(
-    "method, n_segments", [("eeipu", 3), ("eips", 1), ("carbo", 1), ("ei", 0)]
+    "method, n_segments", [("eeipu", 3), ("carbo", 1), ("ei", 0)]
 )
 def test_step_scores_once_in_the_traced_layout(tmp_path, monkeypatch, method, n_segments):
     state = init_state(
