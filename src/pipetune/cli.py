@@ -148,21 +148,19 @@ def write_curves_csv(traces: list[RunTrace], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def print_summary(rows: list[SummaryRow], stream=None) -> None:
-    stream = stream or sys.stdout
+def print_summary(rows: list[SummaryRow]) -> None:
     header = (
         f"{'pipeline':<10} {'method':<7} {'T':>3} {'best (mean ± se)':>24} "
         f"{'iters':>7} {'consumed':>10} {'% improv w/ memo':>17}"
     )
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
+    print(header)
+    print("-" * len(header))
     for r in rows:
         best = f"{r.mean_best:.4f} ± {r.se_best:.4f}"
         print(
             f"{r.pipeline:<10} {r.method:<7} {r.repeats:>3} {best:>24} "
             f"{r.mean_iterations:>7.1f} {r.mean_consumed:>10.2f} "
-            f"{r.pct_improv_memo:>16.1f}%",
-            file=stream,
+            f"{r.pct_improv_memo:>16.1f}%"
         )
 
 
@@ -196,7 +194,7 @@ def _load_pipeline(name: str | None, file: str | None) -> PipelineSpec:
     if name in SYNTHETIC_SUITES:
         return synthetic_suite(name)
     raise InvalidArgumentError(
-        f"unknown pipeline {name!r}; use one of {SYNTHETIC_SUITES} or --pipeline-file"
+        f"unknown pipeline {name!r}; use one of {tuple(SYNTHETIC_SUITES)} or --pipeline-file"
     )
 
 

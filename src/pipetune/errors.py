@@ -32,8 +32,8 @@ class NumericalFailureError(PipetuneError, ArithmeticError):
 class StorageError(PipetuneError, RuntimeError):
     """Cache storage I/O failed.  Carries the offending path."""
 
-    def __init__(self, message: str, path: str | None = None):
-        super().__init__(message if path is None else f"{message}: {path}")
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{message}: {path}")
         self.path = path
 
 

@@ -29,6 +29,8 @@ _JITTER_MAX = 1e-2
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+_MAX_ROUNDS = 10  # of the coordinate-wise ascent in ``fit``
+
 # The corner of the bordered covariance in _lml_values: far above any
 # z' (K + noise I)^-1 z, which noise >= 1e-6 keeps below 1e6 n.
 _BORDER = 1e30
@@ -286,13 +288,7 @@ def log_prior(
     return total
 
 
-def fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    restarts: int = 3,
-    max_rounds: int = 10,
-) -> GPModel:
+def fit(x: np.ndarray, y: np.ndarray, seed: int, restarts: int = 3) -> GPModel:
     """Fit kernel hyperparameters by maximizing the penalized log marginal
     likelihood (MAP under the weak Gamma hyperpriors above).
 
@@ -300,7 +296,8 @@ def fit(
     space: gradient-free, bounded, and deterministic for a given seed. Each
     restart steps every coordinate up and down by its step size, keeps a
     trial that beats its own current value by more than 1e-12, and halves
-    the step after a round without improvement, stopping below 0.05.
+    the step after a round without improvement, stopping below 0.05 or
+    after 10 rounds.
 
     The restarts are independent ascents advanced in lockstep: at each
     (round, coordinate) the up and down trials of every restart still
@@ -308,10 +305,11 @@ def fit(
     where a restart's up trial wins, its down trial from the new point in a
     second, retry batch. The ascent's state is plain Python: per restart,
     a point (a tuple of log parameters, clipped in the one coordinate a
-    trial moves), a value and a step size, in lists. Each restart caches its
-    values by point, because the ascent often returns to a point it has
-    scored; ``log_prior`` runs once per distinct point, and numpy sees only
-    the block of new points, exponentiated and scored by ``_lml_values``.
+    trial moves), a value and a step size, in lists. One cache keyed by the
+    point serves every restart, as a value depends on the point alone (see
+    ``_lml_values``) and the ascent often returns to a point; ``log_prior``
+    runs once per distinct point, and numpy sees only the block of new
+    points, exponentiated and scored by ``_lml_values``.
     The result is the one the restarts would reach one after another: the
     best final value wins, ties going to the earlier start.
 
@@ -348,25 +346,25 @@ def fit(
         jiggle = rng.uniform(-1.5, 1.5, size=dim + 2)
         starts.append(np.clip(base + jiggle, lo, hi))
 
-    seen: list[dict[tuple[float, ...], float]] = [{} for _ in starts]
+    seen: dict[tuple[float, ...], float] = {}
 
-    def objective(rows: list[int], log_thetas: list[tuple[float, ...]]) -> list[float]:
-        """Penalized LML of restart ``rows[i]`` at ``log_thetas[i]``."""
-        fresh = [i for i, (r, t) in enumerate(zip(rows, log_thetas)) if t not in seen[r]]
+    def objective(log_thetas: list[tuple[float, ...]]) -> list[float]:
+        """Penalized LML at each point, scoring the ones not seen yet."""
+        fresh = list(dict.fromkeys(t for t in log_thetas if t not in seen))
         if fresh:
-            theta = np.exp([log_thetas[i] for i in fresh])
+            theta = np.exp(fresh)
             lmls = _lml_values(x, z, theta[:, :dim], theta[:, dim], theta[:, dim + 1])
-            for i, (*ls, scale, noise), lml in zip(fresh, theta.tolist(), lmls.tolist()):
+            for t, (*ls, scale, noise), lml in zip(fresh, theta.tolist(), lmls.tolist()):
                 # a module global, so that a wrapper installed on it sees every call
-                seen[rows[i]][log_thetas[i]] = lml + log_prior(ls, scale, noise)
-        return [seen[r][t] for r, t in zip(rows, log_thetas)]
+                seen[t] = lml + log_prior(ls, scale, noise)
+        return [seen[t] for t in log_thetas]
 
     thetas = [tuple(start.tolist()) for start in starts]
     active = list(range(len(starts)))
-    vals = objective(active, thetas)
+    vals = objective(thetas)
     steps = [1.0] * len(starts)
     lo, hi = lo.tolist(), hi.tolist()
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         improved = set()
         for coord in range(dim + 2):
             # every running restart's up and down trials as one batch; where
@@ -382,7 +380,7 @@ def fit(
                     for t, d in zip([thetas[r] for r in rows], deltas)
                 ]
                 moved = {}  # restart: the index of its winning trial
-                for i, (r, trial, value) in enumerate(zip(rows, trials, objective(rows, trials))):
+                for i, (r, trial, value) in enumerate(zip(rows, trials, objective(trials))):
                     # up trials come first: a restart an up trial moved drops its down trial
                     if r not in moved and value > vals[r] + 1e-12:
                         thetas[r], vals[r], moved[r] = trial, value, i

@@ -26,7 +26,7 @@ import numpy as np
 from . import gp
 from .acquisition import ETA_SCHEDULES, METHODS, ModelSet, cooling_eta, score_candidates
 from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, update_pool
-from .candidates import SearchSpace, generate, scrambled_halton
+from .candidates import generate, scrambled_halton
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -44,7 +44,6 @@ _TAG_WARMUP = 101
 _TAG_FIT = 102
 _TAG_CAND = 103
 _TAG_MC = 104
-_TAG_TIE = 105
 
 # model index used in fit-seed derivation for the objective model; cost
 # models use their segment's index (first stage - 1), so a 1-stage
@@ -165,7 +164,6 @@ class OptState:
 
     config: RunConfig
     pipeline: PipelineSpec
-    space: SearchSpace
     store: StageOutputStore
     pool: PrefixPool
     total_budget: float
@@ -185,19 +183,20 @@ def _fit_models(state: OptState, iteration: int) -> ModelSet:
     the trace rows that executed every stage of the segment."""
     cfg = state.config
     rows = state.rows
-    xn = state.space.normalize(np.array([r.x for r in rows]))
+    space = state.pipeline.search_space()
+    xn = space.normalize(np.array([r.x for r in rows]))
     y = np.array([r.y for r in rows])
 
     objective = gp.fit(
         xn, y, derived_int(cfg.seed, _TAG_FIT, iteration, _OBJECTIVE_MODEL_INDEX)
     )
     costs = []
-    for seg in METHODS[cfg.method].segments(state.space.n_stages):
+    for seg in METHODS[cfg.method].segments(space.n_stages):
         executed = [i for i, r in enumerate(rows) if r.delta < seg.first]
         # math.log per row, as np.log may round differently
         log_costs = [math.log(seg.cost(rows[i].stage_costs)) for i in executed]
         seed = derived_int(cfg.seed, _TAG_FIT, iteration, seg.index)
-        costs.append(gp.fit(xn[executed, seg.columns(state.space)], log_costs, seed))
+        costs.append(gp.fit(xn[executed, seg.columns(space)], log_costs, seed))
     return ModelSet(objective=objective, costs=tuple(costs))
 
 
@@ -228,7 +227,6 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
     state = OptState(
         config=config,
         pipeline=pipeline,
-        space=space,
         store=StageOutputStore(cache_root),
         pool=pool,
         total_budget=0.0,  # resolved after warmup
@@ -275,10 +273,13 @@ def _evaluate(state: OptState, x: np.ndarray, score: float, eta: float) -> Obser
 
 
 def step(state: OptState) -> Observation:
-    """One model-guided iteration: fit, generate, score, evaluate, update."""
+    """One model-guided iteration: fit, generate, score, evaluate, update;
+    the first candidate of top score runs. With every score 0 that is row 0
+    of restart 0's batch, a uniform draw with nothing memoized."""
     cfg = state.config
+    space = state.pipeline.search_space()
     iteration = len(state.rows) + 1
-    segments = METHODS[cfg.method].segments(state.space.n_stages)
+    segments = METHODS[cfg.method].segments(space.n_stages)
 
     # the trace records the exponent applied, which stays 1 without cost segments
     eta = state.rows[-1].eta
@@ -298,7 +299,7 @@ def step(state: OptState) -> Observation:
 
     f_best = state.rows[-1].best_y  # the best y observed so far
     batches = [
-        generate(state.pool, state.space, cfg.m, derived_rng(cfg.seed, _TAG_CAND, iteration, r))
+        generate(state.pool, space, cfg.m, derived_rng(cfg.seed, _TAG_CAND, iteration, r))
         for r in range(cfg.restarts)
     ]
     xs, deltas = (np.concatenate(parts) for parts in zip(*batches))
@@ -307,14 +308,10 @@ def step(state: OptState) -> Observation:
     for s, r in np.ndindex(mc_rngs.shape):
         mc_rngs[s, r] = derived_rng(cfg.seed, _TAG_MC, iteration, segments[s].index, r)
     scores = score_candidates(
-        cfg.method, state.models, state.space, xs, deltas, f_best, eta,
+        cfg.method, state.models, space, xs, deltas, f_best, eta,
         cfg.epsilon, cfg.n_mc, mc_rngs,
     )
-    if np.all(scores == 0.0):
-        # nothing promising anywhere; explore uniformly at random
-        chosen = int(derived_rng(cfg.seed, _TAG_TIE, iteration).integers(len(xs)))
-    else:
-        chosen = int(np.argmax(scores))
+    chosen = int(np.argmax(scores))
     return _evaluate(state, xs[chosen], float(scores[chosen]), eta)
 
 

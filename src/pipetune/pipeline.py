@@ -37,8 +37,6 @@ from .floats import is_integer, is_real, ordered_sum
 
 logger = logging.getLogger("pipetune.pipeline")
 
-SYNTHETIC_SUITES = ("synth3", "synth5", "synth10")
-
 # objective noise: y = f(x) + N(0, 1e-6), keyed by x for reproducibility
 NOISE_STD = 1e-3
 
@@ -154,15 +152,14 @@ def default_stage_cost(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One pipeline stage: a synthetic (objective_fn, cost_fn) pair or an
-    external command template with {x1}..{xn}, {input}, {output} slots."""
+    """One pipeline stage, given as exactly one of a synthetic
+    ``objective_fn`` (costed by ``default_stage_cost``) and an external
+    ``command`` template with {x1}..{xn}, {input}, {output} slots."""
 
     name: str
     dim: int
     bounds: tuple[tuple[float, float], ...]
-    kind: str = "synthetic"
     objective_fn: Optional[Callable[[np.ndarray], float]] = None
-    cost_fn: Optional[Callable[[np.ndarray], float]] = None
     command: Optional[str] = None
     timeout: float = 300.0
 
@@ -175,14 +172,14 @@ class StageSpec:
             raise InvalidArgumentError(f"require finite lo < hi per bound, got {self.bounds!r}")
         if not (is_real(self.timeout) and 0.0 < self.timeout < math.inf):
             raise InvalidArgumentError(f"timeout must be finite seconds > 0, got {self.timeout!r}")
-        if self.kind == "synthetic":
-            if self.objective_fn is None or self.cost_fn is None:
-                raise InvalidArgumentError("synthetic stage needs objective and cost")
-        elif self.kind == "external":
-            if not (isinstance(self.command, str) and self.command.strip()):
-                raise InvalidArgumentError(f"stage needs a command string, got {self.command!r}")
-        else:
-            raise InvalidArgumentError(f"unknown stage kind: {self.kind!r}")
+        if (self.objective_fn is None) == (self.command is None):
+            raise InvalidArgumentError("a stage needs exactly one of objective_fn and command")
+        if not (self.command is None or isinstance(self.command, str) and self.command.strip()):
+            raise InvalidArgumentError(f"stage needs a command string, got {self.command!r}")
+
+    @property
+    def kind(self) -> str:
+        return "external" if self.objective_fn is None else "synthetic"
 
 
 @dataclass(frozen=True)
@@ -273,14 +270,14 @@ def _run_stage(
     'objective=<float>' line that the last stage must print.
 
     A synthetic stage's payload is the running objective sum, packed, which
-    it also prints; its cost is its cost function. An external stage runs in
-    a fresh working directory of its own, so it sees nothing of the stages
-    before it but the payload at {input}; it leaves its output at {output}
-    (its stdout when it writes none), and its cost is its wall time.
+    it also prints; its cost is ``default_stage_cost``. An external stage
+    runs in a fresh working directory of its own, so it sees nothing of the
+    stages before it but the payload at {input}; it leaves its output at
+    {output} (its stdout when it writes none), and its cost is its wall time.
     """
     if stage.kind == "synthetic":
         carry = (_PARTIAL.unpack(payload)[0] if payload else 0.0) + stage.objective_fn(stage_x)
-        return _PARTIAL.pack(carry), stage.cost_fn(stage_x), f"objective={float(carry)!r}"
+        return _PARTIAL.pack(carry), default_stage_cost(stage_x), f"objective={float(carry)!r}"
     with tempfile.TemporaryDirectory(prefix="pipetune_stage_") as tmp:
         workdir = Path(tmp)
         input_path = workdir / f"stage_{stage_index}_input"
@@ -401,32 +398,25 @@ def run(
 
 _SUITE_ORDER = ("branin2", "hartmann3", "beale2", "ackley3", "michalewicz2")
 
+SYNTHETIC_SUITES = {
+    "synth3": ("branin2", "hartmann3", "michalewicz2"),
+    "synth5": _SUITE_ORDER,
+    "synth10": _SUITE_ORDER * 2,
+}
+
 
 def _benchmark_stage(name: str, bench: BenchmarkFunction) -> StageSpec:
-    return StageSpec(
-        name=name,
-        dim=bench.dim,
-        bounds=bench.bounds,
-        kind="synthetic",
-        objective_fn=bench.stage_objective,
-        cost_fn=default_stage_cost,
-    )
+    return StageSpec(name, bench.dim, bench.bounds, objective_fn=bench.stage_objective)
 
 
 def synthetic_suite(name: str) -> PipelineSpec:
     """The 3-, 5-, and 10-stage synthetic benchmark pipelines (benchmark
     functions cycled in a fixed order, every stage using the default cost)."""
-    if name == "synth3":
-        picks = ("branin2", "hartmann3", "michalewicz2")
-    elif name == "synth5":
-        picks = _SUITE_ORDER
-    elif name == "synth10":
-        picks = _SUITE_ORDER * 2
-    else:
+    if name not in SYNTHETIC_SUITES:
         raise InvalidArgumentError(f"unknown synthetic suite: {name!r}")
     stages = tuple(
         _benchmark_stage(f"s{k}_{bench_name}", BENCHMARKS[bench_name])
-        for k, bench_name in enumerate(picks, start=1)
+        for k, bench_name in enumerate(SYNTHETIC_SUITES[name], start=1)
     )
     return PipelineSpec(name=name, stages=stages)
 
@@ -439,6 +429,8 @@ def _file_stage(k: int, item: dict) -> StageSpec:
         if bench is None:
             raise InvalidArgumentError(f"unknown benchmark {item.get('function')!r}")
         return _benchmark_stage(item.get("name", f"s{k}_{bench.name}"), bench)
+    if kind != "external":
+        raise InvalidArgumentError(f"unknown stage kind: {kind!r}")
     bounds = [(lo, hi) for lo, hi in item["bounds"]]
     if not all(is_real(bound) for pair in bounds for bound in pair):
         raise InvalidArgumentError(f"bounds must be pairs of numbers, got {item['bounds']!r}")
@@ -446,7 +438,6 @@ def _file_stage(k: int, item: dict) -> StageSpec:
         name=item.get("name", f"s{k}"),
         dim=item["dim"],
         bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
-        kind=kind,
         command=item["command"],
         timeout=item.get("timeout", 300.0),
     )

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import pipetune.optimizer as optimizer
 from pipetune.acquisition import ModelSet, score_candidates
 from pipetune.cache import PREFIX_POLICIES, StageOutputStore
+from pipetune.candidates import generate
 from pipetune.errors import (
     InvalidArgumentError,
     NumericalFailureError,
@@ -43,7 +44,6 @@ from pipetune.pipeline import (
     Observation,
     PipelineSpec,
     StageSpec,
-    default_stage_cost,
     synthetic_suite,
 )
 
@@ -62,9 +62,7 @@ def _one_stage_pipeline():
         name="only_branin",
         dim=2,
         bounds=b.bounds,
-        kind="synthetic",
         objective_fn=b.stage_objective,
-        cost_fn=default_stage_cost,
     )
     return PipelineSpec(name="mono", stages=(stage,))
 
@@ -624,6 +622,27 @@ def test_step_scores_once_in_the_traced_layout(tmp_path, monkeypatch, method, n_
     (args,) = calls
     assert len(args[3]) == 2 * 16 and args[8] == 30
     assert len(args[9]) == n_segments and args[9].shape == (n_segments, 2)
+
+
+# Story: where every candidate scores 0 the step evaluates row 0 of the
+# first restart's batch, a uniform draw with nothing memoized, so it still
+# explores at random, from the candidate stream alone: no other draw
+# picks the row.
+def test_all_zero_scores_pick_row_0_of_the_first_batch(tmp_path, monkeypatch):
+    pipe = synthetic_suite("synth3")
+    state = init_state(_tiny_cfg(), pipe, tmp_path)
+    cfg, iteration = state.config, len(state.rows) + 1
+    rng = derived_rng(cfg.seed, optimizer._TAG_CAND, iteration, 0)
+    xs, deltas = generate(state.pool, pipe.search_space(), cfg.m, rng)
+    assert deltas[0] == 0 and deltas.max() > 0  # the batch reuses prefixes too
+
+    def zeros(method, models, space, candidates, *rest):
+        return np.zeros(len(candidates))
+
+    monkeypatch.setattr(optimizer, "score_candidates", zeros)
+    obs = step(state)
+    assert obs.x == tuple(xs[0].tolist()) and obs.memo_delta == 0
+    assert state.rows[-1].score == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,29 @@ def test_spec_validation():
     with pytest.raises(InvalidArgumentError):
         StageSpec(name="s", dim=0, bounds=())
     with pytest.raises(InvalidArgumentError):
-        StageSpec(name="s", dim=1, bounds=((1.0, 0.0),), kind="synthetic")
+        StageSpec(name="s", dim=1, bounds=((1.0, 0.0),), objective_fn=abs)
     with pytest.raises(InvalidArgumentError):
-        StageSpec(name="s", dim=1, bounds=((0.0, 1.0),), kind="synthetic")
-    with pytest.raises(InvalidArgumentError):
-        StageSpec(name="s", dim=1, bounds=((0.0, 1.0),), kind="external", command="")
+        StageSpec(name="s", dim=1, bounds=((0.0, 1.0),), command="")
     with pytest.raises(InvalidArgumentError):
         PipelineSpec(name="p", stages=())
+
+
+# Story: a stage is its objective function or its command, never both and
+# never neither: the one given decides its kind, so nothing given is
+# silently ignored.
+@pytest.mark.parametrize(
+    "given",
+    [{}, {"objective_fn": abs, "command": "true"}],
+    ids=["neither", "both"],
+)
+def test_stage_needs_exactly_one_of_function_and_command(given):
+    with pytest.raises(InvalidArgumentError, match="exactly one of objective_fn and command"):
+        StageSpec(name="s", dim=1, bounds=((0.0, 1.0),), **given)
+    kinds = [
+        StageSpec(name="s", dim=1, bounds=((0.0, 1.0),), **only).kind
+        for only in ({"objective_fn": abs}, {"command": "true"})
+    ]
+    assert kinds == ["synthetic", "external"]
 
 
 # Story: a spec builds its search space once and every caller shares it, so
@@ -443,14 +459,12 @@ def _external_pipeline(tmp_path, final_cmd=None):
             name="double",
             dim=1,
             bounds=((0.0, 10.0),),
-            kind="external",
             command=f"{PY} {s1} {{x1}} {{output}}",
         ),
         StageSpec(
             name="add",
             dim=1,
             bounds=((0.0, 10.0),),
-            kind="external",
             command=final_cmd or f"{PY} {s2} {{x1}} {{input}}",
         ),
     )
@@ -502,7 +516,7 @@ def test_memoized_external_run_matches_fresh(tmp_path):
         "print(f'objective={float(side)}')\n"
     )
     stages = tuple(
-        StageSpec(name=f"s{k}", dim=1, bounds=((0.0, 1.0),), kind="external", command=cmd)
+        StageSpec(name=f"s{k}", dim=1, bounds=((0.0, 1.0),), command=cmd)
         for k, cmd in ((1, f"{PY} {s1} {{output}}"), (2, f"{PY} {s2}"))
     )
     pipe = PipelineSpec(name="side", stages=stages, noise_std=0.0)
@@ -549,7 +563,6 @@ def test_external_timeout(tmp_path):
             name="slow",
             dim=1,
             bounds=((0.0, 1.0),),
-            kind="external",
             command=slow,
             timeout=1.0,
         ),
@@ -577,7 +590,6 @@ def test_external_timeout_kills_the_stage_process_group(tmp_path):
             name="spawner",
             dim=1,
             bounds=((0.0, 1.0),),
-            kind="external",
             command=f"{PY} {script}",
             timeout=1.0,
         ),
