@@ -276,6 +276,13 @@ def cmd_ablate(args) -> int:
     for level in levels:
         level_dir = out_dir / f"{args.kind}_{level}"
         level_jobs.append((level, level_dir, _build_jobs(args, level_dir, {field_name: level})))
+    if args.kind == "eta":
+        for config, _, _ in level_jobs[0][2]:
+            if METHODS[config.method].cost_segments == "none":
+                raise InvalidArgumentError(
+                    f"ablate eta cools the cost term, which the cost-blind method "
+                    f"{config.method!r} does not have: every level would run one trace"
+                )
 
     level_rows: list[tuple[str, list[SummaryRow]]] = []
     for level, level_dir, jobs in level_jobs:

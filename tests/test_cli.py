@@ -282,6 +282,20 @@ def test_ablate_eta_writes_level_dirs(tmp_path, capsys):
     assert "---" in capsys.readouterr().out
 
 
+# Story: eta cools only the cost term, so a cost-blind method would run one
+# trace at every level of the eta sweep. ablate eta refuses it as a usage
+# error (exit 2) naming the method, before any output directory is made.
+def test_ablate_eta_refuses_a_cost_blind_method(tmp_path, capsys):
+    out = tmp_path / "abl"
+    code = main(
+        ["ablate", "eta", "--pipeline", "synth3", "--methods", "eeipu,ei",
+         "--out", str(out), *_TINY_FLAGS]
+    )
+    assert code == 2
+    assert "cost-blind method 'ei'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Story: the epsilon sweep judges each method on its own levels and names
 # it: one verdict line per method, whose spread is that method's max-min of
 # mean best over the levels in ablation.csv.

@@ -324,6 +324,140 @@ def test_unused_parameter_scan_sees_both_cases():
     assert _unused_parameters(tree) == ["f.b", "f.d", "make.y"]
 
 
+def _defaulted_parameters(tree: ast.Module, module: str) -> dict[str, list[tuple]]:
+    """Each parameter with a default, of a function or a method, keyed by the
+    name that calls it: its own, or its class's for ``__init__``. An entry is
+    (``module.function(parameter)``, parameter, position), the position
+    counted without a method's ``self`` or ``cls``, and None for a
+    keyword-only parameter."""
+    found: dict[str, list[tuple]] = {}
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            a = child.args
+            positional = a.posonlyargs + a.args
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+            )
+            first_default = len(positional) - len(a.defaults)
+            params = [(p, i - bound) for i, p in enumerate(positional) if i >= first_default]
+            params += [(p, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            qualname = child.name if cls is None else f"{cls.name}.{child.name}"
+            callee = cls.name if cls is not None and child.name == "__init__" else child.name
+            for p, position in params:
+                label = f"{module}.{qualname}({p.arg})"
+                found.setdefault(callee, []).append((label, p.arg, position))
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, int, set[str], bool]]:
+    """Each call as (callee name, positional count, keyword names, whether it
+    unpacks ``*args`` or ``**kwargs``); the callee is a called name, after
+    any ``import ... as`` alias, or a called attribute's name."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.asname
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            callee = aliases.get(node.func.id, node.func.id)
+        elif isinstance(node.func, ast.Attribute):
+            callee = node.func.attr
+        else:
+            continue
+        unpacks = any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+            kw.arg is None for kw in node.keywords
+        )
+        calls.append((callee, len(node.args), {kw.arg for kw in node.keywords}, unpacks))
+    return calls
+
+
+def _unset_defaults(modules: dict[str, ast.Module]) -> list[str]:
+    """The defaulted parameters of these modules that no call in them
+    overrides, by keyword or by position. A call that unpacks ``*args`` or
+    ``**kwargs`` overrides every parameter of its callee."""
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    unset = []
+    for module, tree in modules.items():
+        for callee, params in _defaulted_parameters(tree, module).items():
+            for label, name, position in params:
+                if not any(
+                    unpacks or name in keywords or (position is not None and n_args > position)
+                    for called, n_args, keywords, unpacks in calls
+                    if called == callee
+                ):
+                    unset.append(label)
+    return sorted(unset)
+
+
+# Each default that no call in the package overrides, with why it stays.
+_UNSET_DEFAULTS_KEPT = {
+    "cli.main(argv)": "the console script calls it bare, and tests pass argv",
+    "gp.fit(restarts)": (
+        "tests compare the lockstep ascent with the sequential oracle at "
+        "1, 2, 3 and 10 restarts"
+    ),
+}
+
+
+# Story: a default that no caller in the package overrides is a setting
+# that nothing varies: every run takes the one value, and the option only
+# hides that the value is fixed. The two kept are the listed ones, no more
+# and no fewer.
+def test_no_defaults_that_no_caller_overrides():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert _unset_defaults(modules) == sorted(_UNSET_DEFAULTS_KEPT)
+
+
+# Story: the scan finds a default that no call overrides, counts one
+# overridden by keyword, by position or through unpacking, sees a class
+# call as a call of its __init__ (whose positions skip self) and a call
+# through an import alias as a call of the original name, and skips
+# parameters without defaults.
+def test_unset_default_scan_sees_both_cases():
+    modules = {
+        "a": ast.parse(
+            "def f(x, by_kw=1, by_pos=2, unset=3, *, only_kw=4, kw_unset=5): ...\n"
+            "def g(y=0): ...\n"
+            "def h(z=0): ...\n"
+            "class Store:\n"
+            "    def __init__(self, root, mode='r'): ...\n"
+            "    def put(self, key, fresh=False): ...\n"
+            "    @staticmethod\n"
+            "    def load(path, strict=True): ...\n"
+        ),
+        "b": ast.parse(
+            "from .a import f, g as renamed, h\n"
+            "def use(store, args, kwargs):\n"
+            "    f(0, by_kw=2, only_kw=3)\n"
+            "    f(0, 1, 2)\n"
+            "    renamed(5)\n"
+            "    h(*args)\n"
+            "    Store('root', 'w')\n"
+            "    store.put('k')\n"
+            "    Store.load('p', False)\n"
+        ),
+    }
+    assert _unset_defaults(modules) == [
+        "a.Store.put(fresh)", "a.f(kw_unset)", "a.f(unset)"
+    ]
+
+
 # Story: the runtime needs numpy alone. No module imports scipy, and a
 # fresh interpreter that imports the library and the CLI, then runs a short
 # eeipu trace (warmup, GP fits, scoring, memoized stages), has loaded no
