@@ -88,7 +88,7 @@ class ModelSet:
     log-cost model per cost segment of the method, in segment order."""
 
     objective: gp.GPModel
-    costs: tuple[gp.GPModel, ...] = ()
+    costs: tuple[gp.GPModel, ...]
 
 
 def cooling_eta(schedule: str, total_budget: float, consumed: float, eta: float) -> float:

@@ -19,18 +19,25 @@ from pathlib import Path
 from .acquisition import ETA_SCHEDULES, METHODS
 from .cache import PREFIX_POLICIES
 from .errors import InvalidArgumentError, PipetuneError
-from .optimizer import RunConfig, RunTrace, read_trace
+from .optimizer import RunConfig, RunTrace, empty_pool, read_trace
 from .optimizer import run as run_optimizer
 from .pipeline import SYNTHETIC_SUITES, PipelineSpec, load_pipeline_file, synthetic_suite
 
 CACHE_ROOT_ENV = "PIPETUNE_CACHE_ROOT"
 
-# each kind sweeps one RunConfig field over standard levels
+# each kind sweeps one RunConfig field, which feeds one part of a run
 ABLATION_LEVELS = {
-    "cache_size": ("q", (0, 5, 10, 20, 30, 50)),
-    "prefix_policy": ("prefix_policy", ("first", "mean", "all")),
-    "eta": ("eta_schedule", ETA_SCHEDULES),
-    "epsilon": ("epsilon", (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)),
+    "cache_size": ("q", "prefix pool", (0, 5, 10, 20, 30, 50)),
+    "prefix_policy": ("prefix_policy", "prefix pool", ("first", "mean", "all")),
+    "eta": ("eta_schedule", "cost term", ETA_SCHEDULES),
+    "epsilon": ("epsilon", "prefix pool", (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)),
+}
+
+# whether a run of the config reads what a field feeds: a pool caching no
+# depth memoizes nothing, and a method without cost segments has no cost term
+_READS = {
+    "prefix pool": lambda config, space: bool(empty_pool(config, space).deltas),
+    "cost term": lambda config, space: bool(METHODS[config.method].segments(space.n_stages)),
 }
 
 _SPECIAL_CSVS = ("summary.csv", "curves.csv", "ablation.csv")
@@ -199,13 +206,13 @@ def _load_pipeline(name: str | None, file: str | None) -> PipelineSpec:
 
 
 def _build_jobs(
-    args, out_dir: Path, overrides: dict | None = None
+    args, pipeline: PipelineSpec, out_dir: Path, overrides: dict | None = None
 ) -> list[tuple[RunConfig, str, str]]:
     """One (config, trace path, cache root) per method and repeat; every
-    config is checked by RunConfig, and --repeats, --jobs and the method
-    names are checked, before any job runs. An empty method list is
-    refused, and so is a method named twice: its jobs would share one
-    trace path and one cache root."""
+    config is checked by RunConfig and by the pool it starts with, and
+    --repeats, --jobs and the method names are checked, before any job
+    runs. An empty method list is refused, and so is a method named twice:
+    its jobs would share one trace path and one cache root."""
     for flag in ("repeats", "jobs"):
         if getattr(args, flag) < 1:
             raise InvalidArgumentError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
@@ -228,6 +235,7 @@ def _build_jobs(
         for i in range(args.repeats):
             seed = args.seed + i
             config = RunConfig(**{**flags, **overrides, "method": method, "seed": seed})
+            empty_pool(config, pipeline.search_space())
             run_id = f"{args.pipeline or Path(args.pipeline_file).stem}_{method}_s{seed}"
             jobs.append((config, str(out_dir / f"{run_id}.csv"), str(cache_base / run_id)))
     return jobs
@@ -246,60 +254,52 @@ def _run_jobs(pipeline: PipelineSpec, jobs: list[tuple], n_jobs: int) -> list[st
     return [path for _, path, _ in jobs]
 
 
-def _report(paths: list, out_dir: Path) -> int:
-    """Read the traces, then write and print their summary and curves."""
+def _report(paths: list, out_dir: Path) -> list[SummaryRow]:
+    """Read the traces; write and print their summary and curves; return its rows."""
     traces = [read_trace(p) for p in paths]
     rows = summarize(traces)
     write_summary_csv(rows, out_dir / "summary.csv")
     write_curves_csv(traces, out_dir / "curves.csv")
     print_summary(rows)
-    return 0
+    return rows
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     out_dir = Path(args.out)
     pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
-    jobs = _build_jobs(args, out_dir)
+    jobs = _build_jobs(args, pipeline, out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _report(_run_jobs(pipeline, jobs, args.jobs), out_dir)
+    _report(_run_jobs(pipeline, jobs, args.jobs), out_dir)
 
 
-def cmd_ablate(args) -> int:
+def cmd_ablate(args) -> None:
+    """``run`` at each level, then ablation.csv. Every level's jobs, and that
+    each job reads the swept field at some level, are checked before any runs."""
     if args.kind == "epsilon" and args.repeats < 2:
         # its verdict pools the spread of repeats, which one run has none of
         raise InvalidArgumentError(f"ablate epsilon needs --repeats >= 2, got {args.repeats}")
     out_dir = Path(args.out)
     pipeline = _load_pipeline(args.pipeline, args.pipeline_file)
-    field_name, levels = ABLATION_LEVELS[args.kind]
-    # every level's jobs are built, and so checked, before any runs
-    level_jobs = []
-    for level in levels:
-        level_dir = out_dir / f"{args.kind}_{level}"
-        level_jobs.append((level, level_dir, _build_jobs(args, level_dir, {field_name: level})))
-    if args.kind == "eta":
-        for config, _, _ in level_jobs[0][2]:
-            if METHODS[config.method].cost_segments == "none":
-                raise InvalidArgumentError(
-                    f"ablate eta cools the cost term, which the cost-blind method "
-                    f"{config.method!r} does not have: every level would run one trace"
-                )
+    field_name, feeds, levels = ABLATION_LEVELS[args.kind]
+    dirs = [out_dir / f"{args.kind}_{level}" for level in levels]
+    level_jobs = [_build_jobs(args, pipeline, d, {field_name: v}) for d, v in zip(dirs, levels)]
+    for configs in zip(*level_jobs):  # one job's configs, level by level
+        if not any(_READS[feeds](config, pipeline.search_space()) for config, _, _ in configs):
+            raise InvalidArgumentError(
+                f"ablate {args.kind} varies {field_name}, which feeds the {feeds}; method "
+                f"{configs[0][0].method!r} reads it at no level: every level would run one trace"
+            )
 
     level_rows: list[tuple[str, list[SummaryRow]]] = []
-    for level, level_dir, jobs in level_jobs:
+    for level, level_dir, jobs in zip(levels, dirs, level_jobs):
         level_dir.mkdir(parents=True, exist_ok=True)
-        paths = _run_jobs(pipeline, jobs, args.jobs)
-        rows = summarize([read_trace(p) for p in paths])
-        write_summary_csv(rows, level_dir / "summary.csv")
-        level_rows.append((str(level), rows))
+        print(f"--- {args.kind} = {level} ---")
+        level_rows.append((str(level), _report(_run_jobs(pipeline, jobs, args.jobs), level_dir)))
     write_summary_csv(
         [r for _, rows in level_rows for r in rows],
         out_dir / "ablation.csv",
         [level for level, rows in level_rows for _ in rows],
     )
-
-    for level, rows in level_rows:
-        print(f"--- {args.kind} = {level} ---")
-        print_summary(rows)
 
     if args.kind == "epsilon":
         for method in sorted({r.method for _, rows in level_rows for r in rows}):
@@ -314,17 +314,16 @@ def cmd_ablate(args) -> int:
                 f"epsilon sweep, {method}: max-min of mean best = {spread:.6g}, "
                 f"2x pooled se = {threshold:.6g} -> {'insensitive' if flag else 'SENSITIVE'}"
             )
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     results_dir = Path(args.results_dir)
     if not results_dir.is_dir():
         raise InvalidArgumentError(f"not a directory: {results_dir}")
     paths = sorted(p for p in results_dir.glob("*.csv") if p.name not in _SPECIAL_CSVS)
     if not paths:
         raise InvalidArgumentError(f"no trace CSVs found in {results_dir}")
-    return _report(paths, results_dir)
+    _report(paths, results_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +397,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import gp
 from .acquisition import ETA_SCHEDULES, METHODS, ModelSet, cooling_eta, score_candidates
 from .cache import PREFIX_POLICIES, PrefixPool, StageOutputStore, update_pool
-from .candidates import generate, scrambled_halton
+from .candidates import SearchSpace, generate, scrambled_halton
 from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
@@ -142,7 +142,7 @@ class RunTrace:
     pipeline_name: str
     config: dict
     total_budget: float
-    rows: list[TraceRow] = field(default_factory=list)
+    rows: list[TraceRow]
 
     @property
     def best_y(self) -> float:
@@ -203,19 +203,10 @@ def _fit_models(state: OptState, iteration: int) -> ModelSet:
 # ---------------------------------------------------------------------------
 # loop
 
-def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path) -> OptState:
-    """Run the warmup phase and return loop state ready for step().
-
-    Warmup points come from a scrambled low-discrepancy sequence seeded
-    only by (seed, warmup tag), so every method sees the same start.
-
-    Only a memo-aware method's pool has capacity; its ``deltas`` say what
-    it caches. A config whose ``m`` is below the number of candidate
-    groups a full pool gives is refused before any stage runs. The pool
-    starts empty, so the store starts empty too: blobs an earlier run left
-    in ``cache_root`` are deleted before warmup.
-    """
-    space = pipeline.search_space()
+def empty_pool(config: RunConfig, space: SearchSpace) -> PrefixPool:
+    """The pool a run of ``config`` starts with; only a memo-aware method's
+    has capacity, and its ``deltas`` say what it caches. A config whose ``m``
+    is below the candidate groups that pool gives when full is refused."""
     capacity = config.q if METHODS[config.method].memo_aware else 0
     pool = PrefixPool(space.stage_dims, capacity, config.prefix_policy)
     groups = 1 + capacity * len(pool.deltas)
@@ -224,11 +215,24 @@ def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path
             f"m={config.m} is below the {groups} candidate groups that a pool of "
             f"q={capacity} sources gives under prefix policy {config.prefix_policy!r}"
         )
+    return pool
+
+
+def init_state(config: RunConfig, pipeline: PipelineSpec, cache_root: str | Path) -> OptState:
+    """Run the warmup phase and return loop state ready for step().
+
+    Warmup points come from a scrambled low-discrepancy sequence seeded
+    only by (seed, warmup tag), so every method sees the same start.
+
+    The pool starts empty, so the store starts empty too: blobs an earlier
+    run left in ``cache_root`` are deleted before warmup.
+    """
+    space = pipeline.search_space()
     state = OptState(
         config=config,
         pipeline=pipeline,
+        pool=empty_pool(config, space),  # checked before the store is opened
         store=StageOutputStore(cache_root),
-        pool=pool,
         total_budget=0.0,  # resolved after warmup
         rows=[],
     )

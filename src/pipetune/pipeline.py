@@ -232,7 +232,7 @@ class Observation:
     y: float
     stage_costs: tuple[float, ...]
     memo_delta: int
-    outputs: tuple[tuple[int, bytes], ...] = ()
+    outputs: tuple[tuple[int, bytes], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(np.asarray(self.x, dtype=float).tolist()))
@@ -333,9 +333,12 @@ def _parse_objective(stdout: str, stage_index: int) -> float:
             f"stage {stage_index} last line {last!r} is not 'objective=<float>'"
         )
     try:
-        return float(last.removeprefix("objective="))
+        value = float(last.removeprefix("objective="))
     except ValueError:
         raise ProtocolError(f"stage {stage_index} objective value unparseable: {last!r}")
+    if not math.isfinite(value):
+        raise ProtocolError(f"stage {stage_index} objective is not finite: {last!r}")
+    return value
 
 
 def run(

@@ -257,7 +257,7 @@ def test_criterion_06_cache_randomized_invariants():
         if rng.uniform() < 0.7:
             y = float(rng.standard_normal())
             obs = Observation(
-                x=x, y=y, stage_costs=(1.0, 1.0, 1.0), memo_delta=0
+                x=x, y=y, stage_costs=(1.0, 1.0, 1.0), memo_delta=0, outputs=()
             )
             pool = update_pool(pool, obs)
             ref.offer(x, y)
@@ -448,6 +448,7 @@ def test_criterion_14_cache_overhead(tmp_path):
                 y=float(rng.standard_normal()),
                 stage_costs=(1.0, 1.0, 1.0),
                 memo_delta=0,
+                outputs=(),
             )
             pool = update_pool(pool, obs)
             pool_s += (looked_up - start) + (time.perf_counter() - stored)

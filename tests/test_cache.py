@@ -34,7 +34,7 @@ from conftest import ReferencePool
 def _obs(x, y):
     x = np.asarray(x, dtype=float)
     return Observation(
-        x=x, y=float(y), stage_costs=(1.0,) * 3, memo_delta=0
+        x=x, y=float(y), stage_costs=(1.0,) * 3, memo_delta=0, outputs=()
     )
 
 

@@ -25,6 +25,7 @@ def _obs(x, y):
         y=float(y),
         stage_costs=(1.0, 1.0, 1.0),
         memo_delta=0,
+        outputs=(),
     )
 
 

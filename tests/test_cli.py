@@ -20,6 +20,7 @@ from pipetune.cli import (
 )
 from pipetune.errors import InvalidArgumentError
 from pipetune.optimizer import RunConfig, RunTrace, TraceRow, read_trace
+from pipetune.pipeline import synthetic_suite
 
 
 def _row(iteration, delta, consumed, y, best_y):
@@ -282,17 +283,86 @@ def test_ablate_eta_writes_level_dirs(tmp_path, capsys):
     assert "---" in capsys.readouterr().out
 
 
-# Story: eta cools only the cost term, so a cost-blind method would run one
-# trace at every level of the eta sweep. ablate eta refuses it as a usage
-# error (exit 2) naming the method, before any output directory is made.
-def test_ablate_eta_refuses_a_cost_blind_method(tmp_path, capsys):
+# Story: a level directory of ablate is a run directory: it holds the
+# files, byte for byte, that run with the level's flag leaves.
+def test_a_level_directory_is_a_run_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ROOT_ENV, raising=False)
+    flags = ["--pipeline", "synth3", "--methods", "eeipu", "--seed", "1", *_TINY_FLAGS]
+    assert main(["ablate", "eta", "--out", str(tmp_path / "abl"), *flags]) == 0
+    run_dir = tmp_path / "run"
+    assert main(["run", "--eta-schedule", "exp_decay", "--out", str(run_dir), *flags]) == 0
+    capsys.readouterr()
+    level_dir = tmp_path / "abl" / "eta_exp_decay"
+    names = sorted(p.name for p in run_dir.iterdir())
+    assert sorted(p.name for p in level_dir.iterdir()) == names
+    assert "curves.csv" in names and "cache" in names
+    for name in names:
+        if name != "cache":
+            assert (level_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# Story: a sweep moves a field that feeds one part of a run: the prefix pool
+# (cache_size, prefix_policy, epsilon) or the cost term (eta). A method that
+# reads the field at no level (ei and carbo keep no pool, ei has no cost
+# term, and a one-stage pipeline's pool caches nothing) would run one trace
+# at every level. ablate refuses it as a usage error (exit 2) naming the
+# sweep and the method, before any stage runs or any output directory is
+# made.
+@pytest.mark.parametrize(
+    "kind,methods,refused,one_stage",
+    [
+        ("cache_size", "eeipu,ei", "ei", False),
+        ("prefix_policy", "eeipu,carbo", "carbo", False),
+        ("epsilon", "eeipu,ei", "ei", False),
+        ("eta", "eeipu,ei", "ei", False),
+        ("cache_size", "eeipu", "eeipu", True),
+    ],
+)
+def test_ablate_refuses_a_method_no_level_reaches(
+    tmp_path, capsys, kind, methods, refused, one_stage
+):
+    marker = tmp_path / "ran"
+    pipe = tmp_path / "touch.json"
+    stage = {
+        "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]],
+        "command": f"touch {marker} && echo objective=1.0",
+    }
+    pipe.write_text(json.dumps({"name": "touch", "stages": [stage]}))
+    which = ["--pipeline-file", str(pipe)] if one_stage else ["--pipeline", "synth3"]
     out = tmp_path / "abl"
     code = main(
-        ["ablate", "eta", "--pipeline", "synth3", "--methods", "eeipu,ei",
-         "--out", str(out), *_TINY_FLAGS]
+        ["ablate", kind, *which, "--methods", methods, "--out", str(out), *_TINY_FLAGS,
+         "--raw-samples", "128", "--repeats", "2"]
     )
     assert code == 2
-    assert "cost-blind method 'ei'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"ablate {kind} varies " in err
+    assert f"method {refused!r} reads it at no level" in err
+    assert not marker.exists()
+    assert not out.exists()
+
+
+# Story: a --raw-samples too small for the pool of one job is refused
+# before any job runs: run writes no trace of the other methods first, and
+# ablate runs no level before the one whose cache size is too large.
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        (["run"], ["--methods", "ei,eeipu", "--raw-samples", "8"]),
+        (["ablate", "cache_size"], ["--methods", "eeipu", "--raw-samples", "64"]),
+    ],
+    ids=["run", "ablate"],
+)
+def test_raw_samples_below_any_jobs_pool_exits_2_before_any_runs(
+    tmp_path, capsys, command, flags
+):
+    out = tmp_path / "out"
+    code = main(
+        [*command, "--pipeline", "synth3", "--warmup", "2", "--budget", "60",
+         "--mc-samples", "20", "--acq-restarts", "1", "--out", str(out), *flags]
+    )
+    assert code == 2
+    assert "candidate groups" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -302,12 +372,12 @@ def test_ablate_eta_refuses_a_cost_blind_method(tmp_path, capsys):
 def test_ablate_epsilon_prints_a_verdict_per_method(tmp_path, capsys):
     out = tmp_path / "abl"
     code = main(
-        ["ablate", "epsilon", "--pipeline", "synth3", "--methods", "eeipu,ei",
+        ["ablate", "epsilon", "--pipeline", "synth3", "--methods", "eeipu",
          "--seed", "2", "--out", str(out), *_TINY_FLAGS, "--repeats", "2"]
     )
     assert code == 0
     verdicts = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epsilon sweep")]
-    assert [l.split(":")[0] for l in verdicts] == ["epsilon sweep, eeipu", "epsilon sweep, ei"]
+    assert [l.split(":")[0] for l in verdicts] == ["epsilon sweep, eeipu"]
     rows = [l.split(",") for l in (out / "ablation.csv").read_text().splitlines()[1:]]
     for line in verdicts:
         method = line.split(":")[0].removeprefix("epsilon sweep, ")
@@ -322,7 +392,7 @@ def test_ablate_epsilon_prints_a_verdict_per_method(tmp_path, capsys):
 # RunConfig() would, field for field.
 def test_bare_run_flags_build_the_default_config(tmp_path):
     args = build_parser().parse_args(["run", "--pipeline", "synth3"])
-    ((config, _, _),) = _build_jobs(args, tmp_path)
+    ((config, _, _),) = _build_jobs(args, synthetic_suite("synth3"), tmp_path)
     assert config == RunConfig()
 
 
@@ -527,6 +597,25 @@ def test_failing_stage_exits_1_with_any_jobs(tmp_path, capsys, jobs):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: stage 1: command exited with status 1\n"
+
+
+# Story: a stage that prints a NaN or infinite objective breaks the output
+# protocol: a runtime error (exit 1) naming the stage, before any row holds
+# the value, rather than a model fit that fails later as a usage error.
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_objective_exits_1(tmp_path, capsys, value):
+    pipe = tmp_path / "nonfinite.json"
+    stage = {
+        "kind": "external", "dim": 1, "bounds": [[0.0, 1.0]],
+        "command": f"echo objective={value}",
+    }
+    pipe.write_text(json.dumps({"name": "nonfinite", "stages": [stage]}))
+    out = tmp_path / "out"
+    code = main(["run", "--pipeline-file", str(pipe), "--out", str(out), *_TINY_FLAGS])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stage 1" in err and "not finite" in err
+    assert not list(out.glob("*.csv"))
 
 
 # Story: a second run into the same --out, with a smaller --cache-size,

@@ -81,24 +81,34 @@ def test_unused_import_scan_sees_both_cases():
     assert set(_imported_names(tree)) == {"os", "TYPE_CHECKING", "Observation"}
 
 
-def _dataclass_fields(tree: ast.Module) -> dict[str, int]:
-    """Each annotated field of a ``@dataclass`` class, as ``Class.field``,
-    with its line number."""
-    found = {}
+def _dataclasses(tree: ast.Module) -> list[tuple[ast.ClassDef, list[ast.AnnAssign]]]:
+    """Each ``@dataclass`` class, with or without decorator arguments and
+    through the module, and its annotated fields in order."""
+    found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if not any(
+        if any(
             (isinstance(d, ast.Name) and d.id == "dataclass")
             or (isinstance(d, ast.Attribute) and d.attr == "dataclass")
             for d in decorators
         ):
-            continue
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                found[f"{node.name}.{stmt.target.id}"] = stmt.lineno
+            found.append((node, [
+                stmt for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]))
     return found
+
+
+def _dataclass_fields(tree: ast.Module) -> dict[str, int]:
+    """Each annotated field of a ``@dataclass`` class, as ``Class.field``,
+    with its line number."""
+    return {
+        f"{cls.name}.{stmt.target.id}": stmt.lineno
+        for cls, stmts in _dataclasses(tree)
+        for stmt in stmts
+    }
 
 
 def _unread_fields(trees: list[ast.Module]) -> list[str]:
@@ -456,6 +466,69 @@ def test_unset_default_scan_sees_both_cases():
     assert _unset_defaults(modules) == [
         "a.Store.put(fresh)", "a.f(kw_unset)", "a.f(unset)"
     ]
+
+
+def _always_passed_defaults(modules: dict[str, ast.Module]) -> list[str]:
+    """The dataclass field defaults, as ``Class.field``, that every
+    construction of the class in these modules passes, by keyword or by
+    position; a class built nowhere is skipped. A construction that unpacks
+    ``*args`` or ``**kwargs`` counts as relying on every default."""
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    flagged = []
+    for tree in modules.values():
+        for cls, stmts in _dataclasses(tree):
+            built = [call for call in calls if call[0] == cls.name]
+            for position, stmt in enumerate(stmts):
+                if stmt.value is not None and built and all(
+                    not unpacks and (stmt.target.id in keywords or n_args > position)
+                    for _, n_args, keywords, unpacks in built
+                ):
+                    flagged.append(f"{cls.name}.{stmt.target.id}")
+    return sorted(flagged)
+
+
+# Story: a field default that every construction in the package passes is
+# a value kept for the tests alone: the optimizer never runs it, and the
+# tests that lean on it check a construction the package never makes.
+def test_no_defaults_that_every_construction_passes():
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    flagged = _always_passed_defaults(modules)
+    assert not flagged, f"field defaults every construction passes: {', '.join(flagged)}"
+
+
+# Story: the scan finds a default every construction passes, by keyword or
+# by position, counts one that a construction leaves out or may leave out
+# through unpacking as relied on, and skips a class that nothing builds and
+# fields without defaults.
+def test_always_passed_default_scan_sees_both_cases():
+    modules = {
+        "a": ast.parse(
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class Trace:\n"
+            "    name: str\n"
+            "    rows: list = field(default_factory=list)\n"
+            "    budget: float = 1.0\n"
+            "    seed: int = 0\n"
+            "    note: str = ''\n"
+            "@dataclass(frozen=True)\n"
+            "class Unbuilt:\n"
+            "    size: int = 0\n"
+            "class Plain:\n"
+            "    def __init__(self, x=0): ...\n"
+        ),
+        "b": ast.parse(
+            "from .a import Trace, Plain\n"
+            "def use(flags):\n"
+            "    Trace('t', rows=[], seed=1)\n"
+            "    Trace('u', [], 2.0, note='n')\n"
+            "    Trace(**flags, rows=[])\n"
+            "    Plain(1)\n"
+        ),
+    }
+    assert _always_passed_defaults(modules) == []
+    del modules["b"].body[1].body[2]
+    assert _always_passed_defaults(modules) == ["Trace.rows"]
 
 
 # Story: the runtime needs numpy alone. No module imports scipy, and a

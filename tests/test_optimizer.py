@@ -178,7 +178,7 @@ def test_warmup_identical_across_methods(tmp_path):
 # keeps the step's candidate batch alive.
 def test_observation_holds_x_once_as_python_floats(tmp_path):
     x = np.array([0.25, 1.5, 3.0])
-    obs = Observation(x=x, y=1.0, stage_costs=(1.0,), memo_delta=0)
+    obs = Observation(x=x, y=1.0, stage_costs=(1.0,), memo_delta=0, outputs=())
     assert type(obs.x) is tuple and obs.x == tuple(x.tolist())
     assert all(type(v) is float for v in obs.x)
     state = init_state(_tiny_cfg("eeipu"), synthetic_suite("synth3"), tmp_path)
@@ -587,7 +587,7 @@ def test_score_candidates_ei_is_cost_blind():
         np.arange(len(xs), dtype=float),
         KernelParams(lengthscales=np.full(7, 0.5), output_scale=1.0, noise_variance=1e-4),
     )
-    models = ModelSet(objective=objective)
+    models = ModelSet(objective=objective, costs=())
     scores = score_candidates(
         "ei", models, space, xs, np.zeros(4, dtype=int), 1.0, 0.5, 0.01, 10, rng_table([])
     )

@@ -747,7 +747,7 @@ def test_load_pipeline_file_refuses_malformed(tmp_path, doc, match):
 
 def test_observation_executed_cost_skips_memoized():
     obs = Observation(
-        x=np.zeros(2), y=1.0, stage_costs=(0.0, 2.5, 3.5), memo_delta=1
+        x=np.zeros(2), y=1.0, stage_costs=(0.0, 2.5, 3.5), memo_delta=1, outputs=()
     )
     assert obs.executed_cost == 6.0
 
@@ -762,5 +762,5 @@ def test_trace_sums_add_left_to_right():
     assert ordered_sum(values) == 0.0
     assert ordered_sum(iter(values)) == 0.0
     assert Segment(1, 3).cost(values) == 0.0
-    obs = Observation(x=np.zeros(3), y=0.0, stage_costs=values, memo_delta=0)
+    obs = Observation(x=np.zeros(3), y=0.0, stage_costs=values, memo_delta=0, outputs=())
     assert obs.executed_cost == 0.0
