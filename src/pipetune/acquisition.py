@@ -6,10 +6,15 @@ segments they model with log-cost GPs. The cost term is cooled exactly
 when a method has cost segments; EI per second is ``carbo`` under the
 ``constant`` eta schedule. A segment is a run of consecutive stages under
 one model; its draws are exponentiated Gaussians in antithetic pairs,
-exp(mu + sd z) and exp(mu - sd z), so each (segment, block) generator
-advances by ceil(n_mc / 2) normals per row it reads, and a total-cost
-draw is the sum of the segments' draws. EI's normal CDF is libm's erfc,
-element by element.
+exp(mu + sd z) and exp(mu - sd z), and a total-cost draw is the sum of
+the segments' draws. EI's normal CDF is libm's erfc, element by element.
+
+Only the candidates that can win are drawn for. Analytic bounds on E[1/C]
+from the posterior moments bound every score; a candidate whose upper
+score is below the largest lower score reads 0 and is pruned. Each
+(segment, block) generator draws ceil(n_mc / 2) normals per row up to the
+last surviving live row of its block, and a block with no survivors
+draws nothing.
 
 Scoring is pure; the optimizer loop owns every piece of state (budget,
 cooling factor, models).
@@ -146,43 +151,75 @@ def expected_inverse_cost(totals: np.ndarray) -> np.ndarray:
     return np.mean(np.divide(1.0, totals, out=totals), axis=-1)
 
 
+def _cooled(ei: np.ndarray, inverse_cost: np.ndarray, eta: float) -> np.ndarray:
+    """``EI * inverse_cost^eta``, and 0 wherever EI is 0, also beside an
+    infinite inverse cost."""
+    out = np.zeros_like(ei)
+    np.multiply(ei, np.power(inverse_cost, eta), out=out, where=ei > 0.0)
+    return out
+
+
+def _inverse_cost_bounds(
+    mu: np.ndarray, var: np.ndarray, memoized: np.ndarray, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on each candidate's E[1/S], from (segments,
+    candidates) log-cost posterior moments and memo masks. S is c, epsilon
+    times the candidate's memoized segments, plus an independent log-normal
+    S_k = exp(N(mu_k, var_k)) per live segment k.
+
+    Below, by Jensen: 1 / (c + sum_k E[S_k]), with E[S_k] = exp(mu_k +
+    var_k / 2). Above, as S >= S_k: min_k E[1/S_k] = exp(-mu_k + var_k / 2),
+    and 1/c when c > 0. An overflowing exponential makes a bound 0 below or
+    inf above, and it still holds."""
+    c = epsilon * np.count_nonzero(memoized, axis=0)
+    half_var = 0.5 * var
+    with np.errstate(over="ignore", divide="ignore"):
+        lower = 1.0 / (c + np.where(memoized, 0.0, np.exp(mu + half_var)).sum(axis=0))
+        upper = np.where(memoized, np.inf, np.exp(half_var - mu)).min(axis=0)
+        return lower, np.minimum(upper, 1.0 / c)
+
+
 def _segment_draws(
-    model: gp.GPModel,
-    xn: np.ndarray,
+    mu: np.ndarray,
+    var: np.ndarray,
     memoized: np.ndarray,
+    rows: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
     normals: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Fills ``out``, a (candidates, n_mc) buffer whose old contents are
-    never read, with cost draws from a log-cost posterior, and returns it;
-    memoized candidates cost epsilon in every draw.
+    """Fills ``out``, a (len(rows), n_mc) buffer whose old contents are
+    never read, with one segment's cost draws for the block rows ``rows``
+    (increasing), whose log-cost posterior moments are ``mu`` and ``var``,
+    and returns it; a memoized row costs epsilon in every draw.
 
-    The draws come in antithetic pairs. ``normals`` is a (candidates,
-    ceil(n_mc / 2)) scratch buffer: row i draws its normals z there, and
-    its n_mc costs are exp(mu_i + sd_i z) for every z, followed by
-    exp(mu_i - sd_i z) for the first floor(n_mc / 2) of them, so with odd
-    n_mc the last normal of a row goes unpaired. ``rng`` is consumed by
-    this call alone, so normals are drawn only for the rows up to the last
-    one not memoized (n_read rows): they are the leading values of the
-    full (candidates, ceil(n_mc / 2)) block, and the generator advances by
-    n_read x ceil(n_mc / 2) normals, none when every row is memoized.
-    Those rows are exponentiated whole without a mask (a masked exp is
-    slower); then every memoized row is set to epsilon. The posterior
-    still covers all of ``xn``: on a subset of rows the mean's matrix
-    product rounds differently in its last bits, which would move scores
-    and traces."""
-    mu, var = gp.posterior_mean_var(model, xn)
+    The draws come in antithetic pairs. Block row i's normals z are row i
+    of the generator's (block rows, ceil(n_mc / 2)) stream, and its n_mc
+    costs are exp(mu_i + sd_i z) for every z, followed by exp(mu_i - sd_i z)
+    for the first floor(n_mc / 2) of them, so with odd n_mc the last normal
+    of a row goes unpaired. ``rng`` is consumed by this call alone, so it
+    draws into ``normals``, a (block rows, ceil(n_mc / 2)) scratch buffer,
+    only up to the last of ``rows`` not memoized (n_read block rows): the
+    generator advances by n_read x ceil(n_mc / 2) normals, none when every
+    one of ``rows`` is memoized. The rows asked for are exponentiated whole
+    without a mask (a masked exp is slower); then every memoized one is set
+    to epsilon."""
     live = ~memoized
-    n_read = int(np.flatnonzero(live)[-1]) + 1 if live.any() else 0
+    if not live.any():
+        out[:] = epsilon
+        return out
+    n_read = int(rows[live][-1]) + 1
     half = normals.shape[1]
-    z, read, mu = normals[:n_read], out[:n_read], mu[:n_read, None]
-    rng.standard_normal(out=z)
-    z *= np.sqrt(var[:n_read])[:, None]
-    np.add(z, mu, out=read[:, :half])
-    np.subtract(mu, z[:, : out.shape[1] - half], out=read[:, half:])
-    np.exp(read, out=read)
+    drawn, z = normals[:n_read], out[:, :half]
+    rng.standard_normal(out=drawn)
+    # a memoized row past n_read takes row n_read - 1's finite normals
+    np.take(drawn, rows, axis=0, out=z, mode="clip")
+    z *= np.sqrt(var)[:, None]
+    mu = mu[:, None]
+    np.subtract(mu, z[:, : out.shape[1] - half], out=out[:, half:])
+    z += mu
+    np.exp(out, out=out)
     out[memoized] = epsilon
     return out
 
@@ -199,23 +236,30 @@ def score_candidates(
     n_mc: int,
     mc_rngs: np.ndarray,
 ) -> np.ndarray:
-    """Acquisition scores ``EI * E[1/C]^eta`` for a batch of raw candidates.
+    """Acquisition scores ``EI * E[1/C]^eta`` for a batch of raw candidates,
+    0 for every candidate pruned as unable to win.
 
     ``mc_rngs`` is a (cost segments x blocks) object array of generators:
     the batch is that many equal blocks of rows (one per restart of a
-    step), and generator (s, b) is consumed by this call alone, drawing
-    segment s's normals for block b only up to its last candidate that is
-    not memoized. A candidate with a memoized prefix of length delta costs
-    epsilon in every segment that ends at or before stage delta. Every
-    posterior, of the objective and of the costs, is computed on a whole
-    block, so a candidate's score depends neither on which others are
-    memoized nor on the other blocks. Cost draws come in antithetic pairs
-    (see ``_segment_draws``), so generator (s, b) advances by
-    ceil(n_mc / 2) normals per row it reads. A block's draws go into two
-    (block rows, n_mc) buffers and its normals into one (block rows,
-    ceil(n_mc / 2)) buffer, all allocated once per call: the first segment
-    writes the totals, each later one the spare buffer, added in segment
-    order. A cost-blind method scores plain EI.
+    step). A candidate with a memoized prefix of length delta costs epsilon
+    in every segment that ends at or before stage delta. Every posterior,
+    of the objective and of the costs, is computed on a whole block: on a
+    subset of rows the mean's matrix product rounds differently in its last
+    bits, which would move scores and traces.
+
+    The moments bound each candidate's E[1/C] (``_inverse_cost_bounds``),
+    and so its score. A candidate whose upper score is below the largest
+    lower score in the batch, less a relative 1e-9 for rounding, is pruned:
+    it reads 0, and is neither exponentiated nor averaged. Generator (s, b)
+    is consumed by this call alone: it draws segment s's normals for block
+    b, ceil(n_mc / 2) per row, up to the last surviving row that segment
+    does not memoize (``_segment_draws``), and nothing for a block without
+    survivors. So a survivor's draws and score have the bits they would
+    have with nothing pruned. The survivors' draws go into the leading rows
+    of two (block rows, n_mc) buffers and their normals into one (block
+    rows, ceil(n_mc / 2)) buffer, all allocated once per call: the first
+    segment writes the totals, each later one the spare buffer, added in
+    segment order. A cost-blind method scores plain EI.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n_blocks = mc_rngs.shape[1]
@@ -228,15 +272,30 @@ def score_candidates(
     if not segments:
         return ei
     rows = len(blocks[0])
+    cuts = [slice(b * rows, (b + 1) * rows) for b in range(n_blocks)]
+    memoized = np.array([np.asarray(deltas) >= seg.last for seg in segments])
+    mu, var = np.empty((2, len(segments), len(xs)))
+    for s, (seg, model) in enumerate(zip(segments, models.costs, strict=True)):
+        for cut, xn in zip(cuts, blocks):
+            mu[s, cut], var[s, cut] = gp.posterior_mean_var(model, xn[:, seg.columns(space)])
+    lower, upper = _inverse_cost_bounds(mu, var, memoized, epsilon)
+    kept = _cooled(ei, upper, eta) >= (1.0 - 1e-9) * np.max(_cooled(ei, lower, eta))
+
+    scores = np.zeros_like(ei)
     totals, spare = np.empty((rows, n_mc)), np.empty((rows, n_mc))
     normals = np.empty((rows, -(-n_mc // 2)))
-    inverse_cost = []
-    for b, (xn, block_deltas) in enumerate(zip(blocks, np.split(np.asarray(deltas), n_blocks))):
-        for s, (seg, model) in enumerate(zip(segments, models.costs, strict=True)):
-            cols, memoized = xn[:, seg.columns(space)], block_deltas >= seg.last
-            out = spare if s else totals
-            _segment_draws(model, cols, memoized, epsilon, mc_rngs[s, b], normals, out)
+    for b, cut in enumerate(cuts):
+        survivors = np.flatnonzero(kept[cut])
+        if not len(survivors):
+            continue
+        at, n = cut.start + survivors, len(survivors)
+        for s in range(len(segments)):
+            out = spare[:n] if s else totals[:n]
+            _segment_draws(
+                mu[s, at], var[s, at], memoized[s, at], survivors, epsilon, mc_rngs[s, b],
+                normals, out,
+            )
             if s:
-                totals += spare
-        inverse_cost.append(expected_inverse_cost(totals))
-    return ei * np.power(np.concatenate(inverse_cost), eta)
+                totals[:n] += out
+        scores[at] = _cooled(ei[at], expected_inverse_cost(totals[:n]), eta)
+    return scores

@@ -1,6 +1,7 @@
 """Session-scoped fixtures for the end-to-end acceptance criteria, the
-generator table that ``score_candidates`` takes and the antithetic normals
-its cost draws are built from, and the one home of each test oracle that
+generator table that ``score_candidates`` takes, the antithetic normals
+its cost draws are built from and the unpruned scores they add up to, and
+the one home of each test oracle that
 a module test and an acceptance criterion share: a scalar Matern-5/2
 kernel and the dense-inverse GP posterior built on it
 (``tests/test_gp.py``, criterion 2), and a brute-force prefix pool
@@ -13,6 +14,7 @@ runs are fully seeded: re-executing a fixture always reproduces the same
 traces, whichever process runs them.
 """
 
+import copy
 import math
 import multiprocessing
 import os
@@ -22,6 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from pipetune.acquisition import METHODS, expected_improvement_batch
+from pipetune.gp import posterior_mean_var
 from pipetune.optimizer import RunConfig, run
 from pipetune.pipeline import synthetic_suite
 
@@ -134,6 +138,47 @@ def rng_table(generators, n_blocks=1):
     table = np.empty(len(generators), dtype=object)
     table[:] = generators
     return table.reshape(-1, n_blocks)
+
+
+def unpruned_scores(method, models, space, xs, deltas, f_best, eta, epsilon, n_mc, mc_rngs):
+    """Every candidate's score EI * E[1/C]^eta with nothing pruned, written
+    apart from ``score_candidates`` and leaving ``mc_rngs`` unconsumed. Per
+    block and segment: the posterior on the whole block, the full (rows,
+    n_mc) draws exp(mu + sd z) from a copy of the segment's generator
+    (``antithetic_normals``), epsilon where memoized, summed in segment
+    order; E[1/C] is the mean of their reciprocals."""
+    n_blocks = mc_rngs.shape[1]
+    blocks = np.split(space.normalize(np.atleast_2d(xs)), n_blocks)
+    segments = METHODS[method].segments(space.n_stages)
+    scores = []
+    for b, (xn, block_deltas) in enumerate(zip(blocks, np.split(np.asarray(deltas), n_blocks))):
+        ei = expected_improvement_batch(*posterior_mean_var(models.objective, xn), f_best)
+        if not segments:
+            scores.append(ei)
+            continue
+        totals = 0.0
+        for s, (seg, model) in enumerate(zip(segments, models.costs, strict=True)):
+            mu, var = posterior_mean_var(model, xn[:, seg.columns(space)])
+            z = antithetic_normals(copy.deepcopy(mc_rngs[s, b]), len(xn), n_mc)
+            draws = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
+            draws[block_deltas >= seg.last] = epsilon
+            totals = totals + draws
+        scores.append(ei * np.power(np.mean(1.0 / totals, axis=-1), eta))
+    return np.concatenate(scores)
+
+
+def check_pruned(scores, reference):
+    """Checks ``score_candidates``' scores row by row against the unpruned
+    ``reference``: each row either has the reference's bits or is pruned,
+    reading 0 with a reference score below the winner's. So the argmax and
+    the winning score are the reference's bit for bit. Returns the mask of
+    pruned rows."""
+    pruned = scores.view(np.uint64) != reference.view(np.uint64)
+    winner = int(np.argmax(scores))
+    assert np.all(scores[pruned] == 0.0)
+    assert np.all(reference[pruned] < scores[winner])
+    assert int(np.argmax(reference)) == winner
+    return pruned
 
 
 def _benchmark_run(method, seed, cache_root, **overrides):

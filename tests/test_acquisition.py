@@ -7,6 +7,7 @@ hand-computable degenerate cases; the scores against their algebraic
 definitions, through ``score_candidates``, the scorer the optimizer runs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from pipetune import acquisition
+from pipetune import acquisition, optimizer
 from pipetune.acquisition import (
     EXP_DECAY_FACTOR,
     METHODS,
     ModelSet,
+    _cooled,
+    _inverse_cost_bounds,
     _ndtr,
     _segment_draws,
     cooling_eta,
@@ -29,10 +32,11 @@ from pipetune.acquisition import (
 )
 from pipetune.errors import InvalidArgumentError, NumericalFailureError
 from pipetune.gp import KernelParams, build_model, posterior_mean_var
-from pipetune.optimizer import RunConfig, init_state, step
+from pipetune.candidates import generate
+from pipetune.optimizer import _TAG_CAND, RunConfig, derived_rng, init_state, step
 from pipetune.pipeline import synthetic_suite
 
-from conftest import antithetic_normals, rng_table
+from conftest import antithetic_normals, check_pruned, rng_table, unpruned_scores
 
 
 def _ei(mu, variance, f_best):
@@ -239,39 +243,51 @@ def test_inverse_cost_inverts_totals_in_place():
     assert np.array_equal(totals, want)
 
 
-def _check_segment_draws(model, xn, memoized, n_mc, seed, epsilon=0.01):
-    """_segment_draws against a fresh twin generator: the generator advanced
-    by exactly n_read x ceil(n_mc / 2) normals (n_read = last live row + 1,
-    0 when all rows are memoized), live rows are exp(mu + sd z) bit for bit
-    with z the twin's antithetic normals (``antithetic_normals``) and mu, var
-    from the full-batch posterior, and memoized rows are epsilon. The draws
-    fill the buffer passed in, and NaN-filled buffers end with the bits of
-    fresh ones, so no row of an earlier block survives in reused buffers."""
+def _block_draws(model, xn, memoized, epsilon, rng, normals, out, rows=None):
+    """_segment_draws for block rows ``rows`` (all of them by default), with
+    the moments of ``model``'s posterior on the whole block ``xn`` and the
+    memo mask of the whole block."""
+    rows = np.arange(len(xn)) if rows is None else rows
+    mu, var = posterior_mean_var(model, xn)
+    return _segment_draws(
+        mu[rows], var[rows], memoized[rows], rows, epsilon, rng, normals, out
+    )
+
+
+def _check_segment_draws(model, xn, memoized, n_mc, seed, rows, epsilon=0.01):
+    """_segment_draws on block rows ``rows`` against a fresh twin generator:
+    the generator advanced by exactly n_read x ceil(n_mc / 2) normals
+    (n_read = last live row of ``rows`` + 1, 0 when all of them are
+    memoized), live rows are exp(mu + sd z) bit for bit with z the twin's
+    antithetic normals (``antithetic_normals``) and mu, var from the
+    full-batch posterior, and memoized rows are epsilon. The draws fill the
+    buffer passed in, and NaN-filled buffers end with the bits of fresh
+    ones, so no row of an earlier block survives in reused buffers."""
     half = -(-n_mc // 2)
     rng = np.random.default_rng(seed)
-    buffer = np.empty((len(xn), n_mc))
-    draws = _segment_draws(
-        model, xn, memoized, epsilon, rng, np.empty((len(xn), half)), buffer
+    buffer = np.empty((len(rows), n_mc))
+    draws = _block_draws(
+        model, xn, memoized, epsilon, rng, np.empty((len(xn), half)), buffer, rows
     )
     assert draws is buffer
-    stale = np.full((len(xn), n_mc), np.nan)
-    _segment_draws(
+    stale = np.full((len(rows), n_mc), np.nan)
+    _block_draws(
         model, xn, memoized, epsilon, np.random.default_rng(seed),
-        np.full((len(xn), half), np.nan), stale,
+        np.full((len(xn), half), np.nan), stale, rows,
     )
     assert stale.tobytes() == draws.tobytes()
 
-    live = ~memoized
-    n_read = max((i + 1 for i, m in enumerate(memoized) if not m), default=0)
+    live = ~memoized[rows]
+    n_read = max((int(i) + 1 for i in rows if not memoized[i]), default=0)
     advanced = np.random.default_rng(seed)
     advanced.standard_normal((n_read, half))
     assert rng.bit_generator.state == advanced.bit_generator.state
-    z = antithetic_normals(np.random.default_rng(seed), len(xn), n_mc)
+    z = antithetic_normals(np.random.default_rng(seed), len(xn), n_mc)[rows]
     mu, var = posterior_mean_var(model, xn)
-    want = np.exp(mu[:, None] + np.sqrt(var)[:, None] * z)
-    assert draws.shape == (len(xn), n_mc)
+    want = np.exp(mu[rows, None] + np.sqrt(var[rows])[:, None] * z)
+    assert draws.shape == (len(rows), n_mc)
     assert np.array_equal(draws[live], want[live])
-    assert np.all(draws[memoized] == epsilon)
+    assert np.all(draws[~live] == epsilon)
 
 
 # Story: each Monte-Carlo generator serves one call, so cost draws stop at
@@ -298,7 +314,7 @@ def test_segment_draws_exponentiate_only_live_rows(memoized):
         KernelParams(np.array([0.3]), 1.0, 1e-2),
     )
     xn = np.linspace(0.0, 1.0, 5)[:, None]
-    _check_segment_draws(model, xn, np.array(memoized), n_mc=64, seed=21)
+    _check_segment_draws(model, xn, np.array(memoized), n_mc=64, seed=21, rows=np.arange(5))
 
 
 _DRAWS_MODEL_DATA = np.random.default_rng(5).uniform(size=(40, 3))
@@ -309,10 +325,11 @@ _DRAWS_MODEL = build_model(
 )
 
 
-# Story: the property above over random memo masks, batch sizes and n_mc.
-# A posterior taken on only the live or the leading rows rounds its mean
-# differently in the last bits for most such batches, so this fails if
-# the cost posterior is ever scored on a subset.
+# Story: the property above over random memo masks, batch sizes, n_mc and
+# subsets of the block's rows, as pruning leaves them. A posterior taken on
+# only the live or the leading rows rounds its mean differently in the last
+# bits for most such batches, so this fails if the cost posterior is ever
+# scored on a subset.
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     data=st.data(),
@@ -322,8 +339,9 @@ _DRAWS_MODEL = build_model(
 )
 def test_segment_draws_match_full_block_property(data, rows, n_mc, seed):
     memoized = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    kept = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
     xn = np.random.default_rng(seed).uniform(size=(rows, 3))
-    _check_segment_draws(_DRAWS_MODEL, xn, memoized, n_mc, seed)
+    _check_segment_draws(_DRAWS_MODEL, xn, memoized, n_mc, seed, np.flatnonzero(kept))
 
 
 # Story: with an odd n_mc the last normal of each row has no mirror: the
@@ -337,7 +355,7 @@ def test_segment_draws_odd_n_mc_leaves_last_normal_unpaired(n_mc):
     xn = np.random.default_rng(2).uniform(size=(6, 3))
     memoized = np.array([False, True, False, True, True, True])
     rng = np.random.default_rng(4)
-    draws = _segment_draws(
+    draws = _block_draws(
         _DRAWS_MODEL, xn, memoized, 0.01, rng, np.empty((6, half)), np.empty((6, n_mc))
     )
     advanced = np.random.default_rng(4)
@@ -375,7 +393,7 @@ def test_antithetic_inverse_cost_matches_closed_form(sigma):
     model = _one_segment_model(mu, sigma)
     post_mu, post_var = posterior_mean_var(model, _FAR)
     assert post_mu[0] == pytest.approx(mu) and post_var[0] == pytest.approx(sigma**2)
-    draws = _segment_draws(
+    draws = _block_draws(
         model, _FAR, np.zeros(1, dtype=bool), 0.01, np.random.default_rng(17),
         np.empty((1, n_mc // 2)), np.empty((1, n_mc)),
     )
@@ -396,7 +414,7 @@ def test_antithetic_estimates_spread_no_wider_than_plain_monte_carlo():
     mu, var = posterior_mean_var(model, _FAR)
     live = np.zeros(1, dtype=bool)
     antithetic = [
-        expected_inverse_cost(_segment_draws(
+        expected_inverse_cost(_block_draws(
             model, _FAR, live, 0.01, np.random.default_rng([23, s]),
             np.empty((1, n_mc // 2)), np.empty((1, n_mc)),
         ))[0]
@@ -477,19 +495,24 @@ def _flat_world(n=5):
 
 
 def _score(method, eta, n_mc=50):
+    """score_candidates on the flat world, checked row by row against the
+    unpruned reference (``check_pruned``); returns the scores and the mask
+    of the rows scored, not pruned."""
     space, xs, objective, stages, total = _flat_world()
     costs = {"eeipu": stages, "carbo": total, "ei": ()}[method]
     rngs = rng_table([np.random.default_rng([5, k]) for k in range(len(costs))])
     deltas = np.array([0, 1, 2, 0, 1])
-    return score_candidates(
-        method, ModelSet(objective, costs), space, xs, deltas, -1.0, eta, 0.01, n_mc, rngs
-    )
+    args = (method, ModelSet(objective, costs), space, xs, deltas, -1.0, eta, 0.01, n_mc, rngs)
+    reference = unpruned_scores(*args)
+    scores = score_candidates(*args)
+    return scores, ~check_pruned(scores, reference)
 
 
 # Story: a candidate with a memoized prefix of delta stages costs epsilon in
 # each of those stages and its own antithetic posterior draws in the rest;
 # the scorer sums the assembled stage rows into E[1/C]. The assembly is
-# rebuilt here from the posterior moments and generators seeded alike.
+# rebuilt here from the posterior moments and generators seeded alike, and
+# every row the scorer does not prune has its bits.
 def test_from_suffix_draws_assembles_matrix():
     space, xs, objective, stages, _ = _flat_world()
     xn = space.normalize(xs)
@@ -516,16 +539,16 @@ def test_from_suffix_draws_assembles_matrix():
         "eeipu", ModelSet(objective, stages), space, xs, deltas, -1.0, 1.0, epsilon, n_mc,
         rng_table(rngs()),
     )
-    assert np.array_equal(scored, ei * np.mean(1.0 / totals, axis=-1))
+    check_pruned(scored, ei * np.mean(1.0 / totals, axis=-1))
 
     memoized = deltas >= 1
     seg = METHODS["eeipu"].segments(3)[0]
     cols = xn[:, seg.columns(space)]
-    first = _segment_draws(
+    first = _block_draws(
         stages[0], cols, memoized, epsilon, rngs()[0], np.empty((5, n_mc // 2)),
         np.empty((5, n_mc)),
     )
-    plain = _segment_draws(
+    plain = _block_draws(
         stages[0], cols, np.zeros(5, dtype=bool), epsilon, rngs()[0],
         np.empty((5, n_mc // 2)), np.empty((5, n_mc)),
     )
@@ -534,29 +557,43 @@ def test_from_suffix_draws_assembles_matrix():
 
 
 # Story: the cooled score is EI * inv_cost^eta with exact endpoint behavior:
-# eta=0 is plain EI bit-for-bit, eta=1 the fully cost-scaled score.
+# eta=0 is plain EI bit-for-bit, eta=1 the fully cost-scaled score. The
+# algebra is checked on the rows scored at both exponents; every other row
+# is checked against the unpruned reference.
 def test_eeipu_score_algebra_and_endpoints():
-    ei = _score("ei", 0.3)
+    ei, _ = _score("ei", 0.3)
     assert np.all(ei > 0.0)
-    assert np.array_equal(_score("eeipu", 0.0), ei)
-    inv = _score("eeipu", 1.0) / ei
-    assert np.allclose(_score("eeipu", 0.5), ei * np.sqrt(inv), rtol=1e-15, atol=0.0)
+    at_zero, scored = _score("eeipu", 0.0)
+    assert np.array_equal(at_zero[scored], ei[scored])
+    (full, scored_full), (half, scored_half) = _score("eeipu", 1.0), _score("eeipu", 0.5)
+    both = scored_full & scored_half
+    inv = full[both] / ei[both]
+    assert both.any()
+    assert np.allclose(half[both], ei[both] * np.sqrt(inv), rtol=1e-15, atol=0.0)
 
 
 # Story: carbo at eta=1 is EI per unit cost (EIPS), EI times its one
-# total-cost model's E[1/C]; at eta=0 it is plain EI.
+# total-cost model's E[1/C]; at eta=0 it is plain EI. Both hold on every
+# row scored; every other row is checked against the unpruned reference.
 def test_carbo_scores():
-    ei = _score("ei", 0.0)
-    assert np.array_equal(_score("carbo", 0.0), ei)
-    assert np.allclose(_score("carbo", 1.0), ei / 9.0, rtol=0.01, atol=0.0)
+    ei, _ = _score("ei", 0.0)
+    at_zero, scored = _score("carbo", 0.0)
+    assert np.array_equal(at_zero[scored], ei[scored])
+    at_one, scored = _score("carbo", 1.0)
+    assert np.allclose(at_one[scored], ei[scored] / 9.0, rtol=0.01, atol=0.0)
 
 
 # Story: at n_mc = 1 a row draws one normal and has no mirrored column;
-# every cost-aware method still scores each candidate.
+# every cost-aware method still scores each candidate that survives, with
+# the reference's bits, in the flat world and in a world of three blocks.
 @pytest.mark.parametrize("method", ["eeipu", "carbo"])
 def test_score_candidates_with_one_cost_draw(method):
-    scores = _score(method, 1.0, n_mc=1)
-    assert scores.shape == (5,) and np.all(np.isfinite(scores)) and np.all(scores > 0.0)
+    scores, scored = _score(method, 1.0, n_mc=1)
+    assert scores.shape == (5,) and np.all(np.isfinite(scores))
+    assert np.all(scores[scored] > 0.0)
+    scores, reference, _ = _block_call(method, 0.1, 0.7, n_mc=1)
+    scored = ~check_pruned(scores, reference)
+    assert np.all(np.isfinite(scores)) and np.all(scores[scored] > 0.0)
 
 
 # Story: the table is the only place methods differ: which cost segments
@@ -610,10 +647,13 @@ def _block_world(rows=6):
 
 
 # Story: a step scores its restarts' batches in one call, as equal blocks
-# with a (segment, block) table of generators. Block b of that call has the
-# bits of a call on block b alone with block b's generators, for every
-# method, also when a block ends in memoized rows that draw nothing and the
-# reused buffers hold the previous block's draws.
+# with a (segment, block) table of generators. Every row of that call, and
+# of a call on one block, is the unpruned reference's, or pruned below the
+# winner. A row the whole call scores
+# survives a call on its block alone with block b's generators too, as a
+# block's largest lower score is at most the batch's, and has the same bits
+# there, for every method, also when a block ends in memoized rows that
+# draw nothing and the reused buffers hold the previous block's draws.
 @pytest.mark.parametrize("method", list(METHODS))
 def test_block_scorer_matches_per_block_calls(method):
     space, xs, deltas, objective, costs = _block_world()
@@ -624,12 +664,248 @@ def test_block_scorer_matches_per_block_calls(method):
         return [np.random.default_rng([7, s, b]) for s in range(n_seg) for b in blocks]
 
     args = (method, models, space)
-    one_call = score_candidates(
-        *args, xs, deltas, 0.1, 0.7, 0.01, n_mc, rng_table(gens(range(3)), n_blocks=3)
+    table = rng_table(gens(range(3)), n_blocks=3)
+    reference = unpruned_scores(*args, xs, deltas, 0.1, 0.7, 0.01, n_mc, table)
+    one_call = score_candidates(*args, xs, deltas, 0.1, 0.7, 0.01, n_mc, table)
+    per_block = []
+    for b, rows in enumerate(np.split(np.arange(len(xs)), 3)):
+        block = score_candidates(
+            *args, xs[rows], deltas[rows], 0.1, 0.7, 0.01, n_mc, rng_table(gens([b]))
+        )
+        check_pruned(block, reference[rows])
+        per_block.append(block)
+    scored = ~check_pruned(one_call, reference)
+    assert one_call[scored].tobytes() == np.concatenate(per_block)[scored].tobytes()
+    assert np.all(reference > 0.0) and np.all(one_call[scored] > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# pruning by bounds on E[1/C]
+
+
+def _quadrature_inverse_cost(mu, sigma, c, nodes=64):
+    """E[1 / (c + sum_k exp(mu_k + sigma_k Z_k))] for independent standard
+    normals Z_k, by a product Gauss-Hermite rule of ``nodes`` per segment;
+    it agrees with twice the nodes to 3e-10 relative for sigma up to 2."""
+    z, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / w.sum()
+    total, weight = np.full((1,) * len(mu), c), np.ones((1,) * len(mu))
+    for k, (m, s) in enumerate(zip(mu, sigma)):
+        shape = [1] * len(mu)
+        shape[k] = nodes
+        total = total + np.exp(m + s * z).reshape(shape)
+        weight = weight * w.reshape(shape)
+    return float(np.sum(weight / total))
+
+
+# Story: the analytic bounds that pruning rests on hold for the true
+# E[1/S] at every sigma from 0.01 to 2, with any memo mask and epsilon: S is
+# c (epsilon per memoized segment) plus a log-normal per live segment. One
+# live segment and c = 0 have the closed form exp(-mu + sigma^2 / 2), which
+# the upper bound equals; every other case is checked against a quadrature,
+# to the scorer's own relative slack of 1e-9.
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    segments=st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 2.0), st.booleans()),
+        min_size=1, max_size=3,
+    ),
+    epsilon=st.floats(1e-3, 10.0),
+)
+def test_inverse_cost_bounds_hold(segments, epsilon):
+    mu, sigma, memoized = (np.array(column)[:, None] for column in zip(*segments))
+    lower, upper = (float(b[0]) for b in _inverse_cost_bounds(mu, sigma**2, memoized, epsilon))
+    live = ~memoized[:, 0]
+    c = epsilon * int(np.count_nonzero(memoized))
+    if not live.any():
+        assert lower == upper == 1.0 / c
+        return
+    if live.sum() == 1 and c == 0.0:
+        truth = math.exp(-float(mu[live][0, 0]) + float(sigma[live][0, 0]) ** 2 / 2.0)
+        assert upper == pytest.approx(truth, rel=1e-14)
+    else:
+        truth = _quadrature_inverse_cost(mu[live, 0], sigma[live, 0], c)
+        assert truth <= upper * (1.0 + 1e-9)
+    assert lower <= truth * (1.0 + 1e-9)
+
+
+def _random_world(seed, sigma_max, rows=16):
+    """A synth3 batch of three blocks of ``rows`` candidates with random
+    deltas, an objective model and per-stage and total-cost models whose
+    posterior standard deviation reaches up to ``sigma_max`` away from
+    their 12 training points, as in ``_block_world``."""
+    space = synthetic_suite("synth3").search_space()
+    rng = np.random.default_rng(seed)
+    xs = space.uniform(rng, 3 * rows)
+    train = space.normalize(space.uniform(rng, 12))
+    deltas = rng.integers(0, 4, size=3 * rows)
+
+    def model(cols, scale, sd):
+        x = train[:, cols]
+        y = scale * np.sin(4.0 * x).sum(axis=1)
+        prior = 1.0 if sd is None else (sd / np.std(y)) ** 2
+        return build_model(x, y, KernelParams(np.full(x.shape[1], 0.2), prior, 1e-3))
+
+    objective = model(slice(None), 1.0, None)
+    stages = tuple(model(space.stage_slice(k), 0.3, sigma_max) for k in (1, 2, 3))
+    total = (model(slice(None), 0.5, sigma_max),)
+    return space, xs, deltas, objective, {"eeipu": stages, "carbo": total}
+
+
+# Story: pruning leaves the decision alone. Over worlds whose cost
+# posteriors reach sigma 2, cooling exponents and draw counts, every row
+# the scorer keeps has the bits of the unpruned Monte-Carlo reference, and
+# every row it prunes has a reference score below the winner's, so the
+# argmax and the winning score are the reference's bit for bit.
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma_max=st.floats(0.01, 2.0),
+    eta=st.floats(0.0, 1.0),
+    n_mc=st.integers(1, 200),
+    method=st.sampled_from(["eeipu", "carbo"]),
+)
+def test_pruned_argmax_matches_unpruned_reference(seed, sigma_max, eta, n_mc, method):
+    space, xs, deltas, objective, costs = _random_world(seed, sigma_max)
+    models = ModelSet(objective, costs[method])
+    table = rng_table(
+        [np.random.default_rng([seed, s, b]) for s in range(len(costs[method])) for b in range(3)],
+        n_blocks=3,
     )
-    per_block = [
-        score_candidates(*args, xs[rows], deltas[rows], 0.1, 0.7, 0.01, n_mc, rng_table(gens([b])))
-        for b, rows in enumerate(np.split(np.arange(len(xs)), 3))
-    ]
-    assert one_call.tobytes() == np.concatenate(per_block).tobytes()
-    assert np.all(one_call > 0.0)
+    args = (method, models, space, xs, deltas, 0.1, eta, 0.01, n_mc, table)
+    reference = unpruned_scores(*args)
+    check_pruned(score_candidates(*args), reference)
+
+
+def _block_call(method, f_best, eta, n_mc=40):
+    """score_candidates on ``_block_world`` with f_best and eta, its unpruned
+    reference and the (segment, block) generator table it consumed."""
+    space, xs, deltas, objective, costs = _block_world()
+    n_seg = len(costs[method])
+    table = rng_table(
+        [np.random.default_rng([7, s, b]) for s in range(n_seg) for b in range(3)], n_blocks=3
+    )
+    args = (method, ModelSet(objective, costs[method]), space, xs, deltas, f_best, eta, 0.01, n_mc)
+    reference = unpruned_scores(*args, table)
+    return score_candidates(*args, table), reference, table
+
+
+# Story: at eta = 0 the cost term is 1 for every row, so the rows kept are
+# those whose EI is within the slack of the largest, and each scores its EI
+# exactly; the rest read 0.
+@pytest.mark.parametrize("method", ["eeipu", "carbo"])
+def test_eta_zero_scores_survivors_exactly_ei(method):
+    scores, _, _ = _block_call(method, 0.1, 0.0)
+    ei, _, _ = _block_call("ei", 0.1, 0.0)
+    kept = ei >= (1.0 - 1e-9) * ei.max()
+    assert scores[kept].tobytes() == ei[kept].tobytes()
+    assert np.all(scores[~kept] == 0.0) and (~kept).any()
+
+
+# Story: where every EI is 0 no bound can separate the rows, so nothing is
+# pruned: every (segment, block) generator draws up to its last live row,
+# as an unpruned scorer's would, and every score is 0.
+def test_all_zero_ei_prunes_nothing():
+    scores, reference, table = _block_call("eeipu", 1e12, 0.7)
+    assert np.all(scores == 0.0) and np.all(reference == 0.0)
+    deltas = _block_world()[2]
+    for (s, b), rng in np.ndenumerate(table):
+        block_deltas = np.split(deltas, 3)[b]
+        live = np.flatnonzero(block_deltas < METHODS["eeipu"].segments(3)[s].last)
+        advanced = np.random.default_rng([7, s, b])
+        advanced.standard_normal((live[-1] + 1 if len(live) else 0, 20))
+        assert rng.bit_generator.state == advanced.bit_generator.state
+
+
+# Story: with every EI 0 the real scorer scores every candidate 0, and the
+# step runs row 0 of restart 0's batch, a uniform draw with nothing
+# memoized.
+def test_step_with_all_zero_ei_runs_row_0(tmp_path, monkeypatch):
+    pipe = synthetic_suite("synth3")
+    state = init_state(RunConfig(method="eeipu", n0=3, m=16, n_mc=30, restarts=2), pipe, tmp_path)
+    state.rows[-1] = dataclasses.replace(state.rows[-1], best_y=1e12)
+    cfg, iteration = state.config, len(state.rows) + 1
+    xs, deltas = generate(
+        state.pool, pipe.search_space(), cfg.m, derived_rng(cfg.seed, _TAG_CAND, iteration, 0)
+    )
+    returned = []
+
+    def recorded(*args):
+        returned.append(score_candidates(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(optimizer, "score_candidates", recorded)
+    obs = step(state)
+    assert len(returned) == 1 and np.all(returned[0] == 0.0)
+    assert obs.x == tuple(xs[0].tolist()) and deltas[0] == 0
+    assert state.rows[-1].score == 0.0
+
+
+# Story: a fully memoized candidate costs epsilon in every segment, so both
+# bounds are 1/c and, kept, it scores EI * (1/c)^eta with c = 3 epsilon.
+def test_fully_memoized_row_scores_ei_times_inverse_c():
+    space, xs, _, objective, costs = _block_world()
+    deltas = np.full(len(xs), 3)
+    eta, epsilon = 0.7, 0.01
+    ei = score_candidates(
+        "ei", ModelSet(objective, ()), space, xs, deltas, 0.1, eta, epsilon, 40, rng_table([], 3)
+    )
+    table = rng_table([np.random.default_rng([7, s]) for s in range(9)], n_blocks=3)
+    scores = score_candidates(
+        "eeipu", ModelSet(objective, costs["eeipu"]), space, xs, deltas, 0.1, eta, epsilon, 40,
+        table,
+    )
+    kept = scores > 0.0
+    assert kept.any()
+    assert np.allclose(
+        scores[kept], ei[kept] * (1.0 / (3 * epsilon)) ** eta, rtol=1e-14, atol=0.0
+    )
+    for rng, seed in zip(table.flat, range(9)):
+        assert rng.bit_generator.state == np.random.default_rng([7, seed]).bit_generator.state
+
+
+# Story: each (segment, block) generator serves this call alone, so it
+# draws only up to the last row of its block that survives and is not
+# memoized in its segment; a block none of whose rows survives draws
+# nothing, and its generators end in the state of fresh ones.
+@pytest.mark.parametrize("method", ["eeipu", "carbo"])
+def test_block_without_survivors_draws_nothing(method):
+    scores, reference, table = _block_call(method, 0.1, 0.7)
+    check_pruned(scores, reference)
+    kept, deltas = np.split(scores > 0.0, 3), np.split(_block_world()[2], 3)
+    assert not all(block.any() for block in kept) and any(block.any() for block in kept)
+    for (s, b), rng in np.ndenumerate(table):
+        last = METHODS[method].segments(3)[s].last
+        read = np.flatnonzero(kept[b] & (deltas[b] < last))
+        advanced = np.random.default_rng([7, s, b])
+        advanced.standard_normal((read[-1] + 1 if len(read) else 0, 20))
+        assert rng.bit_generator.state == advanced.bit_generator.state
+        if not kept[b].any():
+            assert rng.bit_generator.state == np.random.default_rng([7, s, b]).bit_generator.state
+
+
+# Story: a row with EI 0 scores 0 whatever its cost bound, also beside an
+# upper bound of inf (a cost posterior whose variance overflows exp), so no
+# bound, threshold or score is ever NaN.
+def test_zero_ei_beside_infinite_bound_is_not_nan():
+    assert _cooled(np.array([0.0, 2.0]), np.array([np.inf, 4.0]), 0.5).tolist() == [0.0, 4.0]
+    space, xs, deltas, _, _ = _block_world()
+    xn = space.normalize(xs)
+    # trained on the candidates themselves with almost no noise, the
+    # objective's posterior is sharp there, and EI is exactly 0 below f_best
+    y = np.sin(4.0 * xn).sum(axis=1)
+    objective = build_model(xn, y, KernelParams(np.full(space.dim, 0.4), 1.0, 1e-8))
+    f_best = float(np.median(y))
+    near = np.array([np.zeros(space.dim), np.full(space.dim, 0.01)])
+    wild = build_model(near, [-1.0, 1.0], KernelParams(np.full(space.dim, 0.01), 2000.0, 1e-6))
+    mu, var = posterior_mean_var(wild, xn)
+    _, upper = _inverse_cost_bounds(mu[None], var[None], (deltas >= 3)[None], 0.01)
+    assert np.isinf(upper[deltas < 3]).all()
+    args = ("carbo", ModelSet(objective, (wild,)), space, xs, deltas, f_best, 0.7, 0.01, 40)
+    ei = score_candidates("ei", *args[1:], rng_table([], 3))
+    table = rng_table([np.random.default_rng([3, b]) for b in range(3)], n_blocks=3)
+    reference = unpruned_scores(*args, table)
+    scores = score_candidates(*args, table)
+    assert (ei == 0.0).any() and (ei > 0.0).any()
+    assert not np.isnan(scores).any() and np.all(scores[ei == 0.0] == 0.0)
+    check_pruned(scores, reference)

@@ -240,18 +240,18 @@ def test_sample_determinism_and_count():
         np.array([[0.4], [0.6]]), [0.0, 1.0], _params([0.05], scale=2.0, noise=0.5)
     )
     xn = np.array([[50.0], [0.5]])
-    unmemoized = np.zeros(2, dtype=bool)
+    unmemoized, rows = np.zeros(2, dtype=bool), np.arange(2)
+    mean, var = posterior_mean_var(model, xn)
     a = _segment_draws(
-        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 500)),
+        mean, var, unmemoized, rows, 0.25, np.random.default_rng(9), np.empty((2, 500)),
         np.empty((2, 1000)),
     )
     b = _segment_draws(
-        model, xn, unmemoized, 0.25, np.random.default_rng(9), np.empty((2, 500)),
+        mean, var, unmemoized, rows, 0.25, np.random.default_rng(9), np.empty((2, 500)),
         np.empty((2, 1000)),
     )
     assert np.array_equal(a, b)
     assert a.shape == (2, 1000)
-    mean, var = posterior_mean_var(model, xn)
     assert np.mean(np.log(a), axis=1) == pytest.approx(mean, abs=0.2)
     assert np.std(np.log(a), axis=1) == pytest.approx(np.sqrt(var), abs=0.2)
 
