@@ -186,13 +186,12 @@ def _segment_draws(
     rows: np.ndarray,
     epsilon: float,
     rng: np.random.Generator,
+    n_mc: int,
     normals: np.ndarray,
-    out: np.ndarray,
 ) -> np.ndarray:
-    """Fills ``out``, a (len(rows), n_mc) buffer whose old contents are
-    never read, with one segment's cost draws for the block rows ``rows``
-    (increasing), whose log-cost posterior moments are ``mu`` and ``var``,
-    and returns it; a memoized row costs epsilon in every draw.
+    """One segment's (len(rows), n_mc) cost draws for the block rows
+    ``rows`` (increasing), whose log-cost posterior moments are ``mu`` and
+    ``var``; a memoized row costs epsilon in every draw.
 
     The draws come in antithetic pairs. Block row i's normals z are row i
     of the generator's (block rows, ceil(n_mc / 2)) stream, and its n_mc
@@ -202,26 +201,18 @@ def _segment_draws(
     draws into ``normals``, a (block rows, ceil(n_mc / 2)) scratch buffer,
     only up to the last of ``rows`` not memoized (n_read block rows): the
     generator advances by n_read x ceil(n_mc / 2) normals, none when every
-    one of ``rows`` is memoized. The rows asked for are exponentiated whole
-    without a mask (a masked exp is slower); then every memoized one is set
-    to epsilon."""
-    live = ~memoized
-    if not live.any():
-        out[:] = epsilon
-        return out
-    n_read = int(rows[live][-1]) + 1
-    half = normals.shape[1]
-    drawn, z = normals[:n_read], out[:, :half]
+    one of ``rows`` is memoized."""
+    if memoized.all():
+        return np.full((len(rows), n_mc), epsilon)
+    n_read = int(rows[~memoized][-1]) + 1
+    drawn = normals[:n_read]
     rng.standard_normal(out=drawn)
     # a memoized row past n_read takes row n_read - 1's finite normals
-    np.take(drawn, rows, axis=0, out=z, mode="clip")
-    z *= np.sqrt(var)[:, None]
+    sdz = np.sqrt(var)[:, None] * drawn[np.minimum(rows, n_read - 1)]
     mu = mu[:, None]
-    np.subtract(mu, z[:, : out.shape[1] - half], out=out[:, half:])
-    z += mu
-    np.exp(out, out=out)
-    out[memoized] = epsilon
-    return out
+    draws = np.exp(np.concatenate([mu + sdz, mu - sdz[:, : n_mc // 2]], axis=1))
+    draws[memoized] = epsilon
+    return draws
 
 
 def score_candidates(
@@ -253,13 +244,12 @@ def score_candidates(
     it reads 0, and is neither exponentiated nor averaged. Generator (s, b)
     is consumed by this call alone: it draws segment s's normals for block
     b, ceil(n_mc / 2) per row, up to the last surviving row that segment
-    does not memoize (``_segment_draws``), and nothing for a block without
-    survivors. So a survivor's draws and score have the bits they would
-    have with nothing pruned. The survivors' draws go into the leading rows
-    of two (block rows, n_mc) buffers and their normals into one (block
-    rows, ceil(n_mc / 2)) buffer, all allocated once per call: the first
-    segment writes the totals, each later one the spare buffer, added in
-    segment order. A cost-blind method scores plain EI.
+    does not memoize (``_segment_draws``), into one (block rows,
+    ceil(n_mc / 2)) scratch buffer allocated once per call, and nothing for
+    a block without survivors. A survivor's total-cost draws are its
+    segments' draws summed in segment order, so its draws and score have
+    the bits they would have with nothing pruned. A cost-blind method scores
+    plain EI.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     n_blocks = mc_rngs.shape[1]
@@ -282,20 +272,13 @@ def score_candidates(
     kept = _cooled(ei, upper, eta) >= (1.0 - 1e-9) * np.max(_cooled(ei, lower, eta))
 
     scores = np.zeros_like(ei)
-    totals, spare = np.empty((rows, n_mc)), np.empty((rows, n_mc))
     normals = np.empty((rows, -(-n_mc // 2)))
     for b, cut in enumerate(cuts):
         survivors = np.flatnonzero(kept[cut])
-        if not len(survivors):
-            continue
-        at, n = cut.start + survivors, len(survivors)
-        for s in range(len(segments)):
-            out = spare[:n] if s else totals[:n]
-            _segment_draws(
-                mu[s, at], var[s, at], memoized[s, at], survivors, epsilon, mc_rngs[s, b],
-                normals, out,
-            )
-            if s:
-                totals[:n] += out
-        scores[at] = _cooled(ei[at], expected_inverse_cost(totals[:n]), eta)
+        at = cut.start + survivors
+        totals = ordered_sum(
+            _segment_draws(*moments, survivors, epsilon, mc_rngs[s, b], n_mc, normals)
+            for s, moments in enumerate(zip(mu[:, at], var[:, at], memoized[:, at]))
+        )
+        scores[at] = _cooled(ei[at], expected_inverse_cost(totals), eta)
     return scores

@@ -80,7 +80,7 @@ def summarize(traces: list[RunTrace]) -> list[SummaryRow]:
     A group whose configs differ in any key but ``seed`` is refused."""
     groups: dict[tuple[str, str], list[RunTrace]] = {}
     for t in traces:
-        key = (t.pipeline_name, str(t.config.get("method", "unknown")))
+        key = (t.pipeline_name, t.config["method"])
         groups.setdefault(key, []).append(t)
 
     rows = []
@@ -145,11 +145,9 @@ def write_curves_csv(traces: list[RunTrace], path: Path) -> None:
     """Long-format best-objective-versus-cost curves for external plotting."""
     lines = ["pipeline,method,seed,iter,consumed,best_y"]
     for t in traces:
-        method = t.config.get("method", "unknown")
-        seed = t.config.get("seed", "")
         for r in t.rows:
             lines.append(
-                f"{t.pipeline_name},{method},{seed},{r.iteration},"
+                f"{t.pipeline_name},{t.config['method']},{t.config['seed']},{r.iteration},"
                 f"{r.consumed:.17g},{r.best_y:.17g}"
             )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -106,8 +106,8 @@ class RunConfig:
             raise InvalidArgumentError("m, n_mc, and restarts must be >= 1")
         if self.q < 0:
             raise InvalidArgumentError("q must be >= 0")
-        if not (is_real(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidArgumentError("epsilon must be a positive number")
+        if not (is_real(self.epsilon) and 0.0 < self.epsilon < math.inf):
+            raise InvalidArgumentError("epsilon must be a positive finite number")
         if self.eta_schedule not in ETA_SCHEDULES:
             raise InvalidArgumentError(f"unknown eta schedule: {self.eta_schedule!r}")
         if self.prefix_policy not in PREFIX_POLICIES:
@@ -153,8 +153,7 @@ class RunTrace:
         return self.rows[-1].consumed if self.rows else 0.0
 
     def post_warmup_rows(self) -> list[TraceRow]:
-        n0 = int(self.config.get("n0", 0))
-        return [r for r in self.rows if r.iteration > n0]
+        return [r for r in self.rows if r.iteration > self.config["n0"]]
 
 
 @dataclass
@@ -393,9 +392,10 @@ def write_trace(trace: RunTrace, path: str | Path) -> None:
 
 def read_trace(path: str | Path) -> RunTrace:
     """Parse a persisted trace and its JSON sidecar back into a RunTrace;
-    malformed content, or a sidecar that is missing, lacks a key or
-    disagrees with the header's stage count and dim, raises a parse error
-    naming the file."""
+    malformed content, or a sidecar that is missing, lacks a key, names its
+    pipeline by anything but a string, holds a config that is not exactly a
+    valid ``RunConfig``'s fields or disagrees with the header's stage count
+    and dim, raises a parse error naming the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -406,13 +406,10 @@ def read_trace(path: str | Path) -> RunTrace:
         raise TraceParseError("empty trace file", str(path))
 
     header = lines[0].split(",")
-    fixed = ["iter", "delta", "eta", "consumed", "y", "best_y", "score"]
-    if header[: len(fixed)] != fixed:
-        raise TraceParseError(f"unexpected header: {lines[0]!r}", str(path))
     n_stages = sum(1 for c in header if c.startswith("cost_s"))
     dim = sum(1 for c in header if c.startswith("x_"))
-    if len(header) != len(fixed) + n_stages + dim or n_stages == 0 or dim == 0:
-        raise TraceParseError(f"inconsistent header: {lines[0]!r}", str(path))
+    if not (n_stages and dim and lines[0] == trace_header(n_stages, dim)):
+        raise TraceParseError(f"unexpected header: {lines[0]!r}", str(path))
 
     rows = []
     for ln in lines[1:]:
@@ -443,6 +440,11 @@ def read_trace(path: str | Path) -> RunTrace:
         name, config = doc["pipeline"], doc["config"]
         total_budget = float(doc["resolved_total_budget"])
         shape = (doc["n_stages"], doc["dim"])
+        if not isinstance(name, str):
+            raise TypeError(f"pipeline must be a string, got {name!r}")
+        if not (isinstance(config, dict) and set(config) == {f.name for f in fields(RunConfig)}):
+            raise TypeError(f"config must hold exactly the fields of RunConfig, got {config!r}")
+        RunConfig(**config)
     except KeyError as exc:
         raise TraceParseError(f"sidecar lacks key {exc}", str(sidecar_path))
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:

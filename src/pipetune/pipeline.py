@@ -154,7 +154,10 @@ def default_stage_cost(x: np.ndarray) -> float:
 class StageSpec:
     """One pipeline stage, given as exactly one of a synthetic
     ``objective_fn`` (costed by ``default_stage_cost``) and an external
-    ``command`` template with {x1}..{xn}, {input}, {output} slots."""
+    ``command`` template with {x1}..{xn}, {input}, {output} slots. The
+    command is split into words once, here, by shell rules (``shlex``); the
+    slots are filled in each word when the stage runs, so a path with
+    spaces stays one argument."""
 
     name: str
     dim: int
@@ -176,6 +179,11 @@ class StageSpec:
             raise InvalidArgumentError("a stage needs exactly one of objective_fn and command")
         if not (self.command is None or isinstance(self.command, str) and self.command.strip()):
             raise InvalidArgumentError(f"stage needs a command string, got {self.command!r}")
+        if self.command is not None:
+            try:
+                object.__setattr__(self, "_words", tuple(shlex.split(self.command)))
+            except ValueError as exc:
+                raise InvalidArgumentError(f"cannot split command {self.command!r}: {exc}")
 
     @property
     def kind(self) -> str:
@@ -283,8 +291,7 @@ def _run_stage(
         input_path = workdir / f"stage_{stage_index}_input"
         output_path = workdir / f"stage_{stage_index}_output"
         input_path.write_bytes(payload)
-        command = _substitute(stage.command, stage_x, str(input_path), str(output_path))
-        argv = shlex.split(command)
+        argv = [_substitute(w, stage_x, str(input_path), str(output_path)) for w in stage._words]
         start = time.perf_counter()
         try:
             # its own session, so that a timeout can kill all the stage started

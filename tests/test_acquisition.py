@@ -233,8 +233,8 @@ def test_inverse_cost_from_totals_agrees():
         expected_inverse_cost(np.array([[1.0, 2.0], [1.0, 0.0]]))
 
 
-# Story: the estimator inverts the totals in their own buffer, the scorer's
-# reused one, and returns bit for bit the textbook mean of 1 / total.
+# Story: the estimator inverts the totals in their own buffer, and returns
+# bit for bit the textbook mean of 1 / total.
 def test_inverse_cost_inverts_totals_in_place():
     rng = np.random.default_rng(8)
     totals = rng.lognormal(size=(4, 100))
@@ -243,14 +243,14 @@ def test_inverse_cost_inverts_totals_in_place():
     assert np.array_equal(totals, want)
 
 
-def _block_draws(model, xn, memoized, epsilon, rng, normals, out, rows=None):
+def _block_draws(model, xn, memoized, epsilon, rng, n_mc, normals, rows=None):
     """_segment_draws for block rows ``rows`` (all of them by default), with
     the moments of ``model``'s posterior on the whole block ``xn`` and the
     memo mask of the whole block."""
     rows = np.arange(len(xn)) if rows is None else rows
     mu, var = posterior_mean_var(model, xn)
     return _segment_draws(
-        mu[rows], var[rows], memoized[rows], rows, epsilon, rng, normals, out
+        mu[rows], var[rows], memoized[rows], rows, epsilon, rng, n_mc, normals
     )
 
 
@@ -260,20 +260,18 @@ def _check_segment_draws(model, xn, memoized, n_mc, seed, rows, epsilon=0.01):
     (n_read = last live row of ``rows`` + 1, 0 when all of them are
     memoized), live rows are exp(mu + sd z) bit for bit with z the twin's
     antithetic normals (``antithetic_normals``) and mu, var from the
-    full-batch posterior, and memoized rows are epsilon. The draws fill the
-    buffer passed in, and NaN-filled buffers end with the bits of fresh
-    ones, so no row of an earlier block survives in reused buffers."""
+    full-batch posterior, and memoized rows are epsilon. The draws are an
+    array of their own, not a view of the normals' scratch buffer, and a
+    NaN-filled scratch buffer gives the bits of a fresh one, so no row of an
+    earlier block survives in the reused buffer."""
     half = -(-n_mc // 2)
     rng = np.random.default_rng(seed)
-    buffer = np.empty((len(rows), n_mc))
-    draws = _block_draws(
-        model, xn, memoized, epsilon, rng, np.empty((len(xn), half)), buffer, rows
-    )
-    assert draws is buffer
-    stale = np.full((len(rows), n_mc), np.nan)
-    _block_draws(
-        model, xn, memoized, epsilon, np.random.default_rng(seed),
-        np.full((len(xn), half), np.nan), stale, rows,
+    normals = np.empty((len(xn), half))
+    draws = _block_draws(model, xn, memoized, epsilon, rng, n_mc, normals, rows)
+    assert not np.shares_memory(draws, normals)
+    stale = _block_draws(
+        model, xn, memoized, epsilon, np.random.default_rng(seed), n_mc,
+        np.full((len(xn), half), np.nan), rows,
     )
     assert stale.tobytes() == draws.tobytes()
 
@@ -355,9 +353,7 @@ def test_segment_draws_odd_n_mc_leaves_last_normal_unpaired(n_mc):
     xn = np.random.default_rng(2).uniform(size=(6, 3))
     memoized = np.array([False, True, False, True, True, True])
     rng = np.random.default_rng(4)
-    draws = _block_draws(
-        _DRAWS_MODEL, xn, memoized, 0.01, rng, np.empty((6, half)), np.empty((6, n_mc))
-    )
+    draws = _block_draws(_DRAWS_MODEL, xn, memoized, 0.01, rng, n_mc, np.empty((6, half)))
     advanced = np.random.default_rng(4)
     advanced.standard_normal(3 * half)
     assert rng.bit_generator.state == advanced.bit_generator.state
@@ -394,8 +390,8 @@ def test_antithetic_inverse_cost_matches_closed_form(sigma):
     post_mu, post_var = posterior_mean_var(model, _FAR)
     assert post_mu[0] == pytest.approx(mu) and post_var[0] == pytest.approx(sigma**2)
     draws = _block_draws(
-        model, _FAR, np.zeros(1, dtype=bool), 0.01, np.random.default_rng(17),
-        np.empty((1, n_mc // 2)), np.empty((1, n_mc)),
+        model, _FAR, np.zeros(1, dtype=bool), 0.01, np.random.default_rng(17), n_mc,
+        np.empty((1, n_mc // 2)),
     )
     pairs = 0.5 * (1.0 / draws[0, : n_mc // 2] + 1.0 / draws[0, n_mc // 2 :])
     se = np.std(pairs) / math.sqrt(len(pairs))
@@ -415,8 +411,8 @@ def test_antithetic_estimates_spread_no_wider_than_plain_monte_carlo():
     live = np.zeros(1, dtype=bool)
     antithetic = [
         expected_inverse_cost(_block_draws(
-            model, _FAR, live, 0.01, np.random.default_rng([23, s]),
-            np.empty((1, n_mc // 2)), np.empty((1, n_mc)),
+            model, _FAR, live, 0.01, np.random.default_rng([23, s]), n_mc,
+            np.empty((1, n_mc // 2)),
         ))[0]
         for s in seeds
     ]
@@ -545,12 +541,11 @@ def test_from_suffix_draws_assembles_matrix():
     seg = METHODS["eeipu"].segments(3)[0]
     cols = xn[:, seg.columns(space)]
     first = _block_draws(
-        stages[0], cols, memoized, epsilon, rngs()[0], np.empty((5, n_mc // 2)),
-        np.empty((5, n_mc)),
+        stages[0], cols, memoized, epsilon, rngs()[0], n_mc, np.empty((5, n_mc // 2))
     )
     plain = _block_draws(
-        stages[0], cols, np.zeros(5, dtype=bool), epsilon, rngs()[0],
-        np.empty((5, n_mc // 2)), np.empty((5, n_mc)),
+        stages[0], cols, np.zeros(5, dtype=bool), epsilon, rngs()[0], n_mc,
+        np.empty((5, n_mc // 2)),
     )
     assert np.all(first[memoized] == epsilon)
     assert np.array_equal(first[~memoized], plain[~memoized])

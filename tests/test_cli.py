@@ -251,6 +251,19 @@ def test_report_without_sidecar_exits_1(run_dir, tmp_path, capsys):
     assert "alone.json" in capsys.readouterr().err
 
 
+# Story: a sidecar whose config is not a RunConfig's is a runtime error,
+# exit 1 with one line naming the sidecar, never a raw traceback.
+@pytest.mark.parametrize("config", [5, {"n0": "x"}], ids=["number", "partial"])
+def test_report_with_malformed_sidecar_exits_1(run_dir, tmp_path, capsys, config):
+    name = "synth3_ei_s0"
+    (tmp_path / f"{name}.csv").write_bytes((run_dir / f"{name}.csv").read_bytes())
+    doc = json.loads((run_dir / f"{name}.json").read_text())
+    (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "config": config}))
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{name}.json" in err and "Traceback" not in err
+
+
 def test_summary_matches_recomputation_from_traces(run_dir):
     traces = [
         read_trace(p)
@@ -544,14 +557,15 @@ def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
 
 
 # Story: a pipeline file whose stage cannot run (a command that is not a
-# string, a timeout that is not a finite number of seconds above 0, an
-# unbounded box, a bound that is a string, a boolean or null, a boolean
-# noise level) is refused with the usage exit
+# string or cannot be split into words, a timeout that is not a finite
+# number of seconds above 0, an unbounded box, a bound that is a string, a
+# boolean or null, a boolean noise level) is refused with the usage exit
 # code before any stage command runs or any output directory is made.
 @pytest.mark.parametrize(
     "change",
     [
         {"command": 5},
+        {"command": "sh -c 'echo objective={x1}"},
         {"timeout": math.nan},
         {"timeout": 0},
         {"timeout": -1},
@@ -561,7 +575,7 @@ def test_malformed_pipeline_file_exits_2(tmp_path, capsys):
         {"bounds": [[None, 1.0]]},
         {"noise_std": True},
     ],
-    ids=["command-number", "timeout-nan", "timeout-zero", "timeout-negative",
+    ids=["command-number", "command-unbalanced-quote", "timeout-nan", "timeout-zero", "timeout-negative",
          "bounds-infinite", "bounds-string", "bounds-bool", "bounds-null", "noise-bool"],
 )
 def test_unrunnable_pipeline_file_exits_2(tmp_path, capsys, change):

@@ -243,12 +243,10 @@ def test_sample_determinism_and_count():
     unmemoized, rows = np.zeros(2, dtype=bool), np.arange(2)
     mean, var = posterior_mean_var(model, xn)
     a = _segment_draws(
-        mean, var, unmemoized, rows, 0.25, np.random.default_rng(9), np.empty((2, 500)),
-        np.empty((2, 1000)),
+        mean, var, unmemoized, rows, 0.25, np.random.default_rng(9), 1000, np.empty((2, 500))
     )
     b = _segment_draws(
-        mean, var, unmemoized, rows, 0.25, np.random.default_rng(9), np.empty((2, 500)),
-        np.empty((2, 1000)),
+        mean, var, unmemoized, rows, 0.25, np.random.default_rng(9), 1000, np.empty((2, 500))
     )
     assert np.array_equal(a, b)
     assert a.shape == (2, 1000)

@@ -2,6 +2,7 @@
 budget accounting, acquisition scoring mechanics, the single-stage
 degeneracy, and trace persistence."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -118,6 +119,27 @@ def test_run_config_refuses_nonfinite_budget(budget):
 def test_run_config_refuses_wrong_types(bad):
     with pytest.raises(InvalidArgumentError):
         RunConfig(**bad)
+
+
+# Story: every number field refuses what is not a number of its kind, so a
+# field added later is covered too: a float field refuses NaN, both
+# infinities and True (an infinite epsilon would cost a memoized stage inf
+# and zero every score), and an int field refuses a float and a bool.
+def test_run_config_number_fields_refuse_non_numbers():
+    checked = []
+    for field in dataclasses.fields(RunConfig):
+        kinds = field.type.replace(" ", "").split("|")
+        if "float" in kinds:
+            bad = [math.nan, math.inf, -math.inf, True]
+        elif "int" in kinds:
+            bad = [1.0, True, False]
+        else:
+            continue
+        checked.append(field.name)
+        for value in bad:
+            with pytest.raises(InvalidArgumentError, match=field.name):
+                RunConfig(**{field.name: value})
+    assert {"epsilon", "total_budget", "n0", "seed"} <= set(checked)
 
 
 def test_run_config_roundtrips_to_dict():
@@ -708,7 +730,7 @@ def test_read_trace_errors(tmp_path):
 # refused rather than summarized from guesses.
 def test_read_trace_requires_its_sidecar(tmp_path):
     row = TraceRow(1, 0, 1.0, 2.0, 0.5, 0.5, 0.0, (2.0,), (0.25,))
-    config = {"method": "ei", "n0": 1}
+    config = RunConfig(method="ei", n0=2).to_dict()
     trace = RunTrace(pipeline_name="p", config=config, total_budget=9.0, rows=[row])
     path = tmp_path / "t.csv"
     write_trace(trace, path)
@@ -726,6 +748,51 @@ def test_read_trace_requires_its_sidecar(tmp_path):
     sidecar.unlink()
     with pytest.raises(TraceParseError, match=r"t\.json"):
         read_trace(path)
+
+
+# Story: report reads a trace's method, seed and warmup size from its
+# sidecar without defaults, so a sidecar whose pipeline is not a string, or
+# whose config is not exactly a valid RunConfig's fields (one that lacks n0
+# would count warmup rows as post-warmup), is refused naming the sidecar.
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"config": 5},
+        {"config": {"n0": "x"}},
+        {"pipeline": ["p"]},
+        {"pipeline": None},
+        {"config": {**RunConfig().to_dict(), "n0": "x"}},
+        {"config": {**RunConfig().to_dict(), "epsilon": math.inf}},
+        {"config": {**RunConfig().to_dict(), "extra": 1}},
+        {"config": {k: v for k, v in RunConfig().to_dict().items() if k != "n0"}},
+    ],
+    ids=["config-number", "config-partial", "pipeline-list", "pipeline-null",
+         "n0-string", "epsilon-infinite", "extra-key", "no-n0"],
+)
+def test_read_trace_refuses_a_malformed_sidecar(tmp_path, change):
+    row = TraceRow(1, 0, 1.0, 2.0, 0.5, 0.5, 0.0, (2.0,), (0.25,))
+    trace = RunTrace("p", RunConfig().to_dict(), 9.0, [row])
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    sidecar = path.with_suffix(".json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **change}))
+    with pytest.raises(TraceParseError, match=r"t\.json"):
+        read_trace(path)
+
+
+# Story: the header is exactly the one write_trace writes for its stage
+# count and dim, so a reordered or renamed column is refused.
+def test_read_trace_refuses_a_header_it_does_not_write(tmp_path):
+    row = "1,0,1.0,2.0,0.5,0.5,0.0,2.0,0.25"
+    for header in (
+        "iter,delta,eta,consumed,y,best_y,score,x_1,cost_s1",
+        "iter,delta,eta,consumed,y,best_y,score,cost_s2,x_1",
+        "iter,delta,eta,consumed,best_y,y,score,cost_s1,x_1",
+    ):
+        path = tmp_path / "h.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(TraceParseError, match="unexpected header"):
+            read_trace(path)
 
 
 def test_write_trace_rejects_empty(tmp_path):
@@ -767,4 +834,5 @@ def test_post_warmup_rows_uses_sidecar_config(tmp_path):
     trace = RunTrace(pipeline_name="p", config={"n0": 3}, total_budget=9.0, rows=rows)
     assert len(trace.post_warmup_rows()) == 2
     bare = RunTrace(pipeline_name="p", config={}, total_budget=9.0, rows=rows)
-    assert len(bare.post_warmup_rows()) == 5
+    with pytest.raises(KeyError, match="n0"):
+        bare.post_warmup_rows()

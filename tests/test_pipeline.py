@@ -13,6 +13,7 @@ import os
 import pickle
 import struct
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -545,6 +546,27 @@ def test_external_pipeline_file_applies_keyed_noise(tmp_path):
     assert ys == [3.0 + _keyed_noise(x, 0.5)] * 2
 
 
+# Story: a stage command is split into words when the stage is built, and
+# the slots are filled in each word, so a working directory whose path has
+# a space still reaches the stage as one {input} and one {output} argument.
+def test_stage_paths_with_spaces_stay_one_argument(tmp_path, monkeypatch):
+    spaced = tmp_path / "tmp dir"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    script = tmp_path / "args.py"
+    script.write_text(
+        "import sys\n"
+        "open(sys.argv[1]).read()\n"
+        "print(f'objective={len(sys.argv)}')\n"
+    )
+    stage = StageSpec(
+        name="args", dim=1, bounds=((0.0, 1.0),), command=f"{PY} {script} {{input}} {{output}}"
+    )
+    pipe = PipelineSpec(name="spaced", stages=(stage,), noise_std=0.0)
+    obs = run(pipe, np.array([0.5]), PrefixPool((1,), 0, "all"), StageOutputStore(tmp_path / "c"))
+    assert obs.y == 3.0
+
+
 def test_external_failure_raises_with_stage_index(tmp_path):
     fail = f"{PY} -c 'import sys; sys.exit(3)'"
     pipe = _external_pipeline(tmp_path, final_cmd=fail)
@@ -718,6 +740,7 @@ _EXTERNAL = {
         ({"noise_std": True, "stages": [_EXTERNAL]}, "noise_std"),
         ({"stages": [{**_EXTERNAL, "command": 5}]}, "a command string"),
         ({"stages": [{**_EXTERNAL, "command": "  "}]}, "a command string"),
+        ({"stages": [{**_EXTERNAL, "command": "sh -c 'echo objective={x1}"}]}, "cannot split"),
         ({"stages": [{**_EXTERNAL, "timeout": math.nan}]}, "timeout"),
         ({"stages": [{**_EXTERNAL, "timeout": 0}]}, "timeout"),
         ({"stages": [{**_EXTERNAL, "timeout": -1}]}, "timeout"),
@@ -733,6 +756,7 @@ _EXTERNAL = {
         "no-command", "no-dim", "no-bounds", "list-doc",
         "stages-not-list", "dim-string", "dim-float", "unknown-kind", "short-bound",
         "noise-string", "noise-negative", "noise-bool", "command-number", "command-blank",
+        "command-unbalanced-quote",
         "timeout-nan", "timeout-zero", "timeout-negative", "timeout-infinite",
         "timeout-string", "bounds-infinite", "bounds-nan", "bounds-string",
         "bounds-bool", "bounds-null",
